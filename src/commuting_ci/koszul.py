@@ -216,7 +216,14 @@ def homology_slice(
         rows = _differential_rows(K, basis_up, index_i, prime)
         rank_up = _rank(rows, len(basis_i), prime)
 
-    h = len(basis_i) - rank_down - rank_up
+    # d_i d_{i+1} = 0, so rank_down + rank_up <= dim C_i; a violation means
+    # the rank computation is wrong, and no homology number may be reported.
+    if rank_down + rank_up > dims[1]:
+        raise RuntimeError(
+            f"rank(d_{i}) + rank(d_{i + 1}) = {rank_down} + {rank_up} exceeds "
+            f"dim C_{i} = {dims[1]} at (i, w) = ({i}, {w})"
+        )
+    h = dims[1] - rank_down - rank_up
     return KoszulSliceReport(i, w, dims, h, "ok")
 
 

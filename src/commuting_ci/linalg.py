@@ -1,16 +1,16 @@
 """Exact rank computation for the graded-slice matrices.
 
-Two coefficient regimes:
+Matrices are sparse: a sequence of rows, each a dict from column index to an
+entry.  Both coefficient regimes go through one sparse dict-of-rows
+elimination with a Markowitz-style pivot choice to limit fill-in:
 
-* GF(p): plain Gaussian elimination.  Small matrices go through a dense
-  numpy routine (int64 entries; products stay far below 2**63), large ones
-  through a sparse dict-of-rows elimination with a Markowitz-style pivot
-  choice to limit fill-in.
+* GF(p): entries are reduced mod p on entry (zeros dropped), so any integer
+  input is accepted, including negatives and multiples of p.  Elimination
+  scales the pivot row by its inverse and stays in [0, p).
 
-* rationals: fraction-free elimination on integer rows (denominators are
-  cleared per row first).  The dense path is Bareiss; the sparse path uses
-  cross-multiplication updates with gcd stripping, so no fractions ever
-  appear.
+* rationals: denominators are cleared per row first, then elimination runs
+  over Z with cross-multiplication updates and gcd stripping, so no
+  fractions ever appear.
 """
 
 from __future__ import annotations
@@ -20,21 +20,18 @@ from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Sequence
 
-import numpy as np
-
 Row = Dict[int, int]
-
-#: Matrices with at most this many entries use the dense code paths.
-DENSE_CUTOFF = 1_500_000
 
 
 def rank_mod_p(rows: Sequence[Dict[int, int]], ncols: int, p: int) -> int:
-    rows = [r for r in rows if r]
-    if not rows or ncols == 0:
+    reduced: List[Row] = []
+    for r in rows:
+        row = {c: m for c, v in r.items() if (m := v % p)}
+        if row:
+            reduced.append(row)
+    if not reduced or ncols == 0:
         return 0
-    if len(rows) * ncols <= DENSE_CUTOFF:
-        return _rank_mod_p_dense(rows, ncols, p)
-    return _rank_sparse(rows, p=p)
+    return _rank_sparse(reduced, p=p)
 
 
 def rank_rational(rows: Sequence[Dict[int, Fraction]], ncols: int) -> int:
@@ -52,73 +49,15 @@ def rank_rational(rows: Sequence[Dict[int, Fraction]], ncols: int) -> int:
             cleared.append(row)
     if not cleared or ncols == 0:
         return 0
-    if len(cleared) * ncols <= DENSE_CUTOFF and len(cleared) <= 400:
-        return _rank_bareiss(cleared, ncols)
     return _rank_sparse(cleared, p=None)
 
 
-def _rank_mod_p_dense(rows: Sequence[Dict[int, int]], ncols: int, p: int) -> int:
-    m = len(rows)
-    A = np.zeros((m, ncols), dtype=np.int64)
-    for i, r in enumerate(rows):
-        for c, v in r.items():
-            A[i, c] = v % p
-    rank = 0
-    for col in range(ncols):
-        if rank == m:
-            break
-        sub = A[rank:, col]
-        nz = np.nonzero(sub)[0]
-        if nz.size == 0:
-            continue
-        piv = rank + nz[0]
-        if piv != rank:
-            A[[rank, piv]] = A[[piv, rank]]
-        inv = pow(int(A[rank, col]), p - 2, p)
-        A[rank] = A[rank] * inv % p
-        below = A[rank + 1 :, col]
-        mask = below != 0
-        if mask.any():
-            A[rank + 1 :][mask] = (
-                A[rank + 1 :][mask] - below[mask, None] * A[rank][None, :]
-            ) % p
-        rank += 1
-    return rank
+def _rank_sparse(work: List[Row], p) -> int:
+    """Sparse elimination; exact over GF(p) (p given) or Z (p None).
 
-
-def _rank_bareiss(rows: Sequence[Row], ncols: int) -> int:
-    A = [[r.get(c, 0) for c in range(ncols)] for r in rows]
-    m = len(A)
-    rank = 0
-    prev = 1
-    col = 0
-    while rank < m and col < ncols:
-        piv = None
-        for i in range(rank, m):
-            if A[i][col]:
-                piv = i
-                break
-        if piv is None:
-            col += 1
-            continue
-        if piv != rank:
-            A[rank], A[piv] = A[piv], A[rank]
-        pv = A[rank][col]
-        for i in range(rank + 1, m):
-            vi = A[i][col]
-            rowi = A[i]
-            rowp = A[rank]
-            for j in range(col, ncols):
-                rowi[j] = (pv * rowi[j] - vi * rowp[j]) // prev
-        prev = pv
-        rank += 1
-        col += 1
-    return rank
-
-
-def _rank_sparse(rows: Sequence[Row], p) -> int:
-    """Sparse elimination; exact over GF(p) (p given) or Z (p None)."""
-    work: List[Row] = [dict(r) for r in rows if r]
+    The rows must be nonempty and are eliminated in place.  Over GF(p) every
+    entry must already lie in [1, p).
+    """
     colrows: Dict[int, set] = {}
     for i, r in enumerate(work):
         for c in r:

@@ -82,11 +82,6 @@ class MonomialOrder:
 
         return key
 
-    def sorted_terms(self, terms, reverse: bool = True):
-        """Terms of a {exponent: coeff} mapping, descending by default."""
-        keyf = self.key_func()
-        return sorted(terms.items(), key=lambda item: keyf(item[0]), reverse=reverse)
-
     def leading_exponent(self, terms) -> Exponent:
         keyf = self.key_func()
         return max(terms, key=keyf)

@@ -545,25 +545,6 @@ def _unpickle_poly(ring: RingDescriptor, items: Tuple) -> Polynomial:
     return Polynomial._raw(ring, dict(items))
 
 
-# -- module-level operation aliases -------------------------------------
-
-
-def add(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p + q
-
-
-def mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p * q
-
-
-def substitute(p: Polynomial, assignment: Mapping[str, Union[Polynomial, Coeff]]) -> Polynomial:
-    return p.substitute(assignment)
-
-
-def weight_of(p: Polynomial) -> Union[int, float, None]:
-    return p.weight_of()
-
-
 def reduce_mod(p: Polynomial, prime: int) -> Polynomial:
     """Map a rational-coefficient polynomial into GF(prime).
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from commuting_ci import koszul
 from commuting_ci.groebner import standard_monomial_dimension
 from commuting_ci.koszul import (
     KoszulComplex,
@@ -137,6 +138,12 @@ def test_u6_h1_weight_seven_nonzero_under_second_prime():
     assert homology_slice(K, 1, 7).h_dim == 1
 
 
+def test_u4_h1_vanishes_over_a_61_bit_prime():
+    K = build_complex(system("un", 4, 1, 2**61 - 1))
+    for w in range(4, 7):
+        assert homology_slice(K, 1, w).h_dim == 0, w
+
+
 def test_h0_matches_standard_monomials():
     for kind, n in [("un", 3), ("un", 4)]:
         K = build_complex(system(kind, n, 1))
@@ -183,6 +190,16 @@ def test_kunneth_u3_with_one_and_two_zeros():
     K = build_complex(system("un", 3, 1))
     assert kunneth_zero_check(K, 1, 5)
     assert kunneth_zero_check(K, 2, 5)
+
+
+# -- invariants --------------------------------------------------------------------------
+
+
+def test_overstated_rank_raises_instead_of_negative_homology(monkeypatch):
+    K = build_complex(system("un", 4, 1))
+    monkeypatch.setattr(koszul, "_rank", lambda rows, ncols, prime: ncols)
+    with pytest.raises(RuntimeError, match=r"\(i, w\) = \(1, 5\)"):
+        homology_slice(K, 1, 5)
 
 
 # -- caps --------------------------------------------------------------------------------

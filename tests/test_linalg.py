@@ -1,7 +1,11 @@
 """Exact rank routines against straightforward Fraction elimination."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -67,16 +71,40 @@ def test_rank_rational_with_fractions():
     assert linalg.rank_rational(rows, 2) == _rank_fraction_oracle(rows, 2)
 
 
-def test_sparse_paths_match_dense(monkeypatch):
-    rng = random.Random(300)
+@pytest.mark.parametrize("trial", range(6))
+@pytest.mark.parametrize("wide", [False, True])
+def test_rank_mod_p_reduces_its_input(trial, wide):
+    # entries are shifted by multiples of p (negatives stay negative), and a
+    # leading row holds only a nonzero multiple of p; the wide variant makes
+    # the matrix large, not just the block of columns in use
+    rng = random.Random(400 + trial)
     p = 32003
-    rows = _random_rows(rng, 30, 40)
-    reduced = [{c: v % p for c, v in r.items() if v % p} for r in rows]
-    expected_p = linalg.rank_mod_p(reduced, 40, p)
-    expected_q = linalg.rank_rational(rows, 40)
-    monkeypatch.setattr(linalg, "DENSE_CUTOFF", 0)
-    assert linalg.rank_mod_p(reduced, 40, p) == expected_p
-    assert linalg.rank_rational(rows, 40) == expected_q
+    nrows, ncols = rng.randint(1, 12), rng.randint(1, 12)
+    rows = _random_rows(rng, nrows, ncols)
+    shifted = [{0: p * rng.choice([-2, -1, 1, 2])}] + [
+        {c: v + p * rng.randint(-2, 2) for c, v in r.items()} for r in rows
+    ]
+    width = 800_000 if wide else ncols
+    assert linalg.rank_mod_p(shifted, width, p) == _rank_fraction_oracle(rows, ncols)
+
+
+@pytest.mark.parametrize("trial", range(6))
+def test_rank_mod_p_large_prime_matches_oracle(trial):
+    # minors of these small-entry matrices stay far below 2**61 - 1, so the
+    # ranks over Q and GF(2**61 - 1) agree
+    rng = random.Random(500 + trial)
+    p = 2**61 - 1
+    nrows, ncols = rng.randint(2, 12), rng.randint(2, 12)
+    rows = _random_rows(rng, nrows, ncols)
+    reduced = [{c: v % p for c, v in r.items()} for r in rows]
+    assert linalg.rank_mod_p(reduced, ncols, p) == _rank_fraction_oracle(rows, ncols)
+
+
+def test_package_import_loads_no_numpy():
+    src = Path(linalg.__file__).resolve().parent.parent
+    code = "import sys, commuting_ci; assert 'numpy' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_rank_handles_duplicates_and_zeros():
