@@ -1,28 +1,34 @@
-"""Complete-intersection verdicts for commuting varieties and the size-6 witness.
+"""Complete-intersection verdicts for commuting varieties: one decision pipeline.
 
-`decide_ci` builds the commutator system, computes a reduced Groebner basis
-of its generators (plus the unit relations in the borel case), reads the
-codimension off the leading-term ideal, and issues the verdict:
+`decide_ci` builds the commutator system and its monomial order, then tries
+two certificates in that ring and order:
 
-    CI  <=>  codimension == generator count + unit-relation count.
+1. For the unipotent family at genus 1 and n >= 6, the window witness
+   (`window_witness`): seven generators of the leading 6x6 window lie in an
+   ideal with only six generators, so by Krull's height theorem that
+   subsequence has codimension at most 6 < 7, the full sequence cannot be
+   regular, and the variety is not a complete intersection.
+2. Otherwise, a reduced Groebner basis of the generators (plus the unit
+   relations in the borel case) whose leading-term ideal gives the
+   codimension:
 
-Hitting a resource limit yields verdict "Incomplete", never a guess.  A
-"NotCI" verdict always carries a certificate: either a completed basis whose
-codimension falls short, or the explicit membership witness of `u6_witness`,
-which traps seven generators of the 6x6 unipotent system inside an ideal
-with only six generators, bounding the codimension of a subsequence by 6 < 7
-(so the full sequence cannot be regular, and no sequence presenting the
-variety in these coordinates can be).
+       CI  <=>  codimension == generator count + unit-relation count.
+
+Hitting a resource limit yields verdict "Incomplete", never a guess, and
+every "NotCI" carries its certificate: the witness or the completed basis.
+`classify_table` is `decide_ci` over a range of n; `u6_witness` runs the
+witness alone on the 6x6 system.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from .groebner import buchberger, krull_dimension, normal_form
-from .groupmat import UNIPOTENT, commutator_word, normalize_kind
+from .groupmat import UNIPOTENT, CommutatorSystem, commutator_word, normalize_kind
 from .ordering import MonomialOrder
 from .polyring import (
     DEFAULT_PRIME,
@@ -185,10 +191,11 @@ def decide_ci(
 ) -> CIReport:
     """Decide whether the genus-`genus` commuting variety is a complete intersection.
 
-    The verdict compares the computed codimension of the generator ideal
-    (including unit relations for borel) with the number of generators; the
-    two agree exactly when the sequence is regular.  Resource limits produce
-    verdict "Incomplete".
+    Unipotent genus-1 cases with n >= 6 first try the window witness in the
+    U_n ring; a NotCI witness is the verdict.  Otherwise the verdict compares
+    the computed codimension of the generator ideal (including unit relations
+    for borel) with the number of generators; the two agree exactly when the
+    sequence is regular.  Resource limits produce verdict "Incomplete".
     """
     t0 = time.monotonic()
     kind = normalize_kind(kind)
@@ -201,8 +208,6 @@ def decide_ci(
     ring = system.ring
     order = MonomialOrder.seeded(ring.nvars, order_seed)
     gens = [f for _, f in system.generators]
-    all_gens = gens + list(system.unit_relations)
-    gb = buchberger(all_gens, order, ring=ring, degree_cap=degree_cap, timeout=timeout)
     r = len(gens)
     u = len(system.unit_relations)
     report = CIReport(
@@ -218,10 +223,24 @@ def decide_ci(
         codim=None,
         verdict="Incomplete",
         exterior_factors=len(system.zero_positions),
-        stats=gb.stats.to_json(),
     )
+    if kind == UNIPOTENT and genus == 1 and n >= 6:
+        witness = window_witness(system, order, degree_cap=degree_cap, timeout=timeout)
+        if witness.conclusion == "NotCI":
+            report.verdict = "NotCI"
+            report.witness = witness.to_json()
+            report.wall_seconds = time.monotonic() - t0
+            return report
+    all_gens = gens + list(system.unit_relations)
+    gb = buchberger(all_gens, order, ring=ring, degree_cap=degree_cap, timeout=timeout)
+    report.stats = gb.stats.to_json()
     if gb.is_complete:
         stats = krull_dimension(gb)
+        if stats.codimension > r + u:
+            raise RuntimeError(
+                f"{kind} n={n} genus={genus}: codimension {stats.codimension} exceeds "
+                f"the {r + u} generators, which Krull's height theorem forbids"
+            )
         report.dim = stats.dimension
         report.codim = stats.codimension
         if stats.codimension == r + u:
@@ -252,9 +271,6 @@ _WITNESS_POSITIONS: Tuple[Tuple[int, int], ...] = (
 #: Variables set to zero by the witness substitution.
 _WITNESS_KILLED = ("x_1_2_3", "x_1_4_5", "y_1_2_3", "y_1_4_5")
 
-#: Positions whose entries must vanish identically under the substitution.
-_WITNESS_ZEROED = ((1, 3), (2, 4), (2, 5), (3, 5), (4, 6))
-
 #: The two surviving entries, in the textual format.
 _WITNESS_SURVIVORS: Dict[Tuple[int, int], str] = {
     (1, 4): "x_1_1_2*y_1_2_4 + x_1_1_3*y_1_3_4 - x_1_3_4*y_1_1_3 - x_1_2_4*y_1_1_2",
@@ -262,55 +278,58 @@ _WITNESS_SURVIVORS: Dict[Tuple[int, int], str] = {
 }
 
 
-def u6_witness(
-    field: Optional[str] = "q",
-    order_seed: Optional[int] = None,
+def window_witness(
+    system: CommutatorSystem,
+    order: MonomialOrder,
     *,
     degree_cap: int = DEFAULT_DEGREE_CAP,
     timeout: float = DEFAULT_TIMEOUT,
 ) -> WitnessReport:
-    """Certify that the 6x6 unipotent commuting variety is not a complete intersection.
+    """Certify that a unipotent genus-1 system with n >= 6 is not a complete intersection.
 
-    Steps: (a) build the genus-1 system for n = 6; (b) substitute the four
-    killed variables by 0 and check the forced pattern (five selected entries
-    vanish, two survive with known values); (c) verify that each of the seven
+    Entry (i, j) of a product or inverse of upper-triangular matrices only
+    involves indices i..j, so the seven selected generators, all inside the
+    leading 6x6 window, are the same polynomials for every n >= 6.  Steps, all
+    in the ring and order of `system`: (a) substitute the four killed
+    variables by 0 and check the forced pattern (five selected entries vanish,
+    two survive with known values); (b) verify that each of the seven
     unsubstituted generators lies in the ideal spanned by the four killed
     variables and the two survivors.  Seven generators inside a 6-generated
-    ideal bound the codimension of that subsequence by 6 < 7, so the full
-    generator sequence is not regular and the variety is not a complete
-    intersection.  Any failed check returns conclusion "Inconclusive" with
-    the failing position.
+    ideal bound the codimension of that subsequence by 6 < 7 (Krull's height
+    theorem), so the full generator sequence is not regular and the variety
+    is not a complete intersection.  Any failed check returns conclusion
+    "Inconclusive" with the failing position.
     """
-    fld = parse_field_label(field) if isinstance(field, str) else (field or QQ)
-    system = commutator_word(UNIPOTENT, 6, 1, fld)
+    if system.kind != UNIPOTENT or system.genus != 1 or system.n < 6:
+        raise ValueError(
+            f"the window witness needs a unipotent genus-1 system with n >= 6, "
+            f"not {system.kind} n={system.n} genus={system.genus}"
+        )
     ring = system.ring
-    order = MonomialOrder.seeded(ring.nvars, order_seed)
     substitution = {name: ring.zero() for name in _WITNESS_KILLED}
+    survivors = {pos: parse_poly(text, ring) for pos, text in _WITNESS_SURVIVORS.items()}
+    bounding = [ring.gen(name) for name in _WITNESS_KILLED]
+    bounding += [survivors[p] for p in sorted(survivors)]
 
     surviving: Dict[str, str] = {}
     pattern_ok = True
     failed: Optional[Tuple[int, int]] = None
     for pos in _WITNESS_POSITIONS:
         image = system.generator_at(*pos).substitute(substitution)
-        if pos in _WITNESS_SURVIVORS:
-            expected = parse_poly(_WITNESS_SURVIVORS[pos], ring)
+        if pos in survivors:
             surviving[f"{pos[0]},{pos[1]}"] = format_poly(image, order)
-            if image != expected:
-                pattern_ok = False
-                failed = pos
-                break
+            ok = image == survivors[pos]
         else:
-            if not image.is_zero:
-                pattern_ok = False
-                failed = pos
-                break
+            ok = image.is_zero
+        if not ok:
+            pattern_ok = False
+            failed = pos
+            break
 
     memberships: Dict[str, bool] = {}
     conclusion = "Inconclusive"
     codim_bound: Optional[int] = None
     if pattern_ok:
-        bounding = [ring.gen(name) for name in _WITNESS_KILLED]
-        bounding += [parse_poly(_WITNESS_SURVIVORS[p], ring) for p in sorted(_WITNESS_SURVIVORS)]
         gb = buchberger(bounding, order, ring=ring, degree_cap=degree_cap, timeout=timeout)
         if gb.is_complete:
             all_in = True
@@ -331,70 +350,26 @@ def u6_witness(
         positions=_WITNESS_POSITIONS,
         pattern_ok=pattern_ok,
         memberships=memberships,
-        bounding_generators=6,
+        bounding_generators=len(bounding),
         codim_bound=codim_bound,
         conclusion=conclusion,
         failed_position=failed,
-        field=fld.label(),
+        field=ring.field.label(),
     )
 
 
-def _witness_report_row(
-    n: int,
-    genus: int,
-    field: Optional[str],
-    order_seed: Optional[int],
-    degree_cap: int,
-    timeout: float,
-) -> CIReport:
-    """Table row for unipotent n >= 6, genus 1, via the embedded 6x6 witness."""
-    t0 = time.monotonic()
-    witness = u6_witness(
-        field if field not in (None, "auto") else "q",
-        order_seed,
-        degree_cap=degree_cap,
-        timeout=timeout,
-    )
-    verdict = "NotCI" if witness.conclusion == "NotCI" else "Incomplete"
-    note = None
-    if n > 6 and verdict == "NotCI":
-        note = (
-            "conjectural: obtained by embedding the 6x6 obstruction as the "
-            "leading window; not certified by a completed basis for this n"
-        )
-    report = CIReport(
-        group=UNIPOTENT,
-        n=n,
-        genus=genus,
-        field=witness.field,
-        order={"kind": "grevlex", "seed": order_seed, "permutation": None},
-        nvars=2 * (n * (n - 1) // 2),
-        generators=(n - 1) * (n - 2) // 2,
-        unit_relations=0,
-        dim=None,
-        codim=None,
-        verdict=verdict,
-        exterior_factors=n - 1,
-        witness=witness.to_json(),
-        note=note,
-    )
-    report.wall_seconds = time.monotonic() - t0
-    return report
-
-
-def _table_case(args: tuple) -> CIReport:
-    kind, n, genus, field, order_seed, degree_cap, timeout = args
-    if kind == UNIPOTENT and genus == 1 and n >= 6:
-        return _witness_report_row(n, genus, field, order_seed, degree_cap, timeout)
-    return decide_ci(
-        kind,
-        n,
-        genus,
-        field=field,
-        order_seed=order_seed,
-        degree_cap=degree_cap,
-        timeout=timeout,
-    )
+def u6_witness(
+    field: Optional[str] = "q",
+    order_seed: Optional[int] = None,
+    *,
+    degree_cap: int = DEFAULT_DEGREE_CAP,
+    timeout: float = DEFAULT_TIMEOUT,
+) -> WitnessReport:
+    """Run `window_witness` on the 6x6 unipotent genus-1 system."""
+    fld = parse_field_label(field) if isinstance(field, str) else (field or QQ)
+    system = commutator_word(UNIPOTENT, 6, 1, fld)
+    order = MonomialOrder.seeded(system.ring.nvars, order_seed)
+    return window_witness(system, order, degree_cap=degree_cap, timeout=timeout)
 
 
 def classify_table(
@@ -408,23 +383,28 @@ def classify_table(
     timeout: float = DEFAULT_TIMEOUT,
     jobs: Optional[int] = None,
 ) -> List[CIReport]:
-    """Verdicts for n = 2..max_n of one family, fanned out to a worker pool.
+    """`decide_ci` for n = 2..max_n of one family, fanned out to a worker pool.
 
-    Unipotent genus-1 cases with n >= 6 go through the membership witness:
-    for n = 6 that is a complete certificate, for larger n the verdict is
-    labeled conjectural (the obstruction embeds as the leading 6x6 window but
-    no completed basis certifies it).
+    Every row is the report `decide_ci` gives for that case with the same
+    arguments; rows come back in ascending n.
     """
     kind = normalize_kind(family)
     if max_n < 2:
         raise ValueError("max_n must be at least 2")
-    cases = [
-        (kind, n, genus, field, order_seed, degree_cap, timeout)
-        for n in range(2, max_n + 1)
-    ]
-    if jobs is None or jobs <= 1 or len(cases) <= 1:
-        return [_table_case(c) for c in cases]
+    case = partial(
+        decide_ci,
+        kind,
+        genus=genus,
+        field=field,
+        order_seed=order_seed,
+        degree_cap=degree_cap,
+        timeout=timeout,
+    )
+    # Largest n first: its word build is the slowest row and should not start last.
+    sizes = range(max_n, 1, -1)
+    if jobs is None or jobs <= 1 or len(sizes) <= 1:
+        return [case(n) for n in sizes][::-1]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=min(jobs, len(cases))) as pool:
-        return list(pool.map(_table_case, cases))
+    with ProcessPoolExecutor(max_workers=min(jobs, len(sizes))) as pool:
+        return list(pool.map(case, sizes))[::-1]

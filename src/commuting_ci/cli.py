@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -74,8 +75,8 @@ class RunConfig:
             parse_field_label(self.field)  # checks primality of gf:p
         if self.degree_cap <= 0:
             raise ValueError("--degree-cap must be positive")
-        if self.timeout <= 0:
-            raise ValueError("--timeout must be positive")
+        if not (0 < self.timeout < math.inf):  # False for nan
+            raise ValueError("--timeout must be positive and finite")
         if self.slice_cap <= 0:
             raise ValueError("--slice-cap must be positive")
 
@@ -203,6 +204,8 @@ def cmd_koszul(args: argparse.Namespace) -> int:
         output=args.output,
     )
     cfg.validate()
+    if args.max_weight < 0:
+        raise ValueError("--max-weight must be non-negative")
     fld = resolve_field(cfg.group, cfg.n, cfg.field)
     system = commutator_word(cfg.group, cfg.n, cfg.genus, fld)
     complex_ = build_complex(system)

@@ -1,7 +1,10 @@
 """Verdict pipeline: decide_ci, the 6x6 witness, and the classification table."""
 
+import dataclasses
+
 import pytest
 
+from commuting_ci import cidecide
 from commuting_ci.cidecide import (
     CIReport,
     WitnessReport,
@@ -177,13 +180,46 @@ def test_table_includes_u6_witness_row():
     assert all(by_n[n].verdict == "CI" for n in (2, 3, 4, 5))
 
 
-def test_table_n7_is_conjectural():
-    from commuting_ci.cidecide import _witness_report_row
+def test_decide_u7_certified_by_window_witness():
+    r = decide_ci("un", 7, 1)
+    assert r.verdict == "NotCI"
+    assert (r.nvars, r.generators, r.note) == (42, 15, None)
+    assert r.stats is None and r.dim is None and r.codim is None
+    assert r.witness["conclusion"] == "NotCI" and r.witness["field"] == r.field
+    assert len(r.witness["memberships"]) == 7 and all(r.witness["memberships"].values())
+    assert sorted(r.order["permutation"]) == list(range(42))
 
-    row = _witness_report_row(7, 1, "q", None, 30, 3600.0)
-    assert row.verdict == "NotCI"
-    assert row.note is not None and "conjectural" in row.note
-    assert row.generators == 15 and row.nvars == 42
+
+def test_table_rows_are_decide_reports():
+    def strip(r):
+        data = r.to_json()
+        del data["wall_seconds"]
+        if data["stats"] is not None:
+            data["stats"] = {k: v for k, v in data["stats"].items() if k != "seconds"}
+        return data
+
+    rows = classify_table("un", 8, 1, order_seed=7, jobs=2)
+    assert [r.n for r in rows] == list(range(2, 9))
+    assert [strip(r) for r in rows] == [strip(decide_ci("un", n, 1, order_seed=7)) for n in range(2, 9)]
+
+
+def test_u6_verdict_agrees_across_order_seeds():
+    reports = [decide_ci("un", 6, 1, order_seed=s) for s in (7, 12345)]
+    assert [r.verdict for r in reports] == ["NotCI", "NotCI"]
+    assert reports[0].order["permutation"] != reports[1].order["permutation"]
+    assert reports[0].witness["memberships"] == reports[1].witness["memberships"]
+
+
+def test_codim_above_generator_count_raises(monkeypatch):
+    real = cidecide.krull_dimension
+
+    def inflated(gb):
+        stats = real(gb)
+        return dataclasses.replace(stats, dimension=stats.dimension - 1, codimension=stats.codimension + 1)
+
+    monkeypatch.setattr(cidecide, "krull_dimension", inflated)
+    with pytest.raises(RuntimeError, match="unipotent n=3 genus=1"):
+        decide_ci("un", 3, 1)
 
 
 def test_table_parallel_matches_serial():

@@ -43,6 +43,24 @@ def test_decide_usage_errors(capsys):
     assert main(["nonsense"]) == EXIT_USAGE
 
 
+def test_decide_u6_by_window_witness(capsys):
+    code, out = run(capsys, "decide", "--group", "un", "--n", "6", "--timeout", "5")
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["verdict"] == "NotCI"
+    assert report["witness"]["conclusion"] == "NotCI"
+    assert len(report["witness"]["memberships"]) == 7
+
+
+def test_non_finite_timeout_is_a_usage_error(capsys, monkeypatch):
+    for value in ("nan", "inf"):
+        assert main(["decide", "--group", "un", "--n", "3", "--timeout", value]) == EXIT_USAGE
+        assert "--timeout" in capsys.readouterr().err
+    monkeypatch.setenv("COMMUTING_CI_TIMEOUT", "nan")
+    assert main(["decide", "--group", "un", "--n", "3"]) == EXIT_USAGE
+    assert "--timeout" in capsys.readouterr().err
+
+
 def test_witness_u6(capsys):
     code, out = run(capsys, "witness-u6", "--field", "q")
     assert code == EXIT_OK
@@ -72,6 +90,11 @@ def test_koszul_u3(capsys):
 def test_koszul_rejects_borel(capsys):
     code = main(["koszul", "--group", "bn", "--n", "2", "--max-weight", "3"])
     assert code == EXIT_USAGE
+
+
+def test_koszul_negative_max_weight_is_a_usage_error(capsys):
+    code, out = run(capsys, "koszul", "--group", "un", "--n", "3", "--max-weight", "-3")
+    assert code == EXIT_USAGE and out == ""
 
 
 def test_koszul_slice_cap_incomplete(capsys):
