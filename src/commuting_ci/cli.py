@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -86,7 +87,12 @@ def _effective_timeout(value: Optional[float]) -> float:
         return value
     env = os.environ.get("COMMUTING_CI_TIMEOUT")
     if env:
-        return float(env)
+        try:
+            return float(env)
+        except ValueError:
+            raise ValueError(
+                f"COMMUTING_CI_TIMEOUT must be a number of seconds, got {env!r}"
+            ) from None
     return DEFAULT_TIMEOUT
 
 
@@ -103,7 +109,7 @@ def _add_common(p: argparse.ArgumentParser, *, field_default: Optional[str] = No
     p.add_argument("--field", default=field_default, help="coefficient field: q or gf:<prime>")
     p.add_argument("--order-seed", type=int, default=None, help="seed for the variable permutation")
     p.add_argument("--degree-cap", type=int, default=DEFAULT_DEGREE_CAP)
-    p.add_argument("--timeout", type=float, default=None, help="seconds per basis (env COMMUTING_CI_TIMEOUT)")
+    p.add_argument("--timeout", type=float, default=None, help="seconds per basis, or per koszul run (env COMMUTING_CI_TIMEOUT)")
     p.add_argument("--output", default=None, help="write the JSON report to this file")
 
 
@@ -200,22 +206,31 @@ def cmd_koszul(args: argparse.Namespace) -> int:
         genus=args.genus,
         field=args.field,
         order_seed=args.order_seed,
+        timeout=_effective_timeout(args.timeout),
         slice_cap=args.slice_cap,
         output=args.output,
     )
     cfg.validate()
     if args.max_weight < 0:
         raise ValueError("--max-weight must be non-negative")
+    deadline = time.monotonic() + cfg.timeout
     fld = resolve_field(cfg.group, cfg.n, cfg.field)
     system = commutator_word(cfg.group, cfg.n, cfg.genus, fld)
     complex_ = build_complex(system)
     rows = []
-    incomplete = False
+    stopped_by = None
     for w in range(args.max_weight + 1):
+        if time.monotonic() > deadline:
+            stopped_by = "timeout"
+            break
         rep = homology_slice(complex_, args.degree, w, size_cap=cfg.slice_cap)
         rows.append(rep.to_json())
         if rep.status != "ok":
-            incomplete = True
+            # U_n has the weight-1 variable x_{1,2}; multiplying by it embeds
+            # each chain slice in the next weight, so every later slice is
+            # over the cap as well
+            stopped_by = "slice_cap"
+            break
     payload = {
         "group": normalize_kind(cfg.group),
         "n": cfg.n,
@@ -223,10 +238,11 @@ def cmd_koszul(args: argparse.Namespace) -> int:
         "field": fld.label(),
         "degree": args.degree,
         "exterior_factors": complex_.exterior_zero_count,
+        "stopped_by": stopped_by,
         "slices": rows,
     }
     _emit(payload, cfg.output)
-    return EXIT_INCOMPLETE if incomplete else EXIT_OK
+    return EXIT_INCOMPLETE if stopped_by else EXIT_OK
 
 
 def cmd_dump(args: argparse.Namespace) -> int:

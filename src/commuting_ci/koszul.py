@@ -8,17 +8,31 @@ f_k * m placed in t_{S - k}.
 Every variable weight is >= 1, so the slice of fixed homological degree i and
 internal weight w is finite dimensional; its homology is computed by exact
 rank of the two differential matrices over the coefficient field.  Nothing is
-ever computed as a module presentation.
+ever computed as a module presentation.  A slice is handled in three steps:
+
+* Counting.  dim C_i(w) comes from generating functions: the number of
+  monomials of each weight (c[u] += c[u - w_v] over the variables) times the
+  number of i-subsets of generators of each weight.  No basis is built to be
+  counted, and the size cap is tested on these counts.
+* Packed keys.  At weight w a basis element t_S * m is one int: the exponent
+  of variable v in a field of w.bit_length() bits at bit v * width, and S as
+  a bitmask above all the fields.  An exponent of a monomial of weight <= w is
+  at most w, so adding packed monomials never carries from one field into the
+  next.  Applying generator s with term c * x^e to a key is one addition of
+  the precomputed pack(e) - bit(s); the sign is (-1)^(elements of S below s).
+* Lazy columns.  d_i and d_{i+1} are built row by row from the bases of C_i
+  and C_{i+1}; a column is numbered when a row first hits its key, so
+  C_{i-1} (for i = 1, all monomials of weight w) is never built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import linalg
-from .polyring import Exponent, Polynomial, PrimeField, RingDescriptor
+from .polyring import Polynomial, PrimeField, RingDescriptor
 
 #: Chain slices above this many basis elements are not materialized.
 DEFAULT_SLICE_CAP = 200_000
@@ -42,6 +56,10 @@ class KoszulComplex:
     generators: Tuple[Polynomial, ...]
     weights: Tuple[int, ...]
     exterior_zero_count: int = 0
+    # packed monomials of one field width, by weight (see `_monomial_table`)
+    _monomials: Dict[int, List[List[int]]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if not self.ring.positively_weighted():
@@ -68,6 +86,10 @@ class KoszulSliceReport:
     chain_dims: Tuple[int, int, int]  # dims of C_{i-1}, C_i, C_{i+1} at weight w
     h_dim: Optional[int]
     status: str  # "ok" | "incomplete"
+    ranks: Optional[Tuple[int, int]] = None  # rank d_i, rank d_{i+1}; None if incomplete
+    # (rows, cols) of d_i and d_{i+1} as built: cols counts the columns hit,
+    # (0, 0) for a map that is zero because one end is empty
+    shapes: Optional[Tuple[Tuple[int, int], Tuple[int, int]]] = None
 
     def to_json(self) -> dict:
         return {
@@ -76,6 +98,8 @@ class KoszulSliceReport:
             "chain_dims": list(self.chain_dims),
             "h_dim": self.h_dim,
             "status": self.status,
+            "ranks": None if self.ranks is None else list(self.ranks),
+            "shapes": None if self.shapes is None else [list(s) for s in self.shapes],
         }
 
 
@@ -108,73 +132,90 @@ def extend_with_zero_generators(K: KoszulComplex, count: int, weight: int = 1) -
     )
 
 
-def _slice_basis(K: KoszulComplex, i: int, w: int) -> List[Tuple[Tuple[int, ...], Exponent]]:
-    """Basis of the degree-i, weight-w chain slice: (index subset, monomial)."""
-    if i < 0 or w < 0:
-        return []
-    r = len(K.generators)
-    if i > r:
-        return []
-    out: List[Tuple[Tuple[int, ...], Exponent]] = []
-    mono_cache: Dict[int, List[Exponent]] = {}
-    for S in combinations(range(r), i):
-        rem = w - sum(K.weights[s] for s in S)
-        if rem < 0:
-            continue
-        monos = mono_cache.get(rem)
-        if monos is None:
-            monos = K.ring.monomials_of_weight(rem)
-            mono_cache[rem] = monos
-        for m in monos:
-            out.append((S, m))
-    return out
-
-
 def _slice_dim(K: KoszulComplex, i: int, w: int) -> int:
+    """dim C_i(w) from generating functions; no basis is built to be counted."""
     if i < 0 or w < 0 or i > len(K.generators):
         return 0
-    dim = 0
-    count_cache: Dict[int, int] = {}
-    for S in combinations(range(len(K.generators)), i):
-        rem = w - sum(K.weights[s] for s in S)
-        if rem < 0:
-            continue
-        c = count_cache.get(rem)
-        if c is None:
-            c = len(K.ring.monomials_of_weight(rem))
-            count_cache[rem] = c
-        dim += c
-    return dim
+    monomials = [1] + [0] * w  # monomials[u]: number of monomials of weight u
+    for wv in K.ring.weights:
+        for u in range(wv, w + 1):
+            monomials[u] += monomials[u - wv]
+    # subsets[k][u]: number of k-subsets of the generators of total weight u
+    subsets = [[1] + [0] * w] + [[0] * (w + 1) for _ in range(i)]
+    for ws in K.weights:
+        for k in range(i, 0, -1):
+            prev, cur = subsets[k - 1], subsets[k]
+            for u in range(ws, w + 1):
+                cur[u] += prev[u - ws]
+    return sum(count * monomials[w - u] for u, count in enumerate(subsets[i]))
+
+
+def _monomial_table(K: KoszulComplex, width: int, top: int) -> List[List[int]]:
+    """Packed monomials of each weight 0..top (or beyond), `width` bits per exponent.
+
+    Cached on K for one width at a time; a larger `top` rebuilds the table.
+    """
+    table = K._monomials.get(width)
+    if table is None or len(table) <= top:
+        table = [[0]] + [[] for _ in range(top)]
+        for v, wv in enumerate(K.ring.weights):
+            step = 1 << (v * width)
+            for u in range(wv, top + 1):
+                table[u] += [m + step for m in table[u - wv]]
+        K._monomials.clear()
+        K._monomials[width] = table
+    return table
+
+
+def _slice_layout(K: KoszulComplex, i: int, w: int):
+    """How C_i(w) is packed: (S, w - weight(S)) for each i-subset S that fits,
+    the packed monomial table, the bits per exponent field, and the first bit of S."""
+    ws = K.weights
+    fits = [
+        (S, rem)
+        for S in combinations(range(len(ws)), i)
+        if (rem := w - sum(ws[s] for s in S)) >= 0
+    ]
+    width = max(w.bit_length(), 1)  # every exponent of a key is <= w
+    table = _monomial_table(K, width, max((rem for _, rem in fits), default=0))
+    return fits, table, width, K.ring.nvars * width
+
+
+def _slice_basis(K: KoszulComplex, i: int, w: int) -> List[int]:
+    """Packed keys of the C_i(w) basis, in the row order of `_differential_rows`."""
+    if i < 0 or w < 0:
+        return []
+    fits, table, _, base = _slice_layout(K, i, w)
+    return [sum(1 << (base + s) for s in S) + m for S, rem in fits for m in table[rem]]
 
 
 def _differential_rows(
-    K: KoszulComplex,
-    basis_src: Sequence[Tuple[Tuple[int, ...], Exponent]],
-    index_dst: Dict[Tuple[Tuple[int, ...], Exponent], int],
-    prime: Optional[int],
-) -> List[Dict[int, object]]:
-    """Rows of d: src slice -> dst slice, one dict per source basis element."""
+    K: KoszulComplex, i: int, w: int
+) -> Tuple[List[Dict[int, object]], Dict[int, int]]:
+    """Rows of d_i on the C_i(w) basis (i >= 1), and the column numbering.
+
+    A column is the packed key of a C_{i-1}(w) element, numbered when first
+    hit, so C_{i-1}(w) itself is never enumerated.  Entries are the signed
+    generator coefficients; `linalg` reduces them into the field.
+    """
+    fits, table, width, base = _slice_layout(K, i, w)
+    # applying generator s to t_S * m is adding pack(exponent) - bit(s) to its key
+    deltas = [
+        [
+            (sum(e << (v * width) for v, e in enumerate(me) if e) - (1 << (base + s)), c)
+            for me, c in f.terms.items()
+        ]
+        for s, f in enumerate(K.generators)
+    ]
+    index: Dict[int, int] = {}
+    claim = index.setdefault
     rows: List[Dict[int, object]] = []
-    gens = K.generators
-    for S, m in basis_src:
-        row: Dict[int, object] = {}
-        for k, s in enumerate(S):
-            f = gens[s]
-            if f.is_zero:
-                continue
-            sign = -1 if k & 1 else 1
-            Srem = S[:k] + S[k + 1 :]
-            for me, c in f.terms.items():
-                col = index_dst[(Srem, tuple(map(int.__add__, m, me)))]
-                v = row.get(col, 0) + sign * c
-                if prime is not None:
-                    v %= prime
-                if v:
-                    row[col] = v
-                else:
-                    row.pop(col, None)
-        rows.append(row)
-    return rows
+    for S, rem in fits:
+        key_S = sum(1 << (base + s) for s in S)
+        moves = [(key_S + d, -c if k & 1 else c) for k, s in enumerate(S) for d, c in deltas[s]]
+        for m in table[rem]:
+            rows.append({claim(m + d, len(index)): c for d, c in moves})
+    return rows, index
 
 
 def homology_slice(
@@ -186,10 +227,10 @@ def homology_slice(
 ) -> KoszulSliceReport:
     """Exact dimension of H_i at internal weight w.
 
-    Enumerates the monomial bases of the three relevant chain slices, builds
-    the two differential matrices over the coefficient field, and returns
-    dim ker(d_i) - rank(d_{i+1}).  Slices larger than `size_cap` yield an
-    "incomplete" report instead of an answer.
+    Counts the three chain slices, builds d_i on C_i(w) and d_{i+1} on
+    C_{i+1}(w) over the coefficient field, and returns dim C_i(w) -
+    rank(d_i) - rank(d_{i+1}).  Slices with a chain dimension above
+    `size_cap` yield an "incomplete" report instead of an answer.
     """
     if i < 0 or w < 0:
         raise ValueError("homological degree and weight must be nonnegative")
@@ -198,23 +239,15 @@ def homology_slice(
         return KoszulSliceReport(i, w, dims, None, "incomplete")
     prime = K.ring.field.p if isinstance(K.ring.field, PrimeField) else None
 
-    basis_i = _slice_basis(K, i, w)
-    if not basis_i:
-        return KoszulSliceReport(i, w, dims, 0, "ok")
-
-    rank_down = 0
-    if i >= 1 and dims[0]:
-        basis_dn = _slice_basis(K, i - 1, w)
-        index_dn = {b: c for c, b in enumerate(basis_dn)}
-        rows = _differential_rows(K, basis_i, index_dn, prime)
-        rank_down = _rank(rows, len(basis_dn), prime)
-
-    rank_up = 0
-    if dims[2]:
-        basis_up = _slice_basis(K, i + 1, w)
-        index_i = {b: c for c, b in enumerate(basis_i)}
-        rows = _differential_rows(K, basis_up, index_i, prime)
-        rank_up = _rank(rows, len(basis_i), prime)
+    ranks = [0, 0]
+    shapes = [(0, 0), (0, 0)]
+    for k, deg in enumerate((i, i + 1)):
+        # d_deg: C_deg -> C_{deg-1} is zero unless both ends are nonzero
+        if deg >= 1 and dims[k] and dims[k + 1]:
+            rows, index = _differential_rows(K, deg, w)
+            ranks[k] = _rank(rows, len(index), prime)
+            shapes[k] = (len(rows), len(index))
+    rank_down, rank_up = ranks
 
     # d_i d_{i+1} = 0, so rank_down + rank_up <= dim C_i; a violation means
     # the rank computation is wrong, and no homology number may be reported.
@@ -224,7 +257,7 @@ def homology_slice(
             f"dim C_{i} = {dims[1]} at (i, w) = ({i}, {w})"
         )
     h = dims[1] - rank_down - rank_up
-    return KoszulSliceReport(i, w, dims, h, "ok")
+    return KoszulSliceReport(i, w, dims, h, "ok", tuple(ranks), tuple(shapes))
 
 
 def _rank(rows, ncols: int, prime: Optional[int]) -> int:

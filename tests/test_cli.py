@@ -1,7 +1,13 @@
 """Exit codes, JSON reports, and flag handling of the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
+import commuting_ci
 from commuting_ci.cli import EXIT_INCOMPLETE, EXIT_OK, EXIT_USAGE, main
 
 
@@ -61,6 +67,12 @@ def test_non_finite_timeout_is_a_usage_error(capsys, monkeypatch):
     assert "--timeout" in capsys.readouterr().err
 
 
+def test_unparsable_env_timeout_names_the_variable(capsys, monkeypatch):
+    monkeypatch.setenv("COMMUTING_CI_TIMEOUT", "abc")
+    assert main(["decide", "--group", "un", "--n", "3"]) == EXIT_USAGE
+    assert "COMMUTING_CI_TIMEOUT" in capsys.readouterr().err
+
+
 def test_witness_u6(capsys):
     code, out = run(capsys, "witness-u6", "--field", "q")
     assert code == EXIT_OK
@@ -85,6 +97,7 @@ def test_koszul_u3(capsys):
     assert payload["exterior_factors"] == 2
     assert [row["h_dim"] for row in payload["slices"]] == [0] * 7
     assert all(row["status"] == "ok" for row in payload["slices"])
+    assert payload["stopped_by"] is None
 
 
 def test_koszul_rejects_borel(capsys):
@@ -104,6 +117,39 @@ def test_koszul_slice_cap_incomplete(capsys):
         "--max-weight", "6", "--slice-cap", "10",
     )
     assert code == EXIT_INCOMPLETE
+    assert json.loads(out)["stopped_by"] == "slice_cap"
+
+
+def test_koszul_stops_at_the_first_slice_over_the_cap():
+    # a fresh interpreter, so that an unbounded loop fails the test by its
+    # timeout instead of hanging the suite
+    src = Path(commuting_ci.__file__).resolve().parent.parent
+    argv = [
+        sys.executable, "-m", "commuting_ci.cli", "koszul", "--group", "un", "--n", "3",
+        "--max-weight", "100000000", "--slice-cap", "1000",
+    ]
+    t0 = time.monotonic()
+    done = subprocess.run(
+        argv, env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60
+    )
+    assert time.monotonic() - t0 < 10
+    assert done.returncode == EXIT_INCOMPLETE
+    payload = json.loads(done.stdout)
+    assert payload["stopped_by"] == "slice_cap"
+    *ok, last = payload["slices"]
+    assert all(row["status"] == "ok" for row in ok)
+    assert last["status"] == "incomplete" and max(last["chain_dims"]) > 1000
+
+
+def test_koszul_honours_the_timeout(capsys, monkeypatch):
+    argv = ["koszul", "--group", "un", "--n", "3", "--max-weight", "100000000"]
+    code, out = run(capsys, *argv, "--timeout", "0.000001")
+    assert code == EXIT_INCOMPLETE
+    assert json.loads(out)["stopped_by"] == "timeout"
+    monkeypatch.setenv("COMMUTING_CI_TIMEOUT", "0.000001")
+    code, out = run(capsys, *argv)
+    assert code == EXIT_INCOMPLETE
+    assert json.loads(out)["stopped_by"] == "timeout"
 
 
 def test_dump_u3(capsys):

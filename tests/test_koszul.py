@@ -1,5 +1,7 @@
 """Koszul slices: differentials square to zero, homology matches theory."""
 
+from itertools import combinations
+
 import pytest
 
 from commuting_ci import koszul
@@ -9,6 +11,7 @@ from commuting_ci.koszul import (
     PositiveWeightRequired,
     _differential_rows,
     _slice_basis,
+    _slice_dim,
     build_complex,
     extend_with_zero_generators,
     homology_slice,
@@ -91,19 +94,57 @@ def test_differential_squares_to_zero(w):
     K = build_complex(system("un", 4, 1))
     b2 = _slice_basis(K, 2, w)
     b1 = _slice_basis(K, 1, w)
-    b0 = _slice_basis(K, 0, w)
     if not b2 or not b1:
         return
-    i1 = {b: c for c, b in enumerate(b1)}
-    i0 = {b: c for c, b in enumerate(b0)}
-    d2 = _differential_rows(K, b2, i1, None)
-    d1 = _differential_rows(K, b1, i0, None)
+    d2, cols1 = _differential_rows(K, 2, w)
+    d1, cols0 = _differential_rows(K, 1, w)
+    assert len(d2) == len(b2) and len(d1) == len(b1)
+    # the lazily numbered columns are keys of the full slices below
+    assert set(cols1) <= set(b1)
+    assert set(cols0) <= set(_slice_basis(K, 0, w))
+    d1_of = dict(zip(b1, d1))
+    key_of = {col: key for key, col in cols1.items()}
     for row in d2:
         composed = {}
         for col1, v in row.items():
-            for col0, u in d1[col1].items():
+            for col0, u in d1_of[key_of[col1]].items():
                 composed[col0] = composed.get(col0, 0) + v * u
         assert all(val == 0 for val in composed.values())
+
+
+# -- counting and packing ----------------------------------------------------------
+
+
+def enumerated_dim(K, i, w):
+    """dim C_i(w) from full monomial lists, the reference for the DP count."""
+    return sum(
+        len(K.ring.monomials_of_weight(w - sum(K.weights[s] for s in S)))
+        for S in combinations(range(len(K.generators)), i)
+    )
+
+
+@pytest.mark.parametrize("n, genus", [(3, 1), (4, 1), (5, 1), (4, 2)])
+def test_dp_dims_match_enumeration(n, genus):
+    K = build_complex(system("un", n, genus))
+    for i in range(4):
+        for w in range(8):
+            dim = _slice_dim(K, i, w)
+            assert dim == len(_slice_basis(K, i, w)) == enumerated_dim(K, i, w), (i, w)
+
+
+@pytest.mark.parametrize("prime", [None, 32003])
+@pytest.mark.parametrize("w", [7, 8, 15, 16])
+def test_packed_keys_at_field_width_boundaries(prime, w):
+    # weights 7 -> 8 and 15 -> 16 widen each exponent field by one bit; an
+    # exponent equal to w must still fit its field without a carry
+    K = build_complex(system("un", 3, 1, prime))
+    rep = homology_slice(K, 1, w)
+    assert rep.status == "ok" and rep.h_dim == 0
+    for j, dim in zip((0, 1, 2), rep.chain_dims):
+        keys = _slice_basis(K, j, w)
+        assert dim == len(set(keys)) == enumerated_dim(K, j, w), (j, w)
+    _, cols = _differential_rows(K, 1, w)
+    assert set(cols) <= set(_slice_basis(K, 0, w))
 
 
 # -- main fixtures ------------------------------------------------------------------
@@ -209,6 +250,26 @@ def test_slice_cap_yields_incomplete():
     K = build_complex(system("un", 4, 1))
     rep = homology_slice(K, 1, 6, size_cap=10)
     assert rep.status == "incomplete" and rep.h_dim is None
+    assert rep.to_json()["ranks"] is None and rep.to_json()["shapes"] is None
+
+
+# -- report schema -----------------------------------------------------------------------
+
+
+def test_slice_report_names_ranks_and_shapes():
+    K = build_complex(system("un", 4, 1))
+    got = homology_slice(K, 1, 5).to_json()
+    assert set(got) == {"i", "w", "chain_dims", "h_dim", "status", "ranks", "shapes"}
+    assert (got["i"], got["w"], got["status"]) == (1, 5, "ok")
+    assert got["chain_dims"] == [586, 189, 8]
+    rank_down, rank_up = got["ranks"]
+    assert got["h_dim"] == 189 - rank_down - rank_up == 0
+    (rows_down, cols_down), (rows_up, cols_up) = got["shapes"]
+    # rows are the full C_1 and C_2; columns only those some row hits
+    assert (rows_down, rows_up) == (189, 8)
+    assert 0 < cols_down <= 586 and 0 < cols_up <= 189
+    # H_0 has no d_0 to build
+    assert homology_slice(K, 0, 2).to_json()["shapes"][0] == [0, 0]
 
 
 def test_negative_arguments_rejected():
