@@ -217,6 +217,11 @@ def cmd_koszul(args: argparse.Namespace) -> int:
     fld = resolve_field(cfg.group, cfg.n, cfg.field)
     system = commutator_word(cfg.group, cfg.n, cfg.genus, fld)
     complex_ = build_complex(system)
+    r = len(complex_.generators)
+    if not 0 <= args.degree <= r:
+        # C_i is zero for i > r: every slice would be a zero slice and the
+        # slice cap could never end the loop
+        raise ValueError(f"--degree must be in 0..{r} (the nonzero generators), got {args.degree}")
     rows = []
     stopped_by = None
     for w in range(args.max_weight + 1):

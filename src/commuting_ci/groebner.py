@@ -1,13 +1,45 @@
 """Buchberger Groebner bases, normal forms, membership, and Krull dimension.
 
 The engine is a plain Buchberger loop with the normal selection strategy
-(smallest lcm degree first) and the Gebauer-Moeller pair update, which
-implements both the product and the chain criterion.  Bases are returned
-reduced and monic, sorted by leading monomial ascending.
+(smallest lcm first, hence smallest lcm degree first) and the Gebauer-Moeller
+pair update, which implements both the product and the chain criterion.
+Bases are returned monic and sorted by leading monomial ascending, and
+reduced unless the timeout stopped the run.
+
+Inside `buchberger` and `normal_form` every monomial is one packed int
+(Monagan & Pearce, "Polynomial division using dynamic arrays, heaps, and
+packed exponent vectors", CASC 2007).  For an order with permutation p on n
+variables and a field width of B bits, the layout, most significant first, is
+
+    [deg][c_{p[n-1]}] ... [c_{p[1]}][c_{p[0]}],    c_v = fmax - e_v,
+
+with fmax = 2**B - 1 and one zero guard bit above every c field.  Because
+the fields below deg hold complements, the packed int is the grevlex key
+itself (c_{p[0]} is fixed by deg and the others, so it never decides a
+comparison), and packing is linear: with K0 the packing of 1,
+
+    pack(a * b) = pack(a) + pack(b) - K0,
+
+and a divides b exactly when t = pack(b) + K0 - pack(a) has every guard bit
+clear, in which case t packs the quotient b / a.  A divisor's tail is stored
+pre-shifted by -K0, so each reduction term costs one addition.  The lcm of
+two leading monomials is a per-field minimum of the complement fields
+(SWAR, SIMD within a register); its degree is read back modulo 2**(B+1) - 1.
+
+B is sized from the data: the largest total degree of the input and, for
+`buchberger`, the degree cap.  The order is graded, so no reduction and no
+S-polynomial that the cap admits ever exceeds that degree, every exponent
+and every leading degree stays within fmax, and no field can carry into its
+guard.  Packing an exponent above fmax raises `OverflowError` instead of
+mis-ordering.  Public signatures and `Polynomial` keep exponent tuples; only
+the returned basis and remainders are unpacked.
 
 Resource limits (total-degree cap, wall-clock timeout) never turn into
-answers: hitting one marks the basis ``incomplete`` and every consumer of an
-incomplete basis refuses to certify anything from it.
+answers: hitting one marks the basis ``incomplete``, names the limit in
+``stats.stopped_by``, and every consumer of an incomplete basis refuses to
+certify anything from it.  The timeout is also checked inside a reduction,
+every few thousand heap pops; a reduction cut short is never admitted, and a
+run the clock stopped returns its basis without inter-reducing it.
 
 Dimension of the quotient is read off the leading-term ideal: the maximal
 number of variables avoiding the support of every leading monomial.  The
@@ -19,10 +51,11 @@ from __future__ import annotations
 
 import heapq
 import json
+import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .ordering import MonomialOrder
 from .polyring import (
@@ -41,12 +74,20 @@ class IncompleteComputation(RuntimeError):
 
 @dataclass
 class BuchbergerStats:
-    """Counters for one basis computation."""
+    """Counters for one basis computation.
+
+    `stopped_by` names the limit that ended an incomplete run ("timeout" or
+    "degree_cap", else None); `basis_size` and `pairs_pending` are the sizes
+    of the basis and of the pair set when the pair loop ended.
+    """
 
     pairs: int = 0
     zero_reductions: int = 0
     max_degree: int = 0
     seconds: float = 0.0
+    stopped_by: Optional[str] = None
+    basis_size: int = 0
+    pairs_pending: int = 0
 
     def to_json(self) -> dict:
         return {
@@ -54,6 +95,9 @@ class BuchbergerStats:
             "zero_reductions": self.zero_reductions,
             "max_degree": self.max_degree,
             "seconds": round(self.seconds, 3),
+            "stopped_by": self.stopped_by,
+            "basis_size": self.basis_size,
+            "pairs_pending": self.pairs_pending,
         }
 
 
@@ -89,7 +133,7 @@ class GroebnerBasis:
         return "\n".join(lines)
 
 
-# -- low-level monomial helpers (dense exponent tuples) --------------------
+# -- exponent tuples (spolynomial, standard monomials) -----------------------
 
 
 def _divides(a: Exponent, b: Exponent) -> bool:
@@ -103,29 +147,90 @@ def _lcm(a: Exponent, b: Exponent) -> Exponent:
     return tuple(x if x > y else y for x, y in zip(a, b))
 
 
-def _mul_exp(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(map(int.__add__, a, b))
-
-
 def _sub_exp(a: Exponent, b: Exponent) -> Exponent:
     return tuple(map(int.__sub__, a, b))
 
 
-def _mask(exp: Exponent) -> int:
-    m = 0
-    for i, e in enumerate(exp):
-        if e:
-            m |= 1 << i
-    return m
+# -- packed monomials ----------------------------------------------------------
+
+
+class _Packing:
+    """Packed monomials of one order whose total degrees stay within `bound`.
+
+    See the module docstring for the layout.  `one` is K0, the packing of the
+    monomial 1; `guards` has the guard bit of every complement field set.
+    """
+
+    __slots__ = (
+        "bits", "fmax", "shift", "one", "guards", "low", "modulus", "nfmax", "_steps", "_offsets",
+    )
+
+    def __init__(self, order: MonomialOrder, bound: int) -> None:
+        n = order.nvars
+        bits = max(bound, 1).bit_length()
+        width = bits + 1
+        self.bits = bits
+        self.fmax = fmax = (1 << bits) - 1
+        self.shift = n * width  # offset of the degree field
+        self.low = (1 << self.shift) - 1  # the complement fields
+        self.one = sum(fmax << (k * width) for k in range(n))
+        self.guards = sum(1 << (k * width + bits) for k in range(n))
+        # 2**width is 1 modulo 2**width - 1, so a packed int is congruent to
+        # the sum of its fields
+        self.modulus = (1 << width) - 1
+        self.nfmax = n * fmax
+        offsets = [0] * n  # offsets[v]: bit offset of the field of variable v
+        for k, v in enumerate(order.permutation):
+            offsets[v] = k * width
+        self._offsets = tuple(offsets)
+        # pack(e) = one + sum(e_v * steps[v])
+        self._steps = tuple((1 << self.shift) - (1 << offset) for offset in offsets)
+
+    def pack(self, exp: Exponent) -> int:
+        if exp and max(exp) > self.fmax:
+            raise OverflowError(
+                f"exponent {max(exp)} does not fit a {self.bits}-bit packed field"
+            )
+        return self.one + sum(map(operator.mul, exp, self._steps))
+
+    def unpack(self, m: int) -> Exponent:
+        exps = self.one - (m & self.low)  # fmax - c_v = e_v in every field
+        fmax = self.fmax
+        return tuple([(exps >> offset) & fmax for offset in self._offsets])
+
+    def pack_terms(self, terms: Dict[Exponent, Coeff]) -> Dict[int, Coeff]:
+        pack = self.pack
+        return {pack(e): c for e, c in terms.items()}
+
+    def unpack_terms(self, terms: Dict[int, Coeff]) -> Dict[Exponent, Coeff]:
+        unpack = self.unpack
+        return {unpack(m): c for m, c in terms.items()}
+
+    def lcm(self, a: int, b: int) -> int:
+        """lcm of two monomials of total degree at most fmax each."""
+        low, guards = self.low, self.guards
+        a &= low
+        b &= low
+        # guard bit k is set where field k of a >= field k of b
+        ge = ((a | guards) - b) & guards
+        mask = ge - (ge >> self.bits)  # fmax in those fields
+        c = a ^ ((a ^ b) & mask)  # fieldwise min of complements = max of exponents
+        # the lcm degree is at most 2 * fmax < modulus, so this residue is it
+        deg = (self.nfmax - c) % self.modulus
+        return (deg << self.shift) | c
+
+
+def _max_degree(polys: Iterable[Polynomial]) -> int:
+    return max((sum(e) for p in polys for e in p.terms), default=0)
 
 
 class _Elem:
-    """Preprocessed basis element: monic, with cached leading-term data."""
+    """Preprocessed basis element: monic and packed, tail pre-shifted by -K0."""
 
-    __slots__ = ("lm", "key", "deg", "mask", "tail", "poly")
+    __slots__ = ("lm", "neg", "tail", "poly")
 
-    def __init__(self, terms: Dict[Exponent, Coeff], keyf, prime: Optional[int]) -> None:
-        lm = max(terms, key=keyf)
+    def __init__(self, terms: Dict[int, Coeff], one: int, prime: Optional[int]) -> None:
+        lm = max(terms)
         lc = terms[lm]
         if prime is not None:
             inv = pow(lc, prime - 2, prime)
@@ -136,68 +241,84 @@ class _Elem:
             monic = {e: Fraction(c, 1) / lc for e, c in terms.items()}
             monic = {e: int(c) if c.denominator == 1 else c for e, c in monic.items()}
         self.lm = lm
-        self.key = keyf(lm)
-        self.deg = sum(lm)
-        self.mask = _mask(lm)
-        tail = dict(monic)
-        del tail[lm]
-        self.tail = list(tail.items())
+        self.neg = one - lm  # m + neg packs m / lm whenever lm divides m
+        self.tail = [(e - one, c) for e, c in monic.items() if e != lm]
         self.poly = monic
 
 
+class _DeadlinePassed(Exception):
+    """The timeout expired inside a reduction."""
+
+
+#: Heap pops between two looks at the clock inside `_reduce_terms`.
+_CLOCK_EVERY = 4096
+
+
 def _reduce_terms(
-    terms: Dict[Exponent, Coeff],
+    terms: Dict[int, Coeff],
     elems: Sequence[_Elem],
-    keyf: Callable[[Exponent], int],
+    guards: int,
     prime: Optional[int],
-) -> Dict[Exponent, Coeff]:
-    """Full normal form of a term dict against monic divisors, tried in order."""
+    deadline: Optional[float] = None,
+) -> Dict[int, Coeff]:
+    """Full normal form of a packed term dict against monic divisors, tried in order.
+
+    Raises `_DeadlinePassed` once `deadline` (a `time.monotonic` value) has
+    passed; the clock is read every `_CLOCK_EVERY` heap pops.
+    """
     h = dict(terms)
     if not h:
         return h
-    heap = [(-keyf(e), e) for e in h]
+    heap = [-m for m in h]
     heapq.heapify(heap)
-    remainder: Dict[Exponent, Coeff] = {}
+    remainder: Dict[int, Coeff] = {}
     push = heapq.heappush
     pop = heapq.heappop
+    pops = 0
     while heap:
-        _, m = pop(heap)
+        m = -pop(heap)
+        if deadline is not None:
+            pops += 1
+            if pops % _CLOCK_EVERY == 0 and time.monotonic() > deadline:
+                raise _DeadlinePassed
         c = h.pop(m, 0)
         if not c:
             continue
-        mdeg = sum(m)
-        mmask = _mask(m)
-        hit = None
         for g in elems:
-            if g.deg <= mdeg and not (g.mask & ~mmask) and _divides(g.lm, m):
-                hit = g
+            q = m + g.neg
+            if not q & guards:
                 break
-        if hit is None:
+        else:
             remainder[m] = c
             continue
-        q = _sub_exp(m, hit.lm)
         if prime is not None:
-            for et, ct in hit.tail:
-                e = _mul_exp(q, et)
+            neg_c = prime - c
+            for et, ct in g.tail:
+                e = q + et
                 old = h.get(e)
-                v = ((old or 0) - c * ct) % prime
-                if v:
-                    h[e] = v
-                    if old is None:
-                        push(heap, (-keyf(e), e))
+                if old is None:
+                    h[e] = neg_c * ct % prime
+                    push(heap, -e)
                 else:
-                    h.pop(e, None)
+                    v = (old + neg_c * ct) % prime
+                    if v:
+                        h[e] = v
+                    else:
+                        del h[e]
         else:
-            for et, ct in hit.tail:
-                e = _mul_exp(q, et)
+            neg_c = -c
+            for et, ct in g.tail:
+                e = q + et
                 old = h.get(e)
-                v = (old or 0) - c * ct
-                if v:
-                    h[e] = v
-                    if old is None:
-                        push(heap, (-keyf(e), e))
+                if old is None:
+                    h[e] = neg_c * ct
+                    push(heap, -e)
                 else:
-                    h.pop(e, None)
+                    v = old + neg_c * ct
+                    if v:
+                        h[e] = v
+                    else:
+                        del h[e]
     return remainder
 
 
@@ -214,11 +335,12 @@ def normal_form(
     ring = p.ring
     if order is None:
         order = MonomialOrder.identity(ring.nvars)
-    keyf = order.key_func()
+    divisors = [g for g in divisors if not g.is_zero]
+    packing = _Packing(order, _max_degree([p, *divisors]))
     prime = ring.field.p if isinstance(ring.field, PrimeField) else None
-    elems = [_Elem(g.terms, keyf, prime) for g in divisors if not g.is_zero]
-    rem = _reduce_terms(p.terms, elems, keyf, prime)
-    return Polynomial._raw(ring, rem)
+    elems = [_Elem(packing.pack_terms(g.terms), packing.one, prime) for g in divisors]
+    rem = _reduce_terms(packing.pack_terms(p.terms), elems, packing.guards, prime)
+    return Polynomial._raw(ring, packing.unpack_terms(rem))
 
 
 def normal_form_against(p: Polynomial, gb: "GroebnerBasis") -> Polynomial:
@@ -232,9 +354,8 @@ def spolynomial(f: Polynomial, g: Polynomial, order: Optional[MonomialOrder] = N
     ring = f.ring
     if order is None:
         order = MonomialOrder.identity(ring.nvars)
-    keyf = order.key_func()
-    lmf = max(f.terms, key=keyf)
-    lmg = max(g.terms, key=keyf)
+    lmf = order.leading_exponent(f.terms)
+    lmg = order.leading_exponent(g.terms)
     lcm = _lcm(lmf, lmg)
     cf = f.terms[lmf]
     cg = g.terms[lmg]
@@ -264,8 +385,9 @@ def buchberger(
     """Reduced Groebner basis of the ideal generated by `gens`.
 
     Zero generators are dropped.  When the degree cap or the timeout is hit,
-    the partial basis is returned with status "incomplete"; callers must not
-    derive verdicts from it.
+    the partial basis is returned with status "incomplete" and the limit in
+    `stats.stopped_by` (after a timeout without inter-reduction); callers
+    must not derive verdicts from it.
     """
     t0 = time.monotonic()
     gens = [g for g in gens if not g.is_zero]
@@ -278,7 +400,6 @@ def buchberger(
             raise ValueError("generators live in different rings")
     if order is None:
         order = MonomialOrder.identity(ring.nvars)
-    keyf = order.key_func()
     prime = ring.field.p if isinstance(ring.field, PrimeField) else None
     stats = BuchbergerStats()
 
@@ -286,126 +407,132 @@ def buchberger(
         stats.seconds = time.monotonic() - t0
         return GroebnerBasis(ring, order, (), stats, "complete")
 
+    packing = _Packing(order, max(degree_cap, _max_degree(gens)))
+    one, guards, shift, lcm = packing.one, packing.guards, packing.shift, packing.lcm
     polys: List[_Elem] = []  # all elements ever admitted, never removed
     G: Set[int] = set()  # indices of the current (pruned) basis
-    P: Set[Tuple[int, int]] = set()
-    heap: List[Tuple[int, int, int, int]] = []  # (lcm degree, lcm key, i, j)
+    P: Dict[Tuple[int, int], int] = {}  # pending pairs and their lcms
+    heap: List[Tuple[int, int, int]] = []  # (lcm, i, j): smallest lcm first
     deadline = t0 + timeout
-    status = "complete"
-
-    def lcm_of(i: int, j: int) -> Exponent:
-        return _lcm(polys[i].lm, polys[j].lm)
 
     def update(ih: int) -> None:
         """Gebauer-Moeller pair update after admitting element `ih`."""
         nonlocal G, P
-        h = polys[ih]
-        mh = h.lm
+        mh = polys[ih].lm
+        negh = one - mh  # x + negh has a guard bit set unless mh divides x
         # candidate new pairs, filtered by the chain criterion among themselves
         C = sorted(G)
         D: List[int] = []
-        lcms = {ig: _lcm(mh, polys[ig].lm) for ig in C}
+        lcms = {ig: lcm(mh, polys[ig].lm) for ig in C}
         while C:
             ig = C.pop()
             lhg = lcms[ig]
-            if _mul_exp(mh, polys[ig].lm) == lhg:
+            if mh + polys[ig].lm - one == lhg:
                 D.append(ig)  # product criterion pairs are kept only to prune others
                 continue
-            if not any(_divides(lcms[ix], lhg) for ix in C) and not any(
-                _divides(lcms[ix], lhg) for ix in D
+            base = lhg + one
+            if not any(not (base - lcms[ix]) & guards for ix in C) and not any(
+                not (base - lcms[ix]) & guards for ix in D
             ):
                 D.append(ig)
-        E = [ig for ig in D if _mul_exp(mh, polys[ig].lm) != lcms[ig]]
+        E = [ig for ig in D if mh + polys[ig].lm - one != lcms[ig]]
         # prune old pairs whose lcm the new leading monomial strictly improves
-        newP: Set[Tuple[int, int]] = set()
-        for (i, j) in P:
-            lij = lcm_of(i, j)
+        newP: Dict[Tuple[int, int], int] = {}
+        for pair, lij in P.items():
             if (
-                not _divides(mh, lij)
-                or _lcm(polys[i].lm, mh) == lij
-                or _lcm(polys[j].lm, mh) == lij
+                (lij + negh) & guards
+                or lcm(polys[pair[0]].lm, mh) == lij
+                or lcm(polys[pair[1]].lm, mh) == lij
             ):
-                newP.add((i, j))
+                newP[pair] = lij
         for ig in E:
             pair = (ig, ih) if ig < ih else (ih, ig)
-            newP.add(pair)
             l = lcms[ig]
-            heapq.heappush(heap, (sum(l), keyf(l), pair[0], pair[1]))
+            newP[pair] = l
+            heapq.heappush(heap, (l, pair[0], pair[1]))
         P = newP
-        G = {ig for ig in G if not _divides(mh, polys[ig].lm)}
+        G = {ig for ig in G if (polys[ig].lm + negh) & guards}
         G.add(ih)
 
-    def admit(terms: Dict[Exponent, Coeff]) -> None:
-        elem = _Elem(terms, keyf, prime)
+    def admit(terms: Dict[int, Coeff]) -> None:
+        elem = _Elem(terms, one, prime)
         polys.append(elem)
-        stats.max_degree = max(stats.max_degree, elem.deg)
+        stats.max_degree = max(stats.max_degree, elem.lm >> shift)
         update(len(polys) - 1)
 
-    # admit the input, reducing each generator against what is already there
-    for g in sorted(gens, key=lambda q: keyf(max(q.terms, key=keyf))):
-        rem = _reduce_terms(g.terms, [polys[i] for i in sorted(G)], keyf, prime)
-        if rem:
+    try:
+        # admit the input, reducing each generator against what is already there
+        for g in sorted((packing.pack_terms(g.terms) for g in gens), key=max):
+            rem = _reduce_terms(g, [polys[i] for i in sorted(G)], guards, prime, deadline)
+            if rem:
+                admit(rem)
+
+        while heap:
+            if time.monotonic() > deadline:
+                stats.stopped_by = "timeout"
+                break
+            l, i, j = heapq.heappop(heap)
+            if (i, j) not in P:
+                continue
+            if l >> shift > degree_cap:
+                stats.stopped_by = "degree_cap"
+                break
+            fi, fj = polys[i], polys[j]
+            qi = l + fi.neg
+            qj = l + fj.neg
+            s: Dict[int, Coeff] = {qi + e: c for e, c in fi.tail}
+            if prime is not None:
+                for e, c in fj.tail:
+                    ee = qj + e
+                    v = (s.get(ee, 0) - c) % prime
+                    if v:
+                        s[ee] = v
+                    else:
+                        s.pop(ee, None)
+            else:
+                for e, c in fj.tail:
+                    ee = qj + e
+                    v = s.get(ee, 0) - c
+                    if v:
+                        s[ee] = v
+                    else:
+                        s.pop(ee, None)
+            active = [polys[k] for k in sorted(G)]
+            rem = _reduce_terms(s, active, guards, prime, deadline)
+            del P[(i, j)]  # only now: a pair cut short by the clock stays pending
+            stats.pairs += 1
+            if not rem:
+                stats.zero_reductions += 1
+                continue
             admit(rem)
+    except _DeadlinePassed:
+        stats.stopped_by = "timeout"
+    stats.basis_size = len(G)
+    stats.pairs_pending = len(P)
 
-    while heap:
-        if time.monotonic() > deadline:
-            status = "incomplete"
-            break
-        deg, _, i, j = heapq.heappop(heap)
-        if (i, j) not in P:
-            continue
-        P.discard((i, j))
-        if deg > degree_cap:
-            status = "incomplete"
-            break
-        stats.pairs += 1
-        fi, fj = polys[i], polys[j]
-        lcm = _lcm(fi.lm, fj.lm)
-        qi = _sub_exp(lcm, fi.lm)
-        qj = _sub_exp(lcm, fj.lm)
-        s: Dict[Exponent, Coeff] = {}
-        for e, c in fi.poly.items():
-            s[_mul_exp(qi, e)] = c
-        if prime is not None:
-            for e, c in fj.poly.items():
-                ee = _mul_exp(qj, e)
-                v = (s.get(ee, 0) - c) % prime
-                if v:
-                    s[ee] = v
-                else:
-                    s.pop(ee, None)
-        else:
-            for e, c in fj.poly.items():
-                ee = _mul_exp(qj, e)
-                v = s.get(ee, 0) - c
-                if v:
-                    s[ee] = v
-                else:
-                    s.pop(ee, None)
-        active = [polys[k] for k in sorted(G)]
-        rem = _reduce_terms(s, active, keyf, prime)
-        if not rem:
-            stats.zero_reductions += 1
-            continue
-        admit(rem)
-
-    # inter-reduce the surviving elements into the reduced basis
-    order_idx = sorted(G, key=lambda k: polys[k].key)
-    minimal: List[int] = []
-    for k in order_idx:
-        lm = polys[k].lm
-        if not any(_divides(polys[m].lm, lm) for m in minimal):
-            minimal.append(k)
-    reduced: List[Polynomial] = []
-    elems = [polys[k] for k in minimal]
-    for pos, k in enumerate(minimal):
-        others = elems[:pos] + elems[pos + 1 :]
-        rem = _reduce_terms(polys[k].poly, others, keyf, prime)
-        if rem:
-            reduced.append(Polynomial._raw(ring, rem))
-    reduced.sort(key=lambda q: keyf(max(q.terms, key=keyf)))
+    reduced: List[Dict[int, Coeff]]
+    if stats.stopped_by == "timeout":
+        # the clock has run out: the basis as it stands, not inter-reduced
+        reduced = [polys[k].poly for k in G]
+    else:
+        # inter-reduce the surviving elements into the reduced basis
+        minimal: List[int] = []
+        for k in sorted(G, key=lambda k: polys[k].lm):
+            lm = polys[k].lm
+            if all((lm + polys[m].neg) & guards for m in minimal):
+                minimal.append(k)
+        reduced = []
+        elems = [polys[k] for k in minimal]
+        for pos, k in enumerate(minimal):
+            others = elems[:pos] + elems[pos + 1 :]
+            rem = _reduce_terms(polys[k].poly, others, guards, prime)
+            if rem:
+                reduced.append(rem)
+    reduced.sort(key=max)
+    basis = tuple(Polynomial._raw(ring, packing.unpack_terms(r)) for r in reduced)
     stats.seconds = time.monotonic() - t0
-    return GroebnerBasis(ring, order, tuple(reduced), stats, status)
+    status = "incomplete" if stats.stopped_by else "complete"
+    return GroebnerBasis(ring, order, basis, stats, status)
 
 
 def ideal_membership(

@@ -5,23 +5,18 @@ total degree, composed with a permutation of the variables.  The permutation
 is enough to probe order-independence of downstream verdicts while keeping
 every computation on the same well-understood order.
 
-Keys are packed big integers so that Python's integer comparison realises the
-order directly; `key_func` memoizes them per exponent tuple, which matters in
-the Buchberger inner loops.
+`key_func` maps an exponent tuple to a tuple key whose comparison realises
+the order for exponents of any size.  The Groebner engine does not use it: it
+packs monomials into ints that are grevlex keys themselves (see `groebner`).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 Exponent = Tuple[int, ...]
-
-# Bits per packed exponent field.  Degrees stay far below 2**16 (the Groebner
-# layer caps total degree), so 16 bits leave ample headroom.
-_FIELD_BITS = 16
-_FIELD_MAX = (1 << _FIELD_BITS) - 1
 
 
 @dataclass(frozen=True)
@@ -58,27 +53,17 @@ class MonomialOrder:
     def nvars(self) -> int:
         return len(self.permutation)
 
-    def key_func(self) -> Callable[[Exponent], int]:
-        """Return a memoized map from exponent tuples to comparable int keys.
+    def key_func(self) -> Callable[[Exponent], Tuple[int, ...]]:
+        """Return a map from exponent tuples to comparable tuple keys.
 
         Larger key means larger monomial.  Ties in total degree are broken by
         the reverse lexicographic rule: the monomial whose exponent is smaller
         at the last position where they differ (in permuted order) is larger.
         """
-        perm = self.permutation
-        n = len(perm)
-        cache: Dict[Exponent, int] = {}
-        fmax = _FIELD_MAX
-        bits = _FIELD_BITS
+        rev = self.permutation[:0:-1]
 
-        def key(exp: Exponent) -> int:
-            k = cache.get(exp)
-            if k is None:
-                k = sum(exp)
-                for pos in range(n - 1, 0, -1):
-                    k = (k << bits) | (fmax - exp[perm[pos]])
-                cache[exp] = k
-            return k
+        def key(exp: Exponent) -> Tuple[int, ...]:
+            return (sum(exp), *[-exp[v] for v in rev])
 
         return key
 

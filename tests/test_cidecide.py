@@ -78,6 +78,18 @@ def test_decide_incomplete_on_timeout():
     assert r.dim is None and r.codim is None
 
 
+def test_incomplete_report_names_its_limit_and_progress():
+    r = decide_ci("un", 5, 2, field="gf:32003", degree_cap=5)
+    assert r.verdict == "Incomplete" and r.dim is None
+    assert r.stats["stopped_by"] == "degree_cap"
+    assert r.stats["pairs"] > 0 and r.stats["max_degree"] == 5
+    assert r.stats["basis_size"] > 0 and r.stats["pairs_pending"] > 0
+    r = decide_ci("un", 5, 1, timeout=0.0)
+    assert r.verdict == "Incomplete"
+    assert r.stats["stopped_by"] == "timeout"
+    assert r.stats["basis_size"] > 0
+
+
 def test_codim_never_exceeds_generator_count():
     for kind, n, genus in [("un", 3, 1), ("un", 4, 1), ("un", 3, 2), ("bn", 2, 1)]:
         r = decide_ci(kind, n, genus)

@@ -141,6 +141,34 @@ def test_koszul_stops_at_the_first_slice_over_the_cap():
     assert last["status"] == "incomplete" and max(last["chain_dims"]) > 1000
 
 
+def test_koszul_degree_outside_the_complex_is_a_usage_error():
+    # a fresh interpreter, so that a loop over all-zero slices fails the test
+    # by its timeout instead of hanging the suite
+    src = Path(commuting_ci.__file__).resolve().parent.parent
+    base = [
+        sys.executable, "-m", "commuting_ci.cli", "koszul", "--group", "un", "--n", "3",
+        "--max-weight", "100000000", "--timeout", "2",
+    ]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for degree in ("2", "5", "-1"):
+        done = subprocess.run(
+            base + ["--degree", degree], env=env, capture_output=True, text=True, timeout=30
+        )
+        assert done.returncode == EXIT_USAGE and done.stdout == ""
+        assert "0..1" in done.stderr  # U3 has one nonzero generator
+
+
+def test_koszul_degrees_at_both_ends_of_the_range_are_computed(capsys):
+    for degree in ("0", "1"):
+        code, out = run(
+            capsys, "koszul", "--group", "un", "--n", "3", "--degree", degree, "--max-weight", "3"
+        )
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["stopped_by"] is None and len(payload["slices"]) == 4
+    assert payload["slices"][0]["h_dim"] == 0  # H_1 at weight 0
+
+
 def test_koszul_honours_the_timeout(capsys, monkeypatch):
     argv = ["koszul", "--group", "un", "--n", "3", "--max-weight", "100000000"]
     code, out = run(capsys, *argv, "--timeout", "0.000001")

@@ -1,10 +1,14 @@
 """Buchberger postconditions, membership, and the dimension combinatorics."""
 
+import hashlib
 import json
 import random
+import sys
+import types
 
 import pytest
 
+from commuting_ci import groebner
 from commuting_ci.groebner import (
     IncompleteComputation,
     buchberger,
@@ -333,6 +337,60 @@ def test_degree_cap_yields_incomplete():
     assert gb.status == "incomplete"
 
 
+def test_tiny_timeout_on_u5_genus_2():
+    s = system("un", 5, 2, 32003)
+    gens = [f for _, f in s.generators]
+    gb = buchberger(gens, ring=s.ring, timeout=0.01)
+    assert gb.status == "incomplete"
+    assert gb.stats.stopped_by == "timeout"
+    assert gb.stats.seconds < 5
+
+
+def test_deadline_inside_a_reduction_admits_no_partial_remainder(monkeypatch):
+    s = system("un", 5, 2, 32003)
+    gens = [f for _, f in s.generators]
+    admitted = []
+
+    class Recorded(groebner._Elem):
+        __slots__ = ()
+
+        def __init__(self, terms, one, prime):
+            super().__init__(terms, one, prime)
+            admitted.append(dict(self.poly))
+
+    calls = []
+    trip = [None]
+
+    def clock():
+        # frozen at 0 until call number `trip`, then far past any deadline
+        calls.append(sys._getframe(1).f_code.co_name)
+        return 1e9 if trip[0] is not None and len(calls) > trip[0] else 0.0
+
+    monkeypatch.setattr(groebner, "_Elem", Recorded)
+    monkeypatch.setattr(groebner, "_CLOCK_EVERY", 1)
+    monkeypatch.setattr(groebner, "time", types.SimpleNamespace(monotonic=clock))
+    full = buchberger(gens, ring=s.ring, degree_cap=6, timeout=1.0)
+    reference = list(admitted)
+    inside = [k for k, name in enumerate(calls) if name == "_reduce_terms"]
+    assert full.stats.stopped_by == "degree_cap" and inside
+
+    # stop at a clock read inside an S-pair reduction halfway through the run
+    trip[0] = inside[len(inside) // 2]
+    admitted.clear()
+    calls.clear()
+    cut = buchberger(gens, ring=s.ring, degree_cap=6, timeout=1.0)
+    assert calls[-2] == "_reduce_terms"  # the read that tripped (the last one times the run)
+    assert cut.status == "incomplete" and cut.stats.stopped_by == "timeout"
+    assert cut.stats.pairs < full.stats.pairs and cut.stats.pairs_pending > 0
+    # the same deterministic run up to the cut, and nothing admitted from it
+    assert 0 < len(admitted) < len(reference)
+    assert admitted == reference[: len(admitted)]
+    # with the clock run out the basis is returned as admitted, not inter-reduced
+    packing = groebner._Packing(cut.order, max(6, groebner._max_degree(gens)))
+    assert len(cut.basis) == cut.stats.basis_size
+    assert all(packing.pack_terms(g.terms) in admitted for g in cut.basis)
+
+
 def test_membership_propagates_incompleteness(xy):
     x, y = xy.gen("x"), xy.gen("y")
     with pytest.raises(IncompleteComputation):
@@ -347,7 +405,17 @@ def test_dump_format():
     lines = gb.dump().splitlines()
     *polys, stats = lines
     payload = json.loads(stats)
-    assert set(payload) == {"pairs", "zero_reductions", "max_degree", "seconds"}
+    assert set(payload) == {
+        "pairs",
+        "zero_reductions",
+        "max_degree",
+        "seconds",
+        "stopped_by",
+        "basis_size",
+        "pairs_pending",
+    }
+    assert payload["stopped_by"] is None and payload["pairs_pending"] == 0
+    assert payload["basis_size"] == len(polys)
     keyf = gb.order.key_func()
     lead_keys = [keyf(gb.order.leading_exponent(parse_poly(t, gb.ring).terms)) for t in polys]
     assert lead_keys == sorted(lead_keys)
@@ -359,3 +427,43 @@ def test_standard_monomial_count_matches_quotient():
     ring = gb.ring
     total = len(ring.monomials_of_weight(2))
     assert standard_monomial_dimension(gb, 2) == total - 1
+
+
+# -- pinned bases ------------------------------------------------------------------------
+
+#: sha256 of the polynomial lines of `dump()` and the counters, as computed by
+#: the exponent-tuple engine this packed engine replaced.
+PINNED = [
+    # (kind, n, genus, prime, order seed, degree cap),
+    # (sha256, lines, pairs, zero reductions, max degree, status)
+    (
+        ("un", 5, 1, None, 7, 30),
+        ("3a8102fdfa7031247eea3b6efd1d031943d4e5edfbb21bf3df1c2a72abe17ef7", 28, 106, 84, 7, "complete"),
+    ),
+    (
+        ("bn", 3, 1, None, 3, 30),
+        ("6f574c9c10891586e14fcb236c9943de267df390471174549bd9c8b1406a3443", 54, 334, 276, 8, "complete"),
+    ),
+    (
+        ("un", 5, 2, 32003, None, 6),
+        ("ed4bd58b7bbfe9567436e325361f3e71004ff98487612eb069afee62a57bb5c7", 28, 41, 19, 6, "incomplete"),
+    ),
+]
+
+
+@pytest.mark.parametrize("case,pinned", PINNED, ids=[f"{c[0]}{c[1]}-g{c[2]}" for c, _ in PINNED])
+def test_basis_dump_is_pinned(case, pinned):
+    kind, n, genus, prime, seed, cap = case
+    sha, nlines, pairs, zeros, maxdeg, status = pinned
+    s = system(kind, n, genus, prime)
+    gens = [f for _, f in s.generators] + list(s.unit_relations)
+    order = MonomialOrder.seeded(s.ring.nvars, seed)
+    gb = buchberger(gens, order, ring=s.ring, degree_cap=cap)
+    *lines, stats = gb.dump().splitlines()
+    assert len(lines) == nlines
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == sha
+    stats = json.loads(stats)
+    assert (stats["pairs"], stats["zero_reductions"], stats["max_degree"]) == (pairs, zeros, maxdeg)
+    assert gb.status == status
+    assert stats["stopped_by"] == (None if status == "complete" else "degree_cap")
+    assert stats["basis_size"] == nlines

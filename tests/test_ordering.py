@@ -73,3 +73,35 @@ def test_permutation_changes_tie_breaking():
 def test_json_round_trip():
     order = MonomialOrder.seeded(5, 9)
     assert MonomialOrder.from_json(order.to_json()) == order
+
+
+def test_exponents_beyond_sixteen_bits_keep_their_order():
+    # a fixed 16-bit field used to wrap y^70000 below x
+    order = MonomialOrder.identity(2)
+    key = order.key_func()
+    assert key((0, 70000)) > key((1, 0))
+    assert key((0, 70000)) > key((0, 65535)) > key((0, 2))
+    assert order.leading_exponent({(0, 70000): 1, (1, 0): 1}) == (0, 70000)
+    # degree tie: the smaller exponent of the last variable wins
+    assert key((70000, 1)) > key((1, 70000))
+
+
+def test_keys_match_reverse_lex_reference_for_large_exponents():
+    rng = random.Random(3)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        order = MonomialOrder.seeded(n, rng.randrange(100))
+        key = order.key_func()
+        sizes = [0, 1, 2**16 - 1, 2**16, 10**9]
+        a, b = (tuple(rng.choice(sizes) for _ in range(n)) for _ in range(2))
+        if sum(a) != sum(b):
+            expected = sum(a) > sum(b)
+        else:
+            # last differing position in permuted order: smaller exponent is larger
+            diff = [k for k in range(n) if a[order.permutation[k]] != b[order.permutation[k]]]
+            if not diff:
+                assert key(a) == key(b)
+                continue
+            v = order.permutation[diff[-1]]
+            expected = a[v] < b[v]
+        assert (key(a) > key(b)) == expected
