@@ -20,7 +20,6 @@ from .polyring import (
     format_poly,
     parse_field_label,
     parse_poly,
-    reduce_mod,
 )
 from .groupmat import (
     BOREL,
@@ -41,7 +40,6 @@ from .groebner import (
     IdealStats,
     IncompleteComputation,
     buchberger,
-    ideal_membership,
     krull_dimension,
     normal_form,
 )
@@ -49,9 +47,7 @@ from .koszul import (
     KoszulComplex,
     KoszulSliceReport,
     build_complex,
-    extend_with_zero_generators,
     homology_slice,
-    kunneth_zero_check,
 )
 from .cidecide import (
     CIReport,

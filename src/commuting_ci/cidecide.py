@@ -89,21 +89,6 @@ class WitnessReport:
             "field": self.field,
         }
 
-    @staticmethod
-    def from_json(data: dict) -> "WitnessReport":
-        return WitnessReport(
-            substitution=tuple(data["substitution"]),
-            surviving=dict(data["surviving"]),
-            positions=tuple(tuple(p) for p in data["positions"]),
-            pattern_ok=data["pattern_ok"],
-            memberships=dict(data["memberships"]),
-            bounding_generators=data["bounding_generators"],
-            codim_bound=data["codim_bound"],
-            conclusion=data["conclusion"],
-            failed_position=tuple(data["failed_position"]) if data["failed_position"] else None,
-            field=data["field"],
-        )
-
 
 @dataclass
 class CIReport:
@@ -147,28 +132,6 @@ class CIReport:
             "wall_seconds": round(self.wall_seconds, 3),
             "note": self.note,
         }
-
-    @staticmethod
-    def from_json(data: dict) -> "CIReport":
-        return CIReport(
-            group=data["group"],
-            n=data["n"],
-            genus=data["genus"],
-            field=data["field"],
-            order=data["order"],
-            nvars=data["nvars"],
-            generators=data["generators"],
-            unit_relations=data["unit_relations"],
-            dim=data["dim"],
-            codim=data["codim"],
-            verdict=data["verdict"],
-            exterior_factors=data["exterior_factors"],
-            structure=data.get("structure"),
-            witness=data.get("witness"),
-            stats=data.get("stats"),
-            wall_seconds=data.get("wall_seconds", 0.0),
-            note=data.get("note"),
-        )
 
 
 def _structure_statement(kind: str, n: int) -> str:

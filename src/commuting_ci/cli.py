@@ -1,16 +1,24 @@
 """Command-line front end.
 
-Subcommands:
+Subcommands, and the flags each takes:
 
     decide      one (group, n, genus) verdict as a JSON report
+                --group --n --genus --field --order-seed --degree-cap --timeout --output
     witness-u6  the 6x6 unipotent obstruction pipeline
+                --field --order-seed --degree-cap --timeout --output
     koszul      homology slices of the Koszul complex up to a weight bound
+                --group --n --genus --max-weight --degree --slice-cap --field --timeout --output
     dump        the generator polynomials, one per line
+                --group --n --genus --field --order-seed --output
     table       the classification across a family, fanned out to workers
+                --family --max-n --genus --jobs --field --order-seed --degree-cap --timeout --output
+
+Flag values are checked as they are parsed; the timeout, which may come from
+the environment variable COMMUTING_CI_TIMEOUT, and the koszul degree, whose
+range depends on the generators, are checked by the subcommand.
 
 Exit codes: 0 for a completed verdict, 1 for usage or configuration errors,
-2 when a resource limit left the answer incomplete or inconclusive.  The
-environment variable COMMUTING_CI_TIMEOUT overrides the default timeout.
+2 when a resource limit left the answer incomplete or inconclusive.
 """
 
 from __future__ import annotations
@@ -21,8 +29,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .cidecide import (
     DEFAULT_DEGREE_CAP,
@@ -51,53 +58,57 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-@dataclass
-class RunConfig:
-    """Validated run settings shared by the subcommands."""
+def _checked(convert: Callable[[str], object]) -> Callable[[str], object]:
+    """An argparse type whose ValueError becomes a usage error naming the flag."""
 
-    command: str = ""
-    group: str = "un"
-    n: int = 2
-    genus: int = 1
-    field: Optional[str] = None
-    order_seed: Optional[int] = None
-    degree_cap: int = DEFAULT_DEGREE_CAP
-    timeout: float = DEFAULT_TIMEOUT
-    slice_cap: int = DEFAULT_SLICE_CAP
-    output: Optional[str] = None
-
-    def validate(self) -> None:
-        normalize_kind(self.group)
-        if self.n < 2:
-            raise ValueError("--n must be at least 2")
-        if self.genus < 1:
-            raise ValueError("--genus must be at least 1")
-        if self.field not in (None, "auto"):
-            parse_field_label(self.field)  # checks primality of gf:p
-        if self.degree_cap <= 0:
-            raise ValueError("--degree-cap must be positive")
-        if not (0 < self.timeout < math.inf):  # False for nan
-            raise ValueError("--timeout must be positive and finite")
-        if self.slice_cap <= 0:
-            raise ValueError("--slice-cap must be positive")
-
-
-def _effective_timeout(value: Optional[float]) -> float:
-    if value is not None:
-        return value
-    env = os.environ.get("COMMUTING_CI_TIMEOUT")
-    if env:
+    def parse(text: str) -> object:
         try:
-            return float(env)
+            return convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
+
+
+def _int_at_least(low: int) -> Callable[[str], object]:
+    def convert(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ValueError(f"must be at least {low}, got {value}")
+        return value
+
+    return _checked(convert)
+
+
+def _field_label(text: str) -> str:
+    if text != "auto":
+        parse_field_label(text)  # checks primality of gf:p
+    return text
+
+
+def _timeout(args: argparse.Namespace) -> float:
+    """--timeout, else COMMUTING_CI_TIMEOUT, else the default; positive and finite."""
+    value = args.timeout
+    if value is None:
+        env = os.environ.get("COMMUTING_CI_TIMEOUT")
+        if not env:
+            return DEFAULT_TIMEOUT
+        try:
+            value = float(env)
         except ValueError:
             raise ValueError(
                 f"COMMUTING_CI_TIMEOUT must be a number of seconds, got {env!r}"
             ) from None
-    return DEFAULT_TIMEOUT
+    if not (0 < value < math.inf):  # False for nan
+        raise ValueError("--timeout must be positive and finite")
+    return value
 
 
 def _emit(payload: dict, output: Optional[str]) -> None:
-    text = json.dumps(payload, indent=2, ensure_ascii=False)
+    _write(json.dumps(payload, indent=2, ensure_ascii=False), output)
+
+
+def _write(text: str, output: Optional[str]) -> None:
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -105,12 +116,29 @@ def _emit(payload: dict, output: Optional[str]) -> None:
         print(text)
 
 
-def _add_common(p: argparse.ArgumentParser, *, field_default: Optional[str] = None) -> None:
-    p.add_argument("--field", default=field_default, help="coefficient field: q or gf:<prime>")
-    p.add_argument("--order-seed", type=int, default=None, help="seed for the variable permutation")
-    p.add_argument("--degree-cap", type=int, default=DEFAULT_DEGREE_CAP)
-    p.add_argument("--timeout", type=float, default=None, help="seconds per basis, or per koszul run (env COMMUTING_CI_TIMEOUT)")
-    p.add_argument("--output", default=None, help="write the JSON report to this file")
+#: Flags that several subcommands share, added by `_add_shared`.
+_SHARED = {
+    "--order-seed": dict(type=int, default=None, help="seed for the variable permutation"),
+    "--degree-cap": dict(type=_int_at_least(1), default=DEFAULT_DEGREE_CAP),
+    "--timeout": dict(
+        type=float, default=None, help="seconds per basis, or per koszul run (env COMMUTING_CI_TIMEOUT)"
+    ),
+}
+
+
+def _add_case(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--group", required=True, type=_checked(normalize_kind), help="un | bn")
+    p.add_argument("--n", type=_int_at_least(2), required=True)
+    p.add_argument("--genus", type=_int_at_least(1), default=1)
+
+
+def _add_shared(p: argparse.ArgumentParser, *flags: str, field_default: Optional[str] = None) -> None:
+    p.add_argument(
+        "--field", type=_checked(_field_label), default=field_default, help="coefficient field: q or gf:<prime>"
+    )
+    for flag in flags:
+        p.add_argument(flag, **_SHARED[flag])
+    p.add_argument("--output", default=None, help="write the output to this file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -118,104 +146,62 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("decide", help="decide one case")
-    p.add_argument("--group", required=True, help="un | bn")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--genus", type=int, default=1)
-    _add_common(p)
+    _add_case(p)
+    _add_shared(p, "--order-seed", "--degree-cap", "--timeout")
 
     p = sub.add_parser("witness-u6", help="run the 6x6 obstruction pipeline")
-    _add_common(p, field_default="q")
+    _add_shared(p, "--order-seed", "--degree-cap", "--timeout", field_default="q")
 
     p = sub.add_parser("koszul", help="homology slices of the Koszul complex")
-    p.add_argument("--group", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--genus", type=int, default=1)
-    p.add_argument("--max-weight", type=int, required=True)
+    _add_case(p)
+    p.add_argument("--max-weight", type=_int_at_least(0), required=True)
     p.add_argument("--degree", type=int, default=1, help="homological degree (default 1)")
-    p.add_argument("--slice-cap", type=int, default=DEFAULT_SLICE_CAP)
-    _add_common(p)
+    p.add_argument("--slice-cap", type=_int_at_least(1), default=DEFAULT_SLICE_CAP)
+    _add_shared(p, "--timeout")
 
     p = sub.add_parser("dump", help="print the generator polynomials")
-    p.add_argument("--group", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--genus", type=int, default=1)
-    _add_common(p)
+    _add_case(p)
+    _add_shared(p, "--order-seed")
 
     p = sub.add_parser("table", help="classification table across a family")
-    p.add_argument("--family", required=True, help="un | bn")
-    p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--genus", type=int, default=1)
+    p.add_argument("--family", required=True, type=_checked(normalize_kind), help="un | bn")
+    p.add_argument("--max-n", type=_int_at_least(2), required=True)
+    p.add_argument("--genus", type=_int_at_least(1), default=1)
     p.add_argument("--jobs", type=int, default=os.cpu_count(), help="worker pool size")
-    _add_common(p)
+    _add_shared(p, "--order-seed", "--degree-cap", "--timeout")
 
     return parser
 
 
 def cmd_decide(args: argparse.Namespace) -> int:
-    cfg = RunConfig(
-        command="decide",
-        group=args.group,
-        n=args.n,
-        genus=args.genus,
+    report = decide_ci(
+        args.group,
+        args.n,
+        args.genus,
         field=args.field,
         order_seed=args.order_seed,
         degree_cap=args.degree_cap,
-        timeout=_effective_timeout(args.timeout),
-        output=args.output,
+        timeout=_timeout(args),
     )
-    cfg.validate()
-    report = decide_ci(
-        cfg.group,
-        cfg.n,
-        cfg.genus,
-        field=cfg.field,
-        order_seed=cfg.order_seed,
-        degree_cap=cfg.degree_cap,
-        timeout=cfg.timeout,
-    )
-    _emit(report.to_json(), cfg.output)
+    _emit(report.to_json(), args.output)
     return EXIT_OK if report.verdict in ("CI", "NotCI") else EXIT_INCOMPLETE
 
 
 def cmd_witness(args: argparse.Namespace) -> int:
-    cfg = RunConfig(
-        command="witness-u6",
-        n=6,
-        field=args.field or "q",
-        order_seed=args.order_seed,
-        degree_cap=args.degree_cap,
-        timeout=_effective_timeout(args.timeout),
-        output=args.output,
-    )
-    cfg.validate()
     report = u6_witness(
-        cfg.field,
-        cfg.order_seed,
-        degree_cap=cfg.degree_cap,
-        timeout=cfg.timeout,
+        args.field,
+        args.order_seed,
+        degree_cap=args.degree_cap,
+        timeout=_timeout(args),
     )
-    _emit(report.to_json(), cfg.output)
+    _emit(report.to_json(), args.output)
     return EXIT_OK if report.conclusion == "NotCI" else EXIT_INCOMPLETE
 
 
 def cmd_koszul(args: argparse.Namespace) -> int:
-    cfg = RunConfig(
-        command="koszul",
-        group=args.group,
-        n=args.n,
-        genus=args.genus,
-        field=args.field,
-        order_seed=args.order_seed,
-        timeout=_effective_timeout(args.timeout),
-        slice_cap=args.slice_cap,
-        output=args.output,
-    )
-    cfg.validate()
-    if args.max_weight < 0:
-        raise ValueError("--max-weight must be non-negative")
-    deadline = time.monotonic() + cfg.timeout
-    fld = resolve_field(cfg.group, cfg.n, cfg.field)
-    system = commutator_word(cfg.group, cfg.n, cfg.genus, fld)
+    deadline = time.monotonic() + _timeout(args)
+    fld = resolve_field(args.group, args.n, args.field)
+    system = commutator_word(args.group, args.n, args.genus, fld)
     complex_ = build_complex(system)
     r = len(complex_.generators)
     if not 0 <= args.degree <= r:
@@ -228,7 +214,7 @@ def cmd_koszul(args: argparse.Namespace) -> int:
         if time.monotonic() > deadline:
             stopped_by = "timeout"
             break
-        rep = homology_slice(complex_, args.degree, w, size_cap=cfg.slice_cap)
+        rep = homology_slice(complex_, args.degree, w, size_cap=args.slice_cap)
         rows.append(rep.to_json())
         if rep.status != "ok":
             # U_n has the weight-1 variable x_{1,2}; multiplying by it embeds
@@ -237,59 +223,40 @@ def cmd_koszul(args: argparse.Namespace) -> int:
             stopped_by = "slice_cap"
             break
     payload = {
-        "group": normalize_kind(cfg.group),
-        "n": cfg.n,
-        "genus": cfg.genus,
+        "group": args.group,
+        "n": args.n,
+        "genus": args.genus,
         "field": fld.label(),
         "degree": args.degree,
         "exterior_factors": complex_.exterior_zero_count,
         "stopped_by": stopped_by,
         "slices": rows,
     }
-    _emit(payload, cfg.output)
+    _emit(payload, args.output)
     return EXIT_INCOMPLETE if stopped_by else EXIT_OK
 
 
 def cmd_dump(args: argparse.Namespace) -> int:
-    cfg = RunConfig(command="dump", group=args.group, n=args.n, genus=args.genus, field=args.field)
-    cfg.validate()
-    fld = resolve_field(cfg.group, cfg.n, cfg.field)
-    system = commutator_word(cfg.group, cfg.n, cfg.genus, fld)
+    fld = resolve_field(args.group, args.n, args.field)
+    system = commutator_word(args.group, args.n, args.genus, fld)
     order = MonomialOrder.seeded(system.ring.nvars, args.order_seed)
-    text = dump_generators(system, order)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(dump_generators(system, order), args.output)
     return EXIT_OK
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    cfg = RunConfig(
-        command="table",
-        group=args.family,
-        n=max(args.max_n, 2),
-        genus=args.genus,
-        field=args.field,
-        order_seed=args.order_seed,
-        degree_cap=args.degree_cap,
-        timeout=_effective_timeout(args.timeout),
-        output=args.output,
-    )
-    cfg.validate()
     reports = classify_table(
         args.family,
         args.max_n,
-        cfg.genus,
-        field=cfg.field,
-        order_seed=cfg.order_seed,
-        degree_cap=cfg.degree_cap,
-        timeout=cfg.timeout,
+        args.genus,
+        field=args.field,
+        order_seed=args.order_seed,
+        degree_cap=args.degree_cap,
+        timeout=_timeout(args),
         jobs=args.jobs,
     )
-    payload = {"family": normalize_kind(args.family), "genus": cfg.genus, "rows": [r.to_json() for r in reports]}
-    _emit(payload, cfg.output)
+    payload = {"family": args.family, "genus": args.genus, "rows": [r.to_json() for r in reports]}
+    _emit(payload, args.output)
     all_decided = all(r.verdict in ("CI", "NotCI") for r in reports)
     return EXIT_OK if all_decided else EXIT_INCOMPLETE
 

@@ -1,4 +1,4 @@
-"""Buchberger Groebner bases, normal forms, membership, and Krull dimension.
+"""Buchberger Groebner bases, normal forms, and the Krull dimension of the quotient.
 
 The engine is a plain Buchberger loop with the normal selection strategy
 (smallest lcm first, hence smallest lcm degree first) and the Gebauer-Moeller
@@ -131,24 +131,6 @@ class GroebnerBasis:
         lines = [format_poly(g, self.order) for g in self.basis]
         lines.append(json.dumps(self.stats.to_json()))
         return "\n".join(lines)
-
-
-# -- exponent tuples (spolynomial, standard monomials) -----------------------
-
-
-def _divides(a: Exponent, b: Exponent) -> bool:
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
-
-
-def _lcm(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x if x > y else y for x, y in zip(a, b))
-
-
-def _sub_exp(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(map(int.__sub__, a, b))
 
 
 # -- packed monomials ----------------------------------------------------------
@@ -343,34 +325,6 @@ def normal_form(
     return Polynomial._raw(ring, packing.unpack_terms(rem))
 
 
-def normal_form_against(p: Polynomial, gb: "GroebnerBasis") -> Polynomial:
-    if not gb.is_complete:
-        raise IncompleteComputation("normal form against an incomplete basis proves nothing")
-    return normal_form(p, gb.basis, gb.order)
-
-
-def spolynomial(f: Polynomial, g: Polynomial, order: Optional[MonomialOrder] = None) -> Polynomial:
-    """S-polynomial of f and g (used directly by the postcondition tests)."""
-    ring = f.ring
-    if order is None:
-        order = MonomialOrder.identity(ring.nvars)
-    lmf = order.leading_exponent(f.terms)
-    lmg = order.leading_exponent(g.terms)
-    lcm = _lcm(lmf, lmg)
-    cf = f.terms[lmf]
-    cg = g.terms[lmg]
-    mf = Polynomial._raw(ring, {_sub_exp(lcm, lmf): _one_over(ring, cf)})
-    mg = Polynomial._raw(ring, {_sub_exp(lcm, lmg): _one_over(ring, cg)})
-    return f * mf - g * mg
-
-
-def _one_over(ring: RingDescriptor, c: Coeff) -> Coeff:
-    if isinstance(ring.field, PrimeField):
-        return pow(c, ring.field.p - 2, ring.field.p)
-    inv = Fraction(1, 1) / c
-    return int(inv) if inv.denominator == 1 else inv
-
-
 # -- Buchberger -------------------------------------------------------------
 
 
@@ -535,21 +489,6 @@ def buchberger(
     return GroebnerBasis(ring, order, basis, stats, status)
 
 
-def ideal_membership(
-    p: Polynomial,
-    gens: Sequence[Polynomial],
-    order: Optional[MonomialOrder] = None,
-    **limits,
-) -> bool:
-    """True iff p lies in the ideal generated by `gens`."""
-    if p.is_zero:
-        return True
-    gb = buchberger(gens, order, ring=p.ring, **limits)
-    if not gb.is_complete:
-        raise IncompleteComputation("basis incomplete; membership undecided")
-    return normal_form(p, gb.basis, gb.order).is_zero
-
-
 # -- dimension of the leading-term ideal ------------------------------------
 
 
@@ -609,31 +548,3 @@ def krull_dimension(gb: GroebnerBasis) -> IdealStats:
         raise ValueError("unit ideal has no Krull dimension in this setting")
     codim = _min_hitting_set(supports)
     return IdealStats(n, n - codim, codim)
-
-
-def dimension_by_enumeration(gb: GroebnerBasis) -> int:
-    """Exponential-time oracle: try all variable subsets (tests only)."""
-    from itertools import combinations
-
-    if not gb.is_complete:
-        raise IncompleteComputation("dimension of an incomplete basis is meaningless")
-    n = gb.ring.nvars
-    supports = [frozenset(i for i, e in enumerate(exp) if e) for exp in gb.leading_exponents()]
-    for size in range(n, -1, -1):
-        for subset in combinations(range(n), size):
-            sset = frozenset(subset)
-            if not any(s <= sset for s in supports):
-                return size
-    return 0
-
-
-def standard_monomial_dimension(gb: GroebnerBasis, weight: int) -> int:
-    """Number of weight-`weight` monomials outside the leading-term ideal."""
-    if not gb.is_complete:
-        raise IncompleteComputation("standard monomials need a complete basis")
-    lts = gb.leading_exponents()
-    count = 0
-    for exp in gb.ring.monomials_of_weight(weight):
-        if not any(_divides(l, exp) for l in lts):
-            count += 1
-    return count

@@ -23,6 +23,10 @@ ever computed as a module presentation.  A slice is handled in three steps:
 * Lazy columns.  d_i and d_{i+1} are built row by row from the bases of C_i
   and C_{i+1}; a column is numbered when a row first hits its key, so
   C_{i-1} (for i = 1, all monomials of weight w) is never built.
+
+`build_complex` makes the complex of a unipotent commutator system and
+`homology_slice` computes one slice; a slice above the size cap is reported
+"incomplete" instead of being built.
 """
 
 from __future__ import annotations
@@ -121,17 +125,6 @@ def build_complex(system) -> KoszulComplex:
     )
 
 
-def extend_with_zero_generators(K: KoszulComplex, count: int, weight: int = 1) -> KoszulComplex:
-    """Append `count` identically-zero generators of the given weight."""
-    zero = K.ring.zero()
-    return KoszulComplex(
-        K.ring,
-        K.generators + (zero,) * count,
-        K.weights + (weight,) * count,
-        K.exterior_zero_count,
-    )
-
-
 def _slice_dim(K: KoszulComplex, i: int, w: int) -> int:
     """dim C_i(w) from generating functions; no basis is built to be counted."""
     if i < 0 or w < 0 or i > len(K.generators):
@@ -179,14 +172,6 @@ def _slice_layout(K: KoszulComplex, i: int, w: int):
     width = max(w.bit_length(), 1)  # every exponent of a key is <= w
     table = _monomial_table(K, width, max((rem for _, rem in fits), default=0))
     return fits, table, width, K.ring.nvars * width
-
-
-def _slice_basis(K: KoszulComplex, i: int, w: int) -> List[int]:
-    """Packed keys of the C_i(w) basis, in the row order of `_differential_rows`."""
-    if i < 0 or w < 0:
-        return []
-    fits, table, _, base = _slice_layout(K, i, w)
-    return [sum(1 << (base + s) for s in S) + m for S, rem in fits for m in table[rem]]
 
 
 def _differential_rows(
@@ -264,52 +249,3 @@ def _rank(rows, ncols: int, prime: Optional[int]) -> int:
     if prime is not None:
         return linalg.rank_mod_p(rows, ncols, prime)
     return linalg.rank_rational(rows, ncols)
-
-
-def kunneth_zero_check(
-    K: KoszulComplex,
-    zeros: int,
-    max_weight: int,
-    *,
-    size_cap: int = DEFAULT_SLICE_CAP,
-    max_degree: int = 2,
-) -> bool:
-    """Check the tensor formula for appending identically-zero generators.
-
-    Appending z zero generators of weight 1 must multiply homology by an
-    exterior algebra on z degree-1, weight-1 generators:
-
-        dim H_i(extended) at w  ==  sum_b C(z, b) * dim H_{i-b}(K) at w - b
-
-    The check runs slice by slice for all weights up to `max_weight` and all
-    homological degrees up to `max_degree`; both sides are computed by the
-    same honest linear algebra.
-    """
-    from math import comb
-
-    if zeros < 0:
-        raise ValueError("zeros must be >= 0")
-    ext = extend_with_zero_generators(K, zeros)
-    base_dim: Dict[Tuple[int, int], int] = {}
-
-    def base(i: int, w: int) -> int:
-        if i < 0 or w < 0:
-            return 0
-        got = base_dim.get((i, w))
-        if got is None:
-            rep = homology_slice(K, i, w, size_cap=size_cap)
-            if rep.status != "ok":
-                raise RuntimeError(f"slice cap exceeded at base H_{i} weight {w}")
-            got = rep.h_dim
-            base_dim[(i, w)] = got
-        return got
-
-    for w in range(max_weight + 1):
-        for i in range(max_degree + 1):
-            rep = homology_slice(ext, i, w, size_cap=size_cap)
-            if rep.status != "ok":
-                raise RuntimeError(f"slice cap exceeded at extended H_{i} weight {w}")
-            expected = sum(comb(zeros, b) * base(i - b, w - b) for b in range(i + 1))
-            if rep.h_dim != expected:
-                return False
-    return True

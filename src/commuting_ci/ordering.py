@@ -70,10 +70,3 @@ class MonomialOrder:
     def leading_exponent(self, terms) -> Exponent:
         keyf = self.key_func()
         return max(terms, key=keyf)
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "permutation": list(self.permutation)}
-
-    @staticmethod
-    def from_json(data: dict) -> "MonomialOrder":
-        return MonomialOrder(data["kind"], tuple(data["permutation"]))

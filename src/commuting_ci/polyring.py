@@ -2,8 +2,9 @@
 
 A `RingDescriptor` fixes an ordered tuple of named variables, one nonnegative
 integer weight per variable, and a coefficient field: the rationals, or a
-prime field GF(p).  `Polynomial` values are immutable; `terms` maps dense
-exponent tuples to nonzero coefficients and is never mutated after
+prime field GF(p) with p below `PRIME_BOUND` (about 3.3e24), where the
+primality test is exact.  `Polynomial` values are immutable; `terms` maps
+dense exponent tuples to nonzero coefficients and is never mutated after
 construction, so polynomials are safe to share between threads.
 
 Coefficients over the rationals are Python ints or `fractions.Fraction`
@@ -37,11 +38,17 @@ class RingMismatchError(ValueError):
     """Operands live in different rings."""
 
 
+#: psi_13, the least strong pseudoprime to all of the bases 2..41 (Sorenson &
+#: Webster, Math. Comp. 86, 2017): Miller-Rabin with those bases is exact for
+#: every n below it.
+PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
-    # Deterministic Miller-Rabin; the witness set covers all n < 3.3e24.
+    """Deterministic Miller-Rabin with the bases 2..41; requires n < PRIME_BOUND."""
     if n < 2:
         return False
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
     for p in small:
         if n % p == 0:
             return n == p
@@ -75,11 +82,16 @@ class Rationals:
 
 @dataclass(frozen=True)
 class PrimeField:
-    """GF(p) for a prime modulus p."""
+    """GF(p) for a prime modulus p below `PRIME_BOUND`."""
 
     p: int
 
     def __post_init__(self) -> None:
+        if self.p >= PRIME_BOUND:
+            raise ValueError(
+                f"modulus {self.p} is too large: primality is decided exactly "
+                f"only below {PRIME_BOUND}"
+            )
         if not _is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
 
@@ -170,58 +182,6 @@ class RingDescriptor:
         exp[i] = 1
         return Polynomial._raw(self, {tuple(exp): _coerce(self.field, 1)})
 
-    def with_field(self, field: Field) -> "RingDescriptor":
-        return RingDescriptor(
-            tuple(zip(self.variables, self.weights)), field, self.unit_pairs
-        )
-
-    def monomials_of_weight(self, w: int) -> List[Exponent]:
-        """All exponent tuples of internal weight exactly w (finite list).
-
-        Requires every weight >= 1; otherwise the slice is infinite.
-        """
-        if not self.positively_weighted():
-            raise ValueError("monomials_of_weight needs a positively weighted ring")
-        if w < 0:
-            return []
-        n = self.nvars
-        ws = self.weights
-        # achievable[i][r]: can variables i.. realise remaining weight r
-        achievable = [[False] * (w + 1) for _ in range(n + 1)]
-        achievable[n][0] = True
-        for i in range(n - 1, -1, -1):
-            wi = ws[i]
-            row = achievable[i]
-            nxt = achievable[i + 1]
-            for r in range(w + 1):
-                k = 0
-                while k * wi <= r:
-                    if nxt[r - k * wi]:
-                        row[r] = True
-                        break
-                    k += 1
-        if not achievable[0][w]:
-            return []
-        out: List[Exponent] = []
-        exp = [0] * n
-
-        def rec(i: int, rem: int) -> None:
-            if i == n:
-                if rem == 0:
-                    out.append(tuple(exp))
-                return
-            wi = ws[i]
-            nxt = achievable[i + 1]
-            for k in range(rem // wi + 1):
-                r2 = rem - k * wi
-                if nxt[r2]:
-                    exp[i] = k
-                    rec(i + 1, r2)
-            exp[i] = 0
-
-        rec(0, w)
-        return out
-
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
@@ -305,10 +265,6 @@ class Polynomial:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def constant(self) -> Coeff:
-        """Coefficient of the constant monomial (0 if absent)."""
-        return self.terms.get((0,) * self.ring.nvars, 0)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -432,7 +388,7 @@ class Polynomial:
                 return None
         return w
 
-    # -- substitution and evaluation -----------------------------------
+    # -- substitution ---------------------------------------------------
 
     def substitute(self, assignment: Mapping[str, Union["Polynomial", Coeff]]) -> "Polynomial":
         """Simultaneously substitute polynomials for variables (by name).
@@ -472,23 +428,6 @@ class Polynomial:
                     factor = piece if factor is None else factor * piece
             term = Polynomial._raw(ring, {tuple(residual): c})
             total = total + (term if factor is None else term * factor)
-        return total
-
-    def evaluate(self, values: Mapping[str, Coeff]) -> Coeff:
-        """Evaluate at a point given by name -> coefficient."""
-        ring = self.ring
-        idxval: Dict[int, Coeff] = {ring.index(k): _coerce(ring.field, v) for k, v in values.items()}
-        total: Coeff = 0
-        for exp, c in self.terms.items():
-            v = c
-            for i, e in enumerate(exp):
-                if e:
-                    if i not in idxval:
-                        raise KeyError(f"no value for variable {ring.variables[i]!r}")
-                    v = v * idxval[i] ** e
-            total = total + v
-        if isinstance(ring.field, PrimeField):
-            total %= ring.field.p
         return total
 
     # -- unit-pair rewriting -------------------------------------------
@@ -543,20 +482,6 @@ class Polynomial:
 
 def _unpickle_poly(ring: RingDescriptor, items: Tuple) -> Polynomial:
     return Polynomial._raw(ring, dict(items))
-
-
-def reduce_mod(p: Polynomial, prime: int) -> Polynomial:
-    """Map a rational-coefficient polynomial into GF(prime).
-
-    Raises ZeroDivisionError when a denominator vanishes mod prime.
-    """
-    target = p.ring.with_field(PrimeField(prime))
-    out: Dict[Exponent, Coeff] = {}
-    for exp, c in p.terms.items():
-        v = _coerce(target.field, c)
-        if v:
-            out[exp] = v
-    return Polynomial._raw(target, out)
 
 
 # -- textual format -------------------------------------------------------

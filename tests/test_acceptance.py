@@ -9,17 +9,12 @@ import random
 from fractions import Fraction
 
 from commuting_ci.cidecide import classify_table, decide_ci, u6_witness
-from commuting_ci.groebner import (
-    buchberger,
-    dimension_by_enumeration,
-    krull_dimension,
-    normal_form,
-    spolynomial,
-)
-from commuting_ci.koszul import build_complex, homology_slice, kunneth_zero_check
+from commuting_ci.groebner import buchberger, krull_dimension, normal_form
+from commuting_ci.koszul import build_complex, homology_slice
 from commuting_ci.polyring import Polynomial, RingDescriptor, format_poly, parse_poly
 
 from conftest import system, system_basis
+from oracles import dimension_by_enumeration, evaluate, kunneth_zero_check, spolynomial
 
 from test_groupmat import _matinv, _matmul, _matrix_at_point, _random_point
 
@@ -211,7 +206,7 @@ def test_criterion_8c_evaluation_consistency():
             for i in range(n):
                 for j in range(n):
                     expected = word[i][j] - (1 if (kind == "bn" and i == j) else 0)
-                    assert sysm.word_matrix.rows[i][j].evaluate(values) == expected
+                    assert evaluate(sysm.word_matrix.rows[i][j], values) == expected
     _report(8, f"(c) word matrix matches numeric commutators at 50 random points per fixture ({len(fixtures)} fixtures)")
 
 

@@ -49,6 +49,43 @@ def test_decide_usage_errors(capsys):
     assert main(["nonsense"]) == EXIT_USAGE
 
 
+def test_pseudoprime_fields_are_usage_errors(capsys):
+    for modulus in ("318665857834031151167461", "3317044064679887385961981"):
+        argv = ["decide", "--group", "un", "--n", "3", "--field", f"gf:{modulus}"]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
+
+def test_flags_a_subcommand_does_not_use_are_usage_errors(capsys):
+    koszul = ["koszul", "--group", "un", "--n", "3", "--max-weight", "2"]
+    dump = ["dump", "--group", "un", "--n", "3"]
+    for argv in (
+        koszul + ["--degree-cap", "5"],
+        koszul + ["--order-seed", "7"],
+        dump + ["--degree-cap", "5"],
+        dump + ["--timeout", "10"],
+    ):
+        assert main(argv) == EXIT_USAGE, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
+    # the flags these subcommands do use still work
+    assert run(capsys, *koszul, "--field", "gf:7", "--timeout", "60", "--slice-cap", "100")[0] == EXIT_OK
+    assert run(capsys, *dump, "--order-seed", "7", "--field", "q")[0] == EXIT_OK
+
+
+def test_invalid_flag_values_name_the_flag(capsys):
+    for argv, flag in (
+        (["decide", "--group", "un", "--n", "1"], "--n"),
+        (["decide", "--group", "un", "--n", "3", "--genus", "0"], "--genus"),
+        (["decide", "--group", "gl5", "--n", "3"], "--group"),
+        (["decide", "--group", "un", "--n", "3", "--degree-cap", "0"], "--degree-cap"),
+        (["witness-u6", "--field", "gf:15"], "--field"),
+        (["table", "--family", "un", "--max-n", "1"], "--max-n"),
+        (["koszul", "--group", "un", "--n", "3", "--max-weight", "3", "--slice-cap", "0"], "--slice-cap"),
+    ):
+        assert main(argv) == EXIT_USAGE, argv
+        assert flag in capsys.readouterr().err, argv
+
+
 def test_decide_u6_by_window_witness(capsys):
     code, out = run(capsys, "decide", "--group", "un", "--n", "6", "--timeout", "5")
     assert code == EXIT_OK

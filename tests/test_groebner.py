@@ -12,12 +12,8 @@ from commuting_ci import groebner
 from commuting_ci.groebner import (
     IncompleteComputation,
     buchberger,
-    dimension_by_enumeration,
-    ideal_membership,
     krull_dimension,
     normal_form,
-    spolynomial,
-    standard_monomial_dimension,
 )
 from commuting_ci.ordering import MonomialOrder
 from commuting_ci.polyring import (
@@ -26,10 +22,17 @@ from commuting_ci.polyring import (
     RingDescriptor,
     format_poly,
     parse_poly,
-    reduce_mod,
 )
 
 from conftest import system, system_basis
+from oracles import (
+    dimension_by_enumeration,
+    monomials_of_weight,
+    reduce_mod,
+    spolynomial,
+    standard_monomial_dimension,
+    with_field,
+)
 
 
 @pytest.fixture
@@ -131,8 +134,14 @@ def test_u5_full_run():
 # -- membership --------------------------------------------------------------------
 
 
+def is_member(p, gens):
+    gb = buchberger(gens, ring=p.ring)
+    assert gb.is_complete
+    return normal_form(p, gb.basis, gb.order).is_zero
+
+
 def test_membership_zero(u3ring):
-    assert ideal_membership(u3ring.zero(), [u3_relation(u3ring)])
+    assert is_member(u3ring.zero(), [u3_relation(u3ring)])
 
 
 def test_membership_constructed_member(u3ring):
@@ -147,11 +156,11 @@ def test_membership_constructed_member(u3ring):
                 for _ in range(3)
             },
         )
-        assert ideal_membership(g1 * q + g2, [g1, g2])
+        assert is_member(g1 * q + g2, [g1, g2])
 
 
 def test_membership_rejects_low_weight(u3ring):
-    assert not ideal_membership(u3ring.gen("x_1_1_2"), [u3_relation(u3ring)])
+    assert not is_member(u3ring.gen("x_1_1_2"), [u3_relation(u3ring)])
 
 
 # -- S-pair postcondition -----------------------------------------------------------
@@ -238,7 +247,7 @@ def test_modular_leading_terms_match_rational(kind, n):
     gens = [f for _, f in s.generators] + list(s.unit_relations)
     gb_q = buchberger(gens, ring=s.ring)
     gens_p = [reduce_mod(g, 32003) for g in gens]
-    gb_p = buchberger(gens_p, ring=s.ring.with_field(PrimeField(32003)))
+    gb_p = buchberger(gens_p, ring=with_field(s.ring, PrimeField(32003)))
     assert gb_q.is_complete and gb_p.is_complete
     # an unlucky prime would show up as differing leading-term ideals
     assert sorted(gb_q.leading_exponents()) == sorted(gb_p.leading_exponents())
@@ -391,12 +400,6 @@ def test_deadline_inside_a_reduction_admits_no_partial_remainder(monkeypatch):
     assert all(packing.pack_terms(g.terms) in admitted for g in cut.basis)
 
 
-def test_membership_propagates_incompleteness(xy):
-    x, y = xy.gen("x"), xy.gen("y")
-    with pytest.raises(IncompleteComputation):
-        ideal_membership(y, [x * x - y, x * y - x], timeout=0.0)
-
-
 # -- dump and standard monomials ------------------------------------------------------------
 
 
@@ -425,7 +428,7 @@ def test_standard_monomial_count_matches_quotient():
     gb = system_basis("un", 3, 1)
     # weight-2 monomials: 21 of them in the U3 ring; exactly one leading term
     ring = gb.ring
-    total = len(ring.monomials_of_weight(2))
+    total = len(monomials_of_weight(ring, 2))
     assert standard_monomial_dimension(gb, 2) == total - 1
 
 

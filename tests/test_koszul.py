@@ -1,25 +1,29 @@
 """Koszul slices: differentials square to zero, homology matches theory."""
 
+import json
 from itertools import combinations
 
 import pytest
 
 from commuting_ci import koszul
-from commuting_ci.groebner import standard_monomial_dimension
 from commuting_ci.koszul import (
     KoszulComplex,
     PositiveWeightRequired,
     _differential_rows,
-    _slice_basis,
     _slice_dim,
     build_complex,
-    extend_with_zero_generators,
     homology_slice,
-    kunneth_zero_check,
 )
 from commuting_ci.polyring import RingDescriptor
 
 from conftest import system, system_basis
+from oracles import (
+    extend_with_zero_generators,
+    kunneth_zero_check,
+    monomials_of_weight,
+    slice_basis,
+    standard_monomial_dimension,
+)
 
 
 @pytest.fixture
@@ -92,8 +96,8 @@ def test_h0_of_regular_element(one_var):
 @pytest.mark.parametrize("w", [2, 3, 4, 5])
 def test_differential_squares_to_zero(w):
     K = build_complex(system("un", 4, 1))
-    b2 = _slice_basis(K, 2, w)
-    b1 = _slice_basis(K, 1, w)
+    b2 = slice_basis(K, 2, w)
+    b1 = slice_basis(K, 1, w)
     if not b2 or not b1:
         return
     d2, cols1 = _differential_rows(K, 2, w)
@@ -101,7 +105,7 @@ def test_differential_squares_to_zero(w):
     assert len(d2) == len(b2) and len(d1) == len(b1)
     # the lazily numbered columns are keys of the full slices below
     assert set(cols1) <= set(b1)
-    assert set(cols0) <= set(_slice_basis(K, 0, w))
+    assert set(cols0) <= set(slice_basis(K, 0, w))
     d1_of = dict(zip(b1, d1))
     key_of = {col: key for key, col in cols1.items()}
     for row in d2:
@@ -118,7 +122,7 @@ def test_differential_squares_to_zero(w):
 def enumerated_dim(K, i, w):
     """dim C_i(w) from full monomial lists, the reference for the DP count."""
     return sum(
-        len(K.ring.monomials_of_weight(w - sum(K.weights[s] for s in S)))
+        len(monomials_of_weight(K.ring, w - sum(K.weights[s] for s in S)))
         for S in combinations(range(len(K.generators)), i)
     )
 
@@ -129,7 +133,7 @@ def test_dp_dims_match_enumeration(n, genus):
     for i in range(4):
         for w in range(8):
             dim = _slice_dim(K, i, w)
-            assert dim == len(_slice_basis(K, i, w)) == enumerated_dim(K, i, w), (i, w)
+            assert dim == len(slice_basis(K, i, w)) == enumerated_dim(K, i, w), (i, w)
 
 
 @pytest.mark.parametrize("prime", [None, 32003])
@@ -141,10 +145,10 @@ def test_packed_keys_at_field_width_boundaries(prime, w):
     rep = homology_slice(K, 1, w)
     assert rep.status == "ok" and rep.h_dim == 0
     for j, dim in zip((0, 1, 2), rep.chain_dims):
-        keys = _slice_basis(K, j, w)
+        keys = slice_basis(K, j, w)
         assert dim == len(set(keys)) == enumerated_dim(K, j, w), (j, w)
     _, cols = _differential_rows(K, 1, w)
-    assert set(cols) <= set(_slice_basis(K, 0, w))
+    assert set(cols) <= set(slice_basis(K, 0, w))
 
 
 # -- main fixtures ------------------------------------------------------------------
@@ -270,6 +274,12 @@ def test_slice_report_names_ranks_and_shapes():
     assert 0 < cols_down <= 586 and 0 < cols_up <= 189
     # H_0 has no d_0 to build
     assert homology_slice(K, 0, 2).to_json()["shapes"][0] == [0, 0]
+
+
+def test_slice_report_json_round_trip():
+    K = build_complex(system("un", 4, 1))
+    for rep in (homology_slice(K, 1, 5), homology_slice(K, 1, 6, size_cap=10)):
+        assert json.loads(json.dumps(rep.to_json())) == rep.to_json()
 
 
 def test_negative_arguments_rejected():

@@ -70,11 +70,6 @@ def test_permutation_changes_tie_breaking():
     assert (ident(a) > ident(b)) != (flipped(a) > flipped(b))
 
 
-def test_json_round_trip():
-    order = MonomialOrder.seeded(5, 9)
-    assert MonomialOrder.from_json(order.to_json()) == order
-
-
 def test_exponents_beyond_sixteen_bits_keep_their_order():
     # a fixed 16-bit field used to wrap y^70000 below x
     order = MonomialOrder.identity(2)

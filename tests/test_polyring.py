@@ -8,14 +8,16 @@ import pytest
 from commuting_ci.ordering import MonomialOrder
 from commuting_ci.polyring import (
     BOTTOM_WEIGHT,
+    PRIME_BOUND,
     Polynomial,
     PrimeField,
     RingDescriptor,
     RingMismatchError,
     format_poly,
     parse_poly,
-    reduce_mod,
 )
+
+from oracles import evaluate, monomials_of_weight, reduce_mod
 
 U3_VARS = [
     ("x_1_1_2", 1),
@@ -41,7 +43,7 @@ def _random_poly(ring, rng, terms=5, max_exp=3):
 
 
 def _random_homogeneous(ring, rng, weight):
-    monos = ring.monomials_of_weight(weight)
+    monos = monomials_of_weight(ring, weight)
     picks = rng.sample(monos, min(len(monos), 4))
     return Polynomial(ring, {m: rng.choice([-3, -2, -1, 1, 2, 3]) for m in picks})
 
@@ -62,6 +64,27 @@ def test_ring_rejects_negative_weights():
 def test_prime_field_rejects_composite():
     with pytest.raises(ValueError):
         PrimeField(32001)
+
+
+#: The least strong pseudoprimes to the first 12 and 13 prime bases.
+PSI_12 = 318665857834031151167461  # 399165290221 * 798330580441
+PSI_13 = 3317044064679887385961981  # 1287836182261 * 2575672364521
+
+
+def test_prime_field_rejects_strong_pseudoprimes():
+    assert PSI_12 == 399165290221 * 798330580441
+    assert PSI_13 == 1287836182261 * 2575672364521
+    for modulus in (PSI_12, PSI_13):
+        with pytest.raises(ValueError):
+            PrimeField(modulus)
+
+
+def test_prime_field_bound():
+    assert PrimeField(32003).p == 32003
+    assert PrimeField(2**61 - 1).p == 2**61 - 1
+    assert PRIME_BOUND == PSI_13
+    with pytest.raises(ValueError, match=str(PRIME_BOUND)):
+        PrimeField(2**89 - 1)  # a Mersenne prime above the bound
 
 
 def test_canonical_form_is_fixed_point(ring):
@@ -224,7 +247,7 @@ def test_evaluate_matches_substitution(ring):
     p = _random_poly(ring, rng)
     point = {name: rng.randint(-4, 4) for name in ring.variables}
     by_sub = p.substitute({k: ring.const(v) for k, v in point.items()})
-    assert by_sub.constant() == p.evaluate(point)
+    assert by_sub.terms.get((0,) * ring.nvars, 0) == evaluate(p, point)
 
 
 # -- unit pairs ------------------------------------------------------------------
@@ -294,9 +317,9 @@ def test_parse_rejects_garbage(ring):
 def test_monomials_of_weight_counts(ring):
     # six variables of weights (1,2,1,1,2,1): count solutions directly
     for w in range(6):
-        monos = ring.monomials_of_weight(w)
+        monos = monomials_of_weight(ring, w)
         assert len(set(monos)) == len(monos)
         assert all(ring.exp_weight(m) == w for m in monos)
     # w=2 by hand: degree-2 in the four weight-1 vars (10 multisets) plus the
     # two weight-2 vars themselves
-    assert len(ring.monomials_of_weight(2)) == 12
+    assert len(monomials_of_weight(ring, 2)) == 12
