@@ -329,7 +329,7 @@ def u6_witness(
     timeout: float = DEFAULT_TIMEOUT,
 ) -> WitnessReport:
     """Run `window_witness` on the 6x6 unipotent genus-1 system."""
-    fld = parse_field_label(field) if isinstance(field, str) else (field or QQ)
+    fld = resolve_field(UNIPOTENT, 6, field) if isinstance(field, str) else (field or QQ)
     system = commutator_word(UNIPOTENT, 6, 1, fld)
     order = MonomialOrder.seeded(system.ring.nvars, order_seed)
     return window_witness(system, order, degree_cap=degree_cap, timeout=timeout)

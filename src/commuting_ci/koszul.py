@@ -31,6 +31,7 @@ ever computed as a module presentation.  A slice is handled in three steps:
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Dict, List, Optional, Tuple
@@ -94,6 +95,9 @@ class KoszulSliceReport:
     # (rows, cols) of d_i and d_{i+1} as built: cols counts the columns hit,
     # (0, 0) for a map that is zero because one end is empty
     shapes: Optional[Tuple[Tuple[int, int], Tuple[int, int]]] = None
+    # wall seconds spent building d_i, d_{i+1} ("assembly") and in their
+    # ranks ("rank"); None if incomplete
+    seconds: Optional[Dict[str, float]] = None
 
     def to_json(self) -> dict:
         return {
@@ -104,6 +108,7 @@ class KoszulSliceReport:
             "status": self.status,
             "ranks": None if self.ranks is None else list(self.ranks),
             "shapes": None if self.shapes is None else [list(s) for s in self.shapes],
+            "seconds": None if self.seconds is None else dict(self.seconds),
         }
 
 
@@ -226,11 +231,16 @@ def homology_slice(
 
     ranks = [0, 0]
     shapes = [(0, 0), (0, 0)]
+    seconds = {"assembly": 0.0, "rank": 0.0}
     for k, deg in enumerate((i, i + 1)):
         # d_deg: C_deg -> C_{deg-1} is zero unless both ends are nonzero
         if deg >= 1 and dims[k] and dims[k + 1]:
+            t0 = time.perf_counter()
             rows, index = _differential_rows(K, deg, w)
+            t1 = time.perf_counter()
             ranks[k] = _rank(rows, len(index), prime)
+            seconds["assembly"] += t1 - t0
+            seconds["rank"] += time.perf_counter() - t1
             shapes[k] = (len(rows), len(index))
     rank_down, rank_up = ranks
 
@@ -242,7 +252,7 @@ def homology_slice(
             f"dim C_{i} = {dims[1]} at (i, w) = ({i}, {w})"
         )
     h = dims[1] - rank_down - rank_up
-    return KoszulSliceReport(i, w, dims, h, "ok", tuple(ranks), tuple(shapes))
+    return KoszulSliceReport(i, w, dims, h, "ok", tuple(ranks), tuple(shapes), seconds)
 
 
 def _rank(rows, ncols: int, prime: Optional[int]) -> int:

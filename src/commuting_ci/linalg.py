@@ -1,24 +1,35 @@
 """Exact rank computation for the graded-slice matrices.
 
 Matrices are sparse: a sequence of rows, each a dict from column index to an
-entry.  Both coefficient regimes go through one sparse dict-of-rows
-elimination with a Markowitz-style pivot choice to limit fill-in:
+entry.  Both coefficient regimes go through one left-looking echelon:
 
 * GF(p): entries are reduced mod p on entry (zeros dropped), so any integer
-  input is accepted, including negatives and multiples of p.  Elimination
-  scales the pivot row by its inverse and stays in [0, p).
+  input is accepted, including negatives and multiples of p.  A row is
+  reduced by subtracting multiples of pivot rows and stays in [0, p).
 
 * rationals: denominators are cleared per row first, then elimination runs
-  over Z with cross-multiplication updates and gcd stripping, so no
-  fractions ever appear.
+  over Z with fraction-free updates and gcd stripping, so no fractions ever
+  appear.
+
+The rows are taken sparsest first.  Each one is reduced at its highest
+column against the pivot that owns that column, until it vanishes or its
+highest column has no pivot yet; then it becomes that column's pivot, as it
+stands.  Pivot rows are never touched again, so `pivots` (column -> pivot
+row) is an echelon form of the row space and the rank is its size.
+
+The Koszul differentials are almost binomial, so the pivot order decides the
+fill.  Counting the pivot entries applied to rows over GF(32003): on U6 d_1
+at weight 8 (76,114 rows), highest column with the sparsest rows first
+applies 244k, lowest column first 359k, and highest column with the rows in
+reverse order 756k; on U6 d_2 at weight 9 the three apply 189k, 775k and
+619k.
 """
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
 from math import gcd
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 Row = Dict[int, int]
 
@@ -52,93 +63,50 @@ def rank_rational(rows: Sequence[Dict[int, Fraction]], ncols: int) -> int:
     return _rank_sparse(cleared, p=None)
 
 
-def _rank_sparse(work: List[Row], p) -> int:
-    """Sparse elimination; exact over GF(p) (p given) or Z (p None).
+def _rank_sparse(work: List[Row], p: Optional[int]) -> int:
+    """Left-looking echelon; exact over GF(p) (p given) or Z (p None).
 
-    The rows must be nonempty and are eliminated in place.  Over GF(p) every
+    The rows must be nonempty and are reduced in place.  Over GF(p) every
     entry must already lie in [1, p).
     """
-    colrows: Dict[int, set] = {}
-    for i, r in enumerate(work):
-        for c in r:
-            colrows.setdefault(c, set()).add(i)
-    alive = set(range(len(work)))
-    heap = [(len(r), i) for i, r in enumerate(work)]
-    heapq.heapify(heap)
-    rank = 0
-    while heap:
-        nnz, i = heapq.heappop(heap)
-        if i not in alive:
-            continue
-        row = work[i]
-        if not row:
-            alive.discard(i)
-            continue
-        if len(row) != nnz:  # stale entry, requeue with the current size
-            heapq.heappush(heap, (len(row), i))
-            continue
-        # Markowitz-style: within the sparsest row, pivot on the emptiest column
-        pc = min(row, key=lambda c: (len(colrows[c]), c))
-        alive.discard(i)
-        rank += 1
-        pa = row[pc]
-        targets = [j for j in colrows[pc] if j != i and j in alive]
-        if p is not None:
-            inv = pow(pa, p - 2, p)
-            piv_items = [(c, v * inv % p) for c, v in row.items()]
-            for j in targets:
-                rj = work[j]
-                f = rj.get(pc)
-                if not f:
-                    continue
-                for c, v in piv_items:
-                    old = rj.get(c)
-                    nv = ((old or 0) - f * v) % p
+    # leading column -> (inverse of the leading entry mod p, or over Z the
+    # leading entry itself; the pivot row)
+    pivots: Dict[int, Tuple[int, Row]] = {}
+    for row in sorted(work, key=len):
+        while row:
+            c = max(row)
+            hit = pivots.get(c)
+            if hit is None:
+                pivots[c] = (row[c] if p is None else pow(row[c], -1, p), row)
+                break
+            lead, piv = hit
+            if p is not None:
+                f = row[c] * lead % p
+                for k, v in piv.items():
+                    nv = (row.get(k, 0) - f * v) % p
                     if nv:
-                        rj[c] = nv
-                        if old is None:
-                            colrows.setdefault(c, set()).add(j)
-                    elif old is not None:
-                        del rj[c]
-                        colrows[c].discard(j)
-                if rj:
-                    heapq.heappush(heap, (len(rj), j))
+                        row[k] = nv
+                    else:
+                        del row[k]
+                continue
+            # (lead/g) * row - (f/g) * pivot, then strip the content
+            g = gcd(lead, row[c])
+            a, f = lead // g, row[c] // g
+            if a != 1:
+                for k in row:
+                    row[k] *= a
+            for k, v in piv.items():
+                nv = row.get(k, 0) - f * v
+                if nv:
+                    row[k] = nv
                 else:
-                    alive.discard(j)
-        else:
-            piv_items = list(row.items())
-            for j in targets:
-                rj = work[j]
-                f = rj.get(pc)
-                if not f:
-                    continue
-                g = 0
-                for c, v in piv_items:
-                    old = rj.get(c)
-                    nv = (old or 0) * pa - f * v
-                    if nv:
-                        rj[c] = nv
-                        if old is None:
-                            colrows.setdefault(c, set()).add(j)
-                    elif old is not None:
-                        del rj[c]
-                        colrows[c].discard(j)
-                for c, v in list(rj.items()):
-                    if c not in row:
-                        rj[c] = v * pa
-                # strip content to keep the integers small
-                for v in rj.values():
-                    g = gcd(g, v)
-                    if g == 1:
-                        break
-                if g > 1:
-                    for c in rj:
-                        rj[c] //= g
-                if rj:
-                    heapq.heappush(heap, (len(rj), j))
-                else:
-                    alive.discard(j)
-        # retire the pivot row from the column index
-        for c in row:
-            colrows[c].discard(i)
-    return rank
+                    del row[k]
+            g = 0
+            for v in row.values():
+                g = gcd(g, v)
+                if g == 1:
+                    break
+            if g > 1:
+                for k in row:
+                    row[k] //= g
+    return len(pivots)

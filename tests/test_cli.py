@@ -118,6 +118,14 @@ def test_witness_u6(capsys):
     assert len(report["memberships"]) == 7
 
 
+def test_witness_u6_auto_field_follows_the_field_policy(capsys):
+    # the parser accepts "auto" for every subcommand; for U6 the policy is GF(32003)
+    code, out = run(capsys, "witness-u6", "--field", "auto")
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert (report["conclusion"], report["field"]) == ("NotCI", "gf:32003")
+
+
 def test_witness_u6_seeded(capsys):
     code, out = run(capsys, "witness-u6", "--order-seed", "7")
     assert code == EXIT_OK

@@ -176,6 +176,16 @@ def test_u6_h1_first_nonzero_weight_is_seven():
     assert homology_slice(K, 1, 7).h_dim == 1
 
 
+@pytest.mark.parametrize("prime", [None, 32003])
+def test_u6_h1_weight_seven_slice_is_pinned(prime):
+    # ranks of this slice are the same over Q and GF(32003); any exact
+    # eliminator, whatever its pivot order, must reproduce them
+    rep = homology_slice(build_complex(system("un", 6, 1, prime)), 1, 7).to_json()
+    assert rep["ranks"] == [19953, 2654]
+    assert rep["shapes"] == [[22608, 32962], [2712, 10614]]
+    assert rep["h_dim"] == 1
+
+
 def test_u6_h1_weight_seven_nonzero_under_second_prime():
     # a single unlucky prime could inflate the homology; a second prime
     # agreeing pins the slice dimension with high confidence
@@ -263,7 +273,9 @@ def test_slice_cap_yields_incomplete():
 def test_slice_report_names_ranks_and_shapes():
     K = build_complex(system("un", 4, 1))
     got = homology_slice(K, 1, 5).to_json()
-    assert set(got) == {"i", "w", "chain_dims", "h_dim", "status", "ranks", "shapes"}
+    assert set(got) == {"i", "w", "chain_dims", "h_dim", "status", "ranks", "shapes", "seconds"}
+    assert set(got["seconds"]) == {"assembly", "rank"}
+    assert all(s >= 0 for s in got["seconds"].values())
     assert (got["i"], got["w"], got["status"]) == (1, 5, "ok")
     assert got["chain_dims"] == [586, 189, 8]
     rank_down, rank_up = got["ranks"]
@@ -278,8 +290,11 @@ def test_slice_report_names_ranks_and_shapes():
 
 def test_slice_report_json_round_trip():
     K = build_complex(system("un", 4, 1))
-    for rep in (homology_slice(K, 1, 5), homology_slice(K, 1, 6, size_cap=10)):
+    done, capped = homology_slice(K, 1, 5), homology_slice(K, 1, 6, size_cap=10)
+    for rep in (done, capped):
         assert json.loads(json.dumps(rep.to_json())) == rep.to_json()
+    assert set(done.to_json()["seconds"]) == {"assembly", "rank"}
+    assert capped.to_json()["seconds"] is None
 
 
 def test_negative_arguments_rejected():

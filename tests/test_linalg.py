@@ -121,3 +121,70 @@ def test_rank_of_structured_low_rank():
     rows = [{j: u[i] * v[j] for j in range(30)} for i in range(25)]
     assert linalg.rank_rational(rows, 30) == 1
     assert linalg.rank_mod_p([{c: val % 13 for c, val in r.items()} for r in rows], 30, 13) == 1
+
+
+def _planted_rows(rng, p, nrows=40, ncols=50, rank=24, per_row=4):
+    """Sparse rows of rank at most `rank` mod p, plus the rows they equal mod p.
+
+    The first `rank` rows have `per_row` nonzeros each.  The rest are
+    duplicates, negations or integer combinations of them, some plus p times
+    a fresh row, and some only p times a fresh row.  The p-multiples add rank
+    over Q; mod p they vanish, on input or during elimination.  Returns
+    (rows, rows with every p-multiple dropped).
+    """
+
+    def sparse_row():
+        cols = rng.sample(range(ncols), per_row)
+        return {c: rng.choice([-3, -2, -1, 1, 2, 3]) for c in cols}
+
+    def combine(*terms):
+        out = {}
+        for coef, row in terms:
+            for c, v in row.items():
+                out[c] = out.get(c, 0) + coef * v
+        return {c: v for c, v in out.items() if v}
+
+    base = [sparse_row() for _ in range(rank)]
+    rows, mod_p = list(base), list(base)
+    while len(rows) < nrows:
+        a, b = rng.sample(base, 2)
+        kind = rng.randrange(6)
+        if kind == 0:
+            row = dict(a)
+        elif kind == 1:
+            row = {c: -v for c, v in a.items()}
+        elif kind == 5:
+            row = {}
+        else:
+            row = combine((rng.randint(-4, 4) or 1, a), (rng.randint(-4, 4), b))
+        mod_p.append(row)
+        rows.append(combine((1, row), (p, sparse_row())) if kind >= 4 else row)
+    order = list(range(nrows))
+    rng.shuffle(order)
+    return [rows[i] for i in order], [mod_p[i] for i in order]
+
+
+@pytest.mark.parametrize("trial", range(6))
+@pytest.mark.parametrize("p", [32003, 2**61 - 1])
+def test_planted_rank_sparse_matches_oracle(trial, p):
+    rng = random.Random(600 + trial)
+    rows, mod_p = _planted_rows(rng, p)
+    # over GF(p) the p-multiples vanish; the small-entry rows left have the
+    # same rank over GF(p) as over Q
+    assert linalg.rank_mod_p(rows, 50, p) == _rank_fraction_oracle(mod_p, 50)
+    assert linalg.rank_rational(rows, 50) == _rank_fraction_oracle(rows, 50)
+    assert _rank_fraction_oracle(rows, 50) > _rank_fraction_oracle(mod_p, 50)
+
+
+def test_rank_leaves_the_callers_rows_unchanged():
+    rng = random.Random(700)
+    rows, _ = _planted_rows(rng, 32003)
+    fractions = [{c: Fraction(v, 1 + c % 3) for c, v in r.items()} for r in rows]
+    for call, arg in (
+        (lambda r: linalg.rank_mod_p(r, 50, 32003), rows),
+        (lambda r: linalg.rank_rational(r, 50), rows),
+        (lambda r: linalg.rank_rational(r, 50), fractions),
+    ):
+        before = [dict(r) for r in arg]
+        call(arg)
+        assert arg == before
