@@ -32,7 +32,6 @@ from .groupmat import (
     commutator_word,
     coordinate_matrix,
     dump_generators,
-    inverse,
 )
 from .groebner import (
     BuchbergerStats,

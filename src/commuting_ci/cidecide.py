@@ -28,7 +28,7 @@ from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from .groebner import buchberger, krull_dimension, normal_form
-from .groupmat import UNIPOTENT, CommutatorSystem, commutator_word, normalize_kind
+from .groupmat import UNIPOTENT, CommutatorSystem, commutator_ring, commutator_word, normalize_kind
 from .ordering import MonomialOrder
 from .polyring import (
     DEFAULT_PRIME,
@@ -100,12 +100,12 @@ class CIReport:
     field: str
     order: dict
     nvars: int
-    generators: int
+    generators: Optional[int]  # None when the word build was stopped
     unit_relations: int
     dim: Optional[int]
     codim: Optional[int]
     verdict: str  # "CI" | "NotCI" | "Incomplete"
-    exterior_factors: int
+    exterior_factors: Optional[int]  # None when the word build was stopped
     structure: Optional[str] = None
     witness: Optional[dict] = None
     stats: Optional[dict] = None
@@ -158,35 +158,39 @@ def decide_ci(
     U_n ring; a NotCI witness is the verdict.  Otherwise the verdict compares
     the computed codimension of the generator ideal (including unit relations
     for borel) with the number of generators; the two agree exactly when the
-    sequence is regular.  Resource limits produce verdict "Incomplete".
+    sequence is regular.  Resource limits produce verdict "Incomplete"; the
+    timeout bounds the word build as well as each basis.
     """
     t0 = time.monotonic()
     kind = normalize_kind(kind)
-    if n < 2:
-        raise ValueError("matrix size must be at least 2")
-    if genus < 1:
-        raise ValueError("genus must be at least 1")
     fld = resolve_field(kind, n, field)
-    system = commutator_word(kind, n, genus, fld)
-    ring = system.ring
+    ring = commutator_ring(kind, n, genus, fld)  # checks n and genus
     order = MonomialOrder.seeded(ring.nvars, order_seed)
-    gens = [f for _, f in system.generators]
-    r = len(gens)
-    u = len(system.unit_relations)
     report = CIReport(
         group=kind,
         n=n,
         genus=genus,
         field=fld.label(),
-        order={"kind": order.kind, "seed": order_seed, "permutation": list(order.permutation)},
+        order={"kind": "grevlex", "seed": order_seed, "permutation": list(order.permutation)},
         nvars=ring.nvars,
-        generators=r,
-        unit_relations=u,
+        generators=None,
+        unit_relations=len(ring.unit_pairs),
         dim=None,
         codim=None,
         verdict="Incomplete",
-        exterior_factors=len(system.zero_positions),
+        exterior_factors=None,
     )
+    try:
+        system = commutator_word(kind, n, genus, fld, deadline=t0 + timeout)
+    except TimeoutError:
+        report.note = "stopped by the timeout while building the commutator word"
+        report.wall_seconds = time.monotonic() - t0
+        return report
+    gens = [f for _, f in system.generators]
+    r = len(gens)
+    u = len(system.unit_relations)
+    report.generators = r
+    report.exterior_factors = len(system.zero_positions)
     if kind == UNIPOTENT and genus == 1 and n >= 6:
         witness = window_witness(system, order, degree_cap=degree_cap, timeout=timeout)
         if witness.conclusion == "NotCI":
@@ -195,7 +199,7 @@ def decide_ci(
             report.wall_seconds = time.monotonic() - t0
             return report
     all_gens = gens + list(system.unit_relations)
-    gb = buchberger(all_gens, order, ring=ring, degree_cap=degree_cap, timeout=timeout)
+    gb = buchberger(all_gens, order, ring=system.ring, degree_cap=degree_cap, timeout=timeout)
     report.stats = gb.stats.to_json()
     if gb.is_complete:
         stats = krull_dimension(gb)

@@ -121,7 +121,10 @@ _SHARED = {
     "--order-seed": dict(type=int, default=None, help="seed for the variable permutation"),
     "--degree-cap": dict(type=_int_at_least(1), default=DEFAULT_DEGREE_CAP),
     "--timeout": dict(
-        type=float, default=None, help="seconds per basis, or per koszul run (env COMMUTING_CI_TIMEOUT)"
+        type=float,
+        default=None,
+        help="seconds for the word build and each basis, or per koszul run "
+        "(env COMMUTING_CI_TIMEOUT)",
     ),
 }
 
@@ -201,7 +204,21 @@ def cmd_witness(args: argparse.Namespace) -> int:
 def cmd_koszul(args: argparse.Namespace) -> int:
     deadline = time.monotonic() + _timeout(args)
     fld = resolve_field(args.group, args.n, args.field)
-    system = commutator_word(args.group, args.n, args.genus, fld)
+    payload = {
+        "group": args.group,
+        "n": args.n,
+        "genus": args.genus,
+        "field": fld.label(),
+        "degree": args.degree,
+        "exterior_factors": None,
+        "stopped_by": "timeout",
+        "slices": [],
+    }
+    try:
+        system = commutator_word(args.group, args.n, args.genus, fld, deadline=deadline)
+    except TimeoutError:
+        _emit(payload, args.output)
+        return EXIT_INCOMPLETE
     complex_ = build_complex(system)
     r = len(complex_.generators)
     if not 0 <= args.degree <= r:
@@ -222,16 +239,9 @@ def cmd_koszul(args: argparse.Namespace) -> int:
             # over the cap as well
             stopped_by = "slice_cap"
             break
-    payload = {
-        "group": args.group,
-        "n": args.n,
-        "genus": args.genus,
-        "field": fld.label(),
-        "degree": args.degree,
-        "exterior_factors": complex_.exterior_zero_count,
-        "stopped_by": stopped_by,
-        "slices": rows,
-    }
+    payload.update(
+        exterior_factors=complex_.exterior_zero_count, stopped_by=stopped_by, slices=rows
+    )
     _emit(payload, args.output)
     return EXIT_INCOMPLETE if stopped_by else EXIT_OK
 

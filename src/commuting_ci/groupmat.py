@@ -4,8 +4,13 @@ Two group families are supported: upper triangular matrices with unit
 diagonal ("unipotent") and with invertible diagonal ("borel").  Each of the
 2g copies in a genus-g word gets its own block of entry variables; borel
 copies additionally get one inverse variable per diagonal entry, with the
-unit relation d * x_diag = 1 registered on the ring and rewritten eagerly
-inside every matrix operation, so no fractions ever appear.
+unit relation d * x_diag = 1 registered on the ring.
+
+No matrix is inverted: as [X, Y] = (X*Y)*(Y*X)^-1, the word W times one
+more commutator is the W' with W'*(Y*X) = W*X*Y, found by forward
+substitution; dividing by y_jj*x_jj multiplies by two inverse variables.
+Every entry is unit-reduced (d*x -> 1) as it is formed, a unique
+representative modulo the unit relations, so no fractions ever appear.
 
 The variable order is fixed and deterministic: the x-block of copy 1, then
 the y-block of copy 1, then copy 2, and so on, each block row-major, with a
@@ -17,8 +22,9 @@ X_1, Y_1, X_2, Y_2, ... in order.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .polyring import Field, Polynomial, QQ, RingDescriptor, format_poly
 
@@ -42,12 +48,11 @@ def normalize_kind(kind: str) -> str:
         raise ValueError(f"unknown group kind {kind!r} (expected 'un' or 'bn')") from None
 
 
+Rows = Sequence[Sequence[Polynomial]]
+
+
 class ShapeError(ValueError):
     """A matrix does not have the coordinate shape required here."""
-
-
-class MissingInverseVariableError(ValueError):
-    """A diagonal entry has no registered inverse variable."""
 
 
 class VanishingPatternError(RuntimeError):
@@ -61,90 +66,26 @@ class VanishingPatternError(RuntimeError):
 class PolyMatrix:
     """Square matrix of polynomials over one shared ring (immutable)."""
 
-    __slots__ = ("ring", "n", "rows")
+    __slots__ = ("ring", "rows")
 
-    def __init__(self, ring: RingDescriptor, rows: Sequence[Sequence[Polynomial]]) -> None:
-        n = len(rows)
+    def __init__(self, ring: RingDescriptor, rows: Rows) -> None:
         for row in rows:
-            if len(row) != n:
+            if len(row) != len(rows):
                 raise ShapeError("matrix must be square")
             for p in row:
                 if p.ring != ring:
                     raise ShapeError("all entries must share one ring")
         self.ring = ring
-        self.n = n
         self.rows = tuple(tuple(row) for row in rows)
-
-    @staticmethod
-    def identity(ring: RingDescriptor, n: int) -> "PolyMatrix":
-        one = ring.one()
-        zero = ring.zero()
-        return PolyMatrix(
-            ring, [[one if i == j else zero for j in range(n)] for i in range(n)]
-        )
 
     def entry(self, i: int, j: int) -> Polynomial:
         """1-based entry access, matching the (i, j) position convention."""
         return self.rows[i - 1][j - 1]
 
-    def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.ring != other.ring or self.n != other.n:
-            raise ShapeError("matrix shapes or rings do not match")
-        n = self.n
-        reduce_units = bool(self.ring.unit_pairs)
-        zero = self.ring.zero()
-        out: List[List[Polynomial]] = []
-        for i in range(n):
-            arow = self.rows[i]
-            orow: List[Polynomial] = []
-            for j in range(n):
-                acc = zero
-                for k in range(n):
-                    a = arow[k]
-                    if a.is_zero:
-                        continue
-                    b = other.rows[k][j]
-                    if b.is_zero:
-                        continue
-                    acc = acc + a * b
-                if reduce_units:
-                    acc = acc.reduce_units()
-                orow.append(acc)
-            out.append(orow)
-        return PolyMatrix(self.ring, out)
-
-    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.ring != other.ring or self.n != other.n:
-            raise ShapeError("matrix shapes or rings do not match")
-        return PolyMatrix(
-            self.ring,
-            [
-                [self.rows[i][j] + other.rows[i][j] for j in range(self.n)]
-                for i in range(self.n)
-            ],
-        )
-
-    def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.ring != other.ring or self.n != other.n:
-            raise ShapeError("matrix shapes or rings do not match")
-        return PolyMatrix(
-            self.ring,
-            [
-                [self.rows[i][j] - other.rows[i][j] for j in range(self.n)]
-                for i in range(self.n)
-            ],
-        )
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PolyMatrix):
             return NotImplemented
         return self.ring == other.ring and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash((self.ring, self.rows))
-
-    def __repr__(self) -> str:
-        return f"PolyMatrix({self.n}x{self.n})"
 
 
 def commutator_ring(kind: str, n: int, genus: int, field: Field = QQ) -> RingDescriptor:
@@ -199,53 +140,6 @@ def coordinate_matrix(
     return PolyMatrix(ring, rows)
 
 
-def inverse(M: PolyMatrix, kind: str) -> PolyMatrix:
-    """Exact two-sided inverse of a coordinate-shaped triangular matrix.
-
-    Unipotent: I + N with N strictly upper, inverted by the alternating
-    geometric sum.  Borel: the diagonal is cleared with the registered
-    inverse variables first; unit relations are rewritten eagerly so the
-    result is polynomial in the entry and inverse variables.
-    """
-    kind = normalize_kind(kind)
-    ring = M.ring
-    n = M.n
-    for i in range(n):
-        for j in range(i):
-            if not M.rows[i][j].is_zero:
-                raise ShapeError("matrix is not upper triangular")
-    if kind == UNIPOTENT:
-        one = ring.one()
-        for i in range(n):
-            if M.rows[i][i] != one:
-                raise ShapeError("unipotent matrix needs unit diagonal")
-        dinv = PolyMatrix.identity(ring, n)
-        A = M
-    else:
-        partner = {b: a for a, b in ring.unit_pairs}
-        dinv_rows = [[ring.zero() for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            diag = M.rows[i][i]
-            items = list(diag.terms.items())
-            if len(items) != 1 or items[0][1] != 1 or sum(items[0][0]) != 1:
-                raise ShapeError("borel diagonal entries must be single variables")
-            var_idx = items[0][0].index(1)
-            if var_idx not in partner:
-                raise MissingInverseVariableError(
-                    f"no inverse variable registered for {ring.variables[var_idx]!r}"
-                )
-            dinv_rows[i][i] = ring.gen(partner[var_idx])
-        dinv = PolyMatrix(ring, dinv_rows)
-        A = dinv @ M  # unit-reduced: unit diagonal, entries carry d-variables
-    N = A - PolyMatrix.identity(ring, n)
-    acc = PolyMatrix.identity(ring, n)
-    power = PolyMatrix.identity(ring, n)
-    for k in range(1, n):
-        power = power @ N
-        acc = acc - power if k % 2 else acc + power
-    return acc @ dinv
-
-
 @dataclass(frozen=True)
 class CommutatorSystem:
     """The commutator word of a group family, with its generator sequence.
@@ -272,24 +166,85 @@ class CommutatorSystem:
         raise KeyError(f"no generator at position ({i}, {j})")
 
 
-def commutator_word(kind: str, n: int, genus: int, field: Field = QQ) -> CommutatorSystem:
+def _check_deadline(deadline: Optional[float]) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise TimeoutError("the commutator word build passed its deadline")
+
+
+def _product(ring: RingDescriptor, A: Rows, B: Rows, deadline: Optional[float]) -> Rows:
+    """A*B for upper-triangular A and B (k runs over i..j only), unit-reduced."""
+    n = len(A)
+    out = [[ring.zero()] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            acc = ring.zero()
+            for k in range(i, j + 1):
+                if not (A[i][k].is_zero or B[k][j].is_zero):
+                    _check_deadline(deadline)
+                    acc = acc + A[i][k] * B[k][j]
+            out[i][j] = acc.reduce_units()
+    return out
+
+
+def _solve(
+    ring: RingDescriptor,
+    A: Rows,
+    B: Rows,
+    inv_diag: Optional[Sequence[Polynomial]],
+    deadline: Optional[float],
+) -> Rows:
+    """W with W*B = A for upper-triangular A and B, by forward substitution.
+
+    `inv_diag[j]` inverts B[j][j] modulo the unit relations; None means B has
+    unit diagonal.
+    """
+    n = len(A)
+    W = [[ring.zero()] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            acc = ring.zero()
+            for k in range(i, j):
+                if not (W[i][k].is_zero or B[k][j].is_zero):
+                    _check_deadline(deadline)
+                    acc = acc + W[i][k] * B[k][j]
+            acc = A[i][j] - acc
+            if inv_diag is not None:
+                _check_deadline(deadline)
+                acc = (acc * inv_diag[j]).reduce_units()
+            W[i][j] = acc
+    return W
+
+
+def commutator_word(
+    kind: str, n: int, genus: int, field: Field = QQ, *, deadline: Optional[float] = None
+) -> CommutatorSystem:
     """Build the product of commutators and extract the generator sequence.
 
     For the unipotent family the word matrix is the product itself; its
     subdiagonal entries must vanish identically and every entry above them is
     weight-homogeneous of weight j - i.  For the borel family the word matrix
     is the product minus the identity and the diagonal must vanish.  Any
-    violation aborts: it would mean the arithmetic itself is broken.
+    violation aborts: it would mean the arithmetic itself is broken.  Past
+    `deadline` (a `time.monotonic` value), checked before every polynomial
+    product, the build raises `TimeoutError`.
     """
     kind = normalize_kind(kind)
     ring = commutator_ring(kind, n, genus, field)
-    word = PolyMatrix.identity(ring, n)
+    word = [[ring.const(int(i == j)) for j in range(n)] for i in range(n)]
     for t in range(1, genus + 1):
-        X = coordinate_matrix(ring, kind, n, t, "x")
-        Y = coordinate_matrix(ring, kind, n, t, "y")
-        word = word @ X @ Y @ inverse(X, kind) @ inverse(Y, kind)
-
-    F = word if kind == UNIPOTENT else word - PolyMatrix.identity(ring, n)
+        X = coordinate_matrix(ring, kind, n, t, "x").rows
+        Y = coordinate_matrix(ring, kind, n, t, "y").rows
+        inv_diag = None
+        if kind == BOREL:  # 1/(y_jj * x_jj), by the registered inverse variables
+            inv_diag = [
+                ring.gen(f"d_{2 * t}_{j}") * ring.gen(f"d_{2 * t - 1}_{j}") for j in range(1, n + 1)
+            ]
+        WXY = _product(ring, _product(ring, word, X, deadline), Y, deadline)
+        word = _solve(ring, WXY, _product(ring, Y, X, deadline), inv_diag, deadline)
+    if kind == BOREL:
+        for i in range(n):
+            word[i][i] = word[i][i] - 1
+    F = PolyMatrix(ring, word)
 
     zero_positions: List[Tuple[int, int]] = []
     generators: List[Tuple[Tuple[int, int], Polynomial]] = []
@@ -316,24 +271,10 @@ def commutator_word(kind: str, n: int, genus: int, field: Field = QQ) -> Commuta
                     )
                 generators.append(((i, j), e))
 
-    unit_relations: List[Polynomial] = []
-    if kind == BOREL:
-        for s in range(1, 2 * genus + 1):
-            t = (s + 1) // 2
-            prefix = "x" if s % 2 else "y"
-            for i in range(1, n + 1):
-                rel = ring.gen(f"d_{s}_{i}") * ring.gen(f"{prefix}_{t}_{i}_{i}") - 1
-                unit_relations.append(rel)
-
+    # d_s_i * diag - 1 for each registered pair, copy by copy
+    unit_relations = tuple(ring.gen(d) * ring.gen(x) - 1 for d, x in ring.unit_pairs)
     return CommutatorSystem(
-        kind,
-        n,
-        genus,
-        ring,
-        F,
-        tuple(generators),
-        tuple(unit_relations),
-        tuple(zero_positions),
+        kind, n, genus, ring, F, tuple(generators), unit_relations, tuple(zero_positions)
     )
 
 

@@ -32,9 +32,9 @@ ever computed as a module presentation.  A slice is handled in three steps:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .polyring import Polynomial, PrimeField, RingDescriptor
@@ -61,10 +61,6 @@ class KoszulComplex:
     generators: Tuple[Polynomial, ...]
     weights: Tuple[int, ...]
     exterior_zero_count: int = 0
-    # packed monomials of one field width, by weight (see `_monomial_table`)
-    _monomials: Dict[int, List[List[int]]] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
 
     def __post_init__(self) -> None:
         if not self.ring.positively_weighted():
@@ -148,20 +144,13 @@ def _slice_dim(K: KoszulComplex, i: int, w: int) -> int:
     return sum(count * monomials[w - u] for u, count in enumerate(subsets[i]))
 
 
-def _monomial_table(K: KoszulComplex, width: int, top: int) -> List[List[int]]:
-    """Packed monomials of each weight 0..top (or beyond), `width` bits per exponent.
-
-    Cached on K for one width at a time; a larger `top` rebuilds the table.
-    """
-    table = K._monomials.get(width)
-    if table is None or len(table) <= top:
-        table = [[0]] + [[] for _ in range(top)]
-        for v, wv in enumerate(K.ring.weights):
-            step = 1 << (v * width)
-            for u in range(wv, top + 1):
-                table[u] += [m + step for m in table[u - wv]]
-        K._monomials.clear()
-        K._monomials[width] = table
+def _monomial_table(weights: Sequence[int], width: int, top: int) -> List[List[int]]:
+    """Packed monomials of each weight 0..top, `width` bits per exponent."""
+    table = [[0]] + [[] for _ in range(top)]
+    for v, wv in enumerate(weights):
+        step = 1 << (v * width)
+        for u in range(wv, top + 1):
+            table[u] += [m + step for m in table[u - wv]]
     return table
 
 
@@ -175,7 +164,7 @@ def _slice_layout(K: KoszulComplex, i: int, w: int):
         if (rem := w - sum(ws[s] for s in S)) >= 0
     ]
     width = max(w.bit_length(), 1)  # every exponent of a key is <= w
-    table = _monomial_table(K, width, max((rem for _, rem in fits), default=0))
+    table = _monomial_table(K.ring.weights, width, max((rem for _, rem in fits), default=0))
     return fits, table, width, K.ring.nvars * width
 
 

@@ -27,18 +27,15 @@ class MonomialOrder:
     identity permutation orders variables as the ring declares them.
     """
 
-    kind: str
     permutation: Tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.kind != "grevlex":
-            raise ValueError(f"unsupported monomial order kind: {self.kind!r}")
         if sorted(self.permutation) != list(range(len(self.permutation))):
             raise ValueError("permutation must be a permutation of 0..n-1")
 
     @staticmethod
     def identity(nvars: int) -> "MonomialOrder":
-        return MonomialOrder("grevlex", tuple(range(nvars)))
+        return MonomialOrder(tuple(range(nvars)))
 
     @staticmethod
     def seeded(nvars: int, seed: Optional[int]) -> "MonomialOrder":
@@ -47,7 +44,7 @@ class MonomialOrder:
             return MonomialOrder.identity(nvars)
         perm = list(range(nvars))
         random.Random(seed).shuffle(perm)
-        return MonomialOrder("grevlex", tuple(perm))
+        return MonomialOrder(tuple(perm))
 
     @property
     def nvars(self) -> int:

@@ -75,6 +75,9 @@ def test_decide_incomplete_on_timeout():
     r = decide_ci("un", 5, 1, timeout=0.0)
     assert r.verdict == "Incomplete"
     assert r.dim is None and r.codim is None
+    # the clock already stops the word build
+    assert r.note == "stopped by the timeout while building the commutator word"
+    assert r.generators is None and r.stats is None and r.nvars == 20
 
 
 def test_incomplete_report_names_its_limit_and_progress():
@@ -83,7 +86,9 @@ def test_incomplete_report_names_its_limit_and_progress():
     assert r.stats["stopped_by"] == "degree_cap"
     assert r.stats["pairs"] > 0 and r.stats["max_degree"] == 5
     assert r.stats["basis_size"] > 0 and r.stats["pairs_pending"] > 0
-    r = decide_ci("un", 5, 1, timeout=0.0)
+    # the word takes milliseconds and the basis far longer than a second, so
+    # the clock stops the basis
+    r = decide_ci("un", 5, 2, field="gf:32003", timeout=1.0)
     assert r.verdict == "Incomplete"
     assert r.stats["stopped_by"] == "timeout"
     assert r.stats["basis_size"] > 0

@@ -225,6 +225,42 @@ def test_koszul_honours_the_timeout(capsys, monkeypatch):
     assert json.loads(out)["stopped_by"] == "timeout"
 
 
+def _run_fresh(*argv):
+    """The CLI in a fresh interpreter, so that an unbounded run fails the test
+    by its 60 s timeout instead of hanging the suite."""
+    src = Path(commuting_ci.__file__).resolve().parent.parent
+    return subprocess.run(
+        [sys.executable, "-m", "commuting_ci.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+def test_decide_timeout_bounds_the_word_build():
+    # building the whole U14 word takes about 13 s on a 2-vCPU machine
+    t0 = time.monotonic()
+    done = _run_fresh("decide", "--group", "un", "--n", "14", "--timeout", "1")
+    assert time.monotonic() - t0 < 10
+    assert done.returncode == EXIT_INCOMPLETE
+    report = json.loads(done.stdout)
+    assert report["verdict"] == "Incomplete"
+    assert report["note"] == "stopped by the timeout while building the commutator word"
+    assert (report["nvars"], report["unit_relations"]) == (182, 0)
+    for key in ("generators", "exterior_factors", "stats", "witness"):
+        assert report[key] is None
+
+
+def test_koszul_timeout_bounds_the_word_build():
+    t0 = time.monotonic()
+    done = _run_fresh("koszul", "--group", "un", "--n", "14", "--max-weight", "2", "--timeout", "1")
+    assert time.monotonic() - t0 < 10
+    assert done.returncode == EXIT_INCOMPLETE
+    payload = json.loads(done.stdout)
+    assert payload["stopped_by"] == "timeout" and payload["slices"] == []
+
+
 def test_dump_u3(capsys):
     code, out = run(capsys, "dump", "--group", "un", "--n", "3", "--genus", "1")
     assert code == EXIT_OK

@@ -1,5 +1,6 @@
-"""Coordinate matrices, inverses, and commutator-word extraction."""
+"""Coordinate matrices and commutator-word extraction."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -8,14 +9,10 @@ import pytest
 from commuting_ci.groupmat import (
     BOREL,
     UNIPOTENT,
-    MissingInverseVariableError,
-    PolyMatrix,
-    ShapeError,
     commutator_ring,
     commutator_word,
     coordinate_matrix,
     dump_generators,
-    inverse,
     normalize_kind,
 )
 from commuting_ci.polyring import format_poly, parse_poly
@@ -95,64 +92,6 @@ def test_weights_follow_diagonal_distance():
     ringb = commutator_ring("bn", 3, 1)
     assert ringb.weights[ringb.index("x_1_2_2")] == 0
     assert ringb.weights[ringb.index("d_2_3")] == 0
-
-
-# -- inverses ------------------------------------------------------------------
-
-
-def test_inverse_of_identity():
-    ring = commutator_ring("un", 3, 1)
-    I = PolyMatrix.identity(ring, 3)
-    assert inverse(I, "un") == I
-
-
-def test_u3_inverse_entry():
-    ring = commutator_ring("un", 3, 1)
-    X = coordinate_matrix(ring, "un", 3, 1, "x")
-    Xi = inverse(X, "un")
-    assert Xi.entry(1, 3) == parse_poly("x_1_1_2*x_1_2_3 - x_1_1_3", ring)
-    I = PolyMatrix.identity(ring, 3)
-    assert X @ Xi == I and Xi @ X == I
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_unipotent_inverse_two_sided(n):
-    ring = commutator_ring("un", n, 1)
-    for role in ("x", "y"):
-        M = coordinate_matrix(ring, "un", n, 1, role)
-        Mi = inverse(M, "un")
-        I = PolyMatrix.identity(ring, n)
-        assert M @ Mi == I and Mi @ M == I
-
-
-def test_b2_inverse_pattern():
-    ring = commutator_ring("bn", 2, 1)
-    X = coordinate_matrix(ring, "bn", 2, 1, "x")
-    Xi = inverse(X, "bn")
-    assert Xi.entry(1, 2) == parse_poly("-x_1_1_2*d_1_1*d_1_2", ring)
-    I = PolyMatrix.identity(ring, 2)
-    assert X @ Xi == I and Xi @ X == I
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_borel_inverse_two_sided(n):
-    ring = commutator_ring("bn", n, 1)
-    for role in ("x", "y"):
-        M = coordinate_matrix(ring, "bn", n, 1, role)
-        Mi = inverse(M, "bn")
-        I = PolyMatrix.identity(ring, n)
-        assert M @ Mi == I and Mi @ M == I
-
-
-def test_inverse_shape_errors():
-    ring = commutator_ring("un", 2, 1)
-    X = coordinate_matrix(ring, "un", 2, 1, "x")
-    flipped = PolyMatrix(ring, [[X.rows[1][0], X.rows[1][1]], [X.rows[0][0], X.rows[0][1]]])
-    with pytest.raises(ShapeError):
-        inverse(flipped, "un")
-    # borel-shaped matrix whose diagonal has no registered inverse
-    with pytest.raises((ShapeError, MissingInverseVariableError)):
-        inverse(X @ X, "bn")
 
 
 # -- commutator words -----------------------------------------------------------
@@ -274,7 +213,10 @@ def _matinv(A):
     return [row[n:] for row in M]
 
 
-@pytest.mark.parametrize("kind,n,genus", [("un", 3, 1), ("un", 4, 1), ("un", 3, 2), ("bn", 2, 1), ("bn", 3, 1)])
+@pytest.mark.parametrize(
+    "kind,n,genus",
+    [("un", 3, 1), ("un", 4, 1), ("un", 6, 1), ("un", 3, 2), ("bn", 2, 1), ("bn", 3, 1), ("bn", 2, 2), ("bn", 3, 2)],
+)
 def test_evaluation_consistency(kind, n, genus):
     sysm = system(kind, n, genus)
     rng = random.Random(f"{kind}{n}{genus}")
@@ -313,3 +255,25 @@ def test_genus_two_specializes_to_genus_one():
         f1 = s1.generator_at(i, j)
         carried = parse_poly(format_poly(f1), s2.ring)
         assert specialized == carried
+
+
+#: sha256 of `dump_generators` (default order), as printed by the word build
+#: that inverted each factor by a power series before the triangular solve.
+_PINNED_DUMPS = {
+    ("un", 6, 1, None): "a77a7d8da09ce49aa2a55964803e3717f5171dbe9d4f241cfdd99181bdc5a1d1",
+    ("un", 6, 1, 32003): "5b7c1e3398cd1ed029c96a6b06027618ddc8a040cad34a7625254f7a209549df",
+    ("un", 5, 2, None): "41d0b2dd044ff9ecba2d743ba5821c301cf20b87044c0b5f01735aac7b7f4a9d",
+    ("un", 5, 2, 32003): "7db0d0722aac74c691159135e555746b84b04c7ccf723b7260f43018b98a5871",
+    ("un", 4, 3, None): "0b0e073cc416fceb2d7f614823ebb4b2952bfdf13aaef5a4b27b76b4722ae460",
+    ("un", 4, 3, 32003): "803babc7445de3307887f4735d2e0c898dde201f4ef78b320b8f7c36a7e45e19",
+    ("bn", 3, 2, None): "0703d6495fa3dc6579f25e947a7c7c0eb80ecd077a70c3cbb02d7baac5179c04",
+    ("bn", 3, 2, 32003): "486d34e17154832846020c36fd01862fab3c8577e9ea6d8c7210b323fa7f8f3c",
+    ("bn", 4, 1, None): "585c38d10678e8f3c99d2f729ca8be35d83262bb967e4793f970c0c3a303a5a4",
+    ("bn", 4, 1, 32003): "2a1ff2df942c70e33540569078fe6c958c23ed7e83f11369760cb0552a7d27d5",
+}
+
+
+@pytest.mark.parametrize("kind,n,genus,prime", sorted(_PINNED_DUMPS, key=str))
+def test_generators_are_pinned(kind, n, genus, prime):
+    text = dump_generators(system(kind, n, genus, prime))
+    assert hashlib.sha256(text.encode()).hexdigest() == _PINNED_DUMPS[kind, n, genus, prime]

@@ -50,7 +50,7 @@ def test_packed_operations_agree_with_tuples(seed):
 @pytest.mark.parametrize("bits", [1, 2, 3, 4, 5, 16])
 def test_field_width_boundary(bits):
     fmax = (1 << bits) - 1
-    order = MonomialOrder("grevlex", (1, 0, 2))
+    order = MonomialOrder((1, 0, 2))
     packing = _Packing(order, fmax)
     assert packing.fmax == fmax and packing.bits == bits
     key = order.key_func()
