@@ -25,12 +25,9 @@ from .groupmat import (
     BOREL,
     UNIPOTENT,
     CommutatorSystem,
-    PolyMatrix,
-    ShapeError,
     VanishingPatternError,
     commutator_ring,
     commutator_word,
-    coordinate_matrix,
     dump_generators,
 )
 from .groebner import (

@@ -25,7 +25,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .groebner import buchberger, krull_dimension, normal_form
 from .groupmat import UNIPOTENT, CommutatorSystem, commutator_ring, commutator_word, normalize_kind
@@ -33,6 +33,7 @@ from .ordering import MonomialOrder
 from .polyring import (
     DEFAULT_PRIME,
     Field,
+    Polynomial,
     PrimeField,
     QQ,
     format_poly,
@@ -245,6 +246,12 @@ _WITNESS_SURVIVORS: Dict[Tuple[int, int], str] = {
 }
 
 
+def set_to_zero(f: Polynomial, names: Sequence[str]) -> Polynomial:
+    """f with the named variables set to 0: the terms that involve none of them."""
+    idx = [f.ring.index(name) for name in names]
+    return Polynomial._raw(f.ring, {e: c for e, c in f.terms.items() if not any(e[i] for i in idx)})
+
+
 def window_witness(
     system: CommutatorSystem,
     order: MonomialOrder,
@@ -257,9 +264,9 @@ def window_witness(
     Entry (i, j) of a product or inverse of upper-triangular matrices only
     involves indices i..j, so the seven selected generators, all inside the
     leading 6x6 window, are the same polynomials for every n >= 6.  Steps, all
-    in the ring and order of `system`: (a) substitute the four killed
-    variables by 0 and check the forced pattern (five selected entries vanish,
-    two survive with known values); (b) verify that each of the seven
+    in the ring and order of `system`: (a) set the four killed variables to 0
+    and check the forced pattern (five selected entries vanish, two survive
+    with known values); (b) verify that each of the seven
     unsubstituted generators lies in the ideal spanned by the four killed
     variables and the two survivors.  Seven generators inside a 6-generated
     ideal bound the codimension of that subsequence by 6 < 7 (Krull's height
@@ -273,7 +280,6 @@ def window_witness(
             f"not {system.kind} n={system.n} genus={system.genus}"
         )
     ring = system.ring
-    substitution = {name: ring.zero() for name in _WITNESS_KILLED}
     survivors = {pos: parse_poly(text, ring) for pos, text in _WITNESS_SURVIVORS.items()}
     bounding = [ring.gen(name) for name in _WITNESS_KILLED]
     bounding += [survivors[p] for p in sorted(survivors)]
@@ -282,7 +288,7 @@ def window_witness(
     pattern_ok = True
     failed: Optional[Tuple[int, int]] = None
     for pos in _WITNESS_POSITIONS:
-        image = system.generator_at(*pos).substitute(substitution)
+        image = set_to_zero(system.generator_at(*pos), _WITNESS_KILLED)
         if pos in survivors:
             surviving[f"{pos[0]},{pos[1]}"] = format_poly(image, order)
             ok = image == survivors[pos]

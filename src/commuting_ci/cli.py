@@ -15,7 +15,8 @@ Subcommands, and the flags each takes:
 
 Flag values are checked as they are parsed; the timeout, which may come from
 the environment variable COMMUTING_CI_TIMEOUT, and the koszul degree, whose
-range depends on the generators, are checked by the subcommand.
+range depends on the generators, are checked by the subcommand.  `dump`
+bounds its word build by that variable or the default timeout alone.
 
 Exit codes: 0 for a completed verdict, 1 for usage or configuration errors,
 2 when a resource limit left the answer incomplete or inconclusive.
@@ -87,8 +88,11 @@ def _field_label(text: str) -> str:
 
 
 def _timeout(args: argparse.Namespace) -> float:
-    """--timeout, else COMMUTING_CI_TIMEOUT, else the default; positive and finite."""
-    value = args.timeout
+    """--timeout, else COMMUTING_CI_TIMEOUT, else the default; positive and finite.
+
+    `dump` has no --timeout flag and reads only the environment and the default.
+    """
+    value = getattr(args, "timeout", None)
     if value is None:
         env = os.environ.get("COMMUTING_CI_TIMEOUT")
         if not env:
@@ -170,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, type=_checked(normalize_kind), help="un | bn")
     p.add_argument("--max-n", type=_int_at_least(2), required=True)
     p.add_argument("--genus", type=_int_at_least(1), default=1)
-    p.add_argument("--jobs", type=int, default=os.cpu_count(), help="worker pool size")
+    p.add_argument("--jobs", type=_int_at_least(1), default=os.cpu_count(), help="worker pool size")
     _add_shared(p, "--order-seed", "--degree-cap", "--timeout")
 
     return parser
@@ -247,8 +251,13 @@ def cmd_koszul(args: argparse.Namespace) -> int:
 
 
 def cmd_dump(args: argparse.Namespace) -> int:
+    deadline = time.monotonic() + _timeout(args)
     fld = resolve_field(args.group, args.n, args.field)
-    system = commutator_word(args.group, args.n, args.genus, fld)
+    try:
+        system = commutator_word(args.group, args.n, args.genus, fld, deadline=deadline)
+    except TimeoutError:
+        print("commuting-ci: stopped by the timeout while building the commutator word", file=sys.stderr)
+        return EXIT_INCOMPLETE
     order = MonomialOrder.seeded(system.ring.nvars, args.order_seed)
     _write(dump_generators(system, order), args.output)
     return EXIT_OK

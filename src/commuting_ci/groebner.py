@@ -62,7 +62,6 @@ from .polyring import (
     Coeff,
     Exponent,
     Polynomial,
-    PrimeField,
     RingDescriptor,
     format_poly,
 )
@@ -319,7 +318,7 @@ def normal_form(
         order = MonomialOrder.identity(ring.nvars)
     divisors = [g for g in divisors if not g.is_zero]
     packing = _Packing(order, _max_degree([p, *divisors]))
-    prime = ring.field.p if isinstance(ring.field, PrimeField) else None
+    prime = ring.field.p
     elems = [_Elem(packing.pack_terms(g.terms), packing.one, prime) for g in divisors]
     rem = _reduce_terms(packing.pack_terms(p.terms), elems, packing.guards, prime)
     return Polynomial._raw(ring, packing.unpack_terms(rem))
@@ -354,7 +353,7 @@ def buchberger(
             raise ValueError("generators live in different rings")
     if order is None:
         order = MonomialOrder.identity(ring.nvars)
-    prime = ring.field.p if isinstance(ring.field, PrimeField) else None
+    prime = ring.field.p
     stats = BuchbergerStats()
 
     if not gens:

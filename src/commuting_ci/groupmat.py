@@ -1,10 +1,11 @@
-"""Coordinate matrices of triangular matrix groups and their commutator words.
+"""Commutator words of triangular matrix groups and their generator sequences.
 
 Two group families are supported: upper triangular matrices with unit
 diagonal ("unipotent") and with invertible diagonal ("borel").  Each of the
-2g copies in a genus-g word gets its own block of entry variables; borel
-copies additionally get one inverse variable per diagonal entry, with the
-unit relation d * x_diag = 1 registered on the ring.
+2g copies in a genus-g word gets its own block of entry variables, and its
+matrix has those variables as entries; borel copies additionally get one
+inverse variable per diagonal entry, with the unit relation d * x_diag = 1
+registered on the ring.  Matrices are plain row lists of polynomials.
 
 No matrix is inverted: as [X, Y] = (X*Y)*(Y*X)^-1, the word W times one
 more commutator is the W' with W'*(Y*X) = W*X*Y, found by forward
@@ -48,44 +49,12 @@ def normalize_kind(kind: str) -> str:
         raise ValueError(f"unknown group kind {kind!r} (expected 'un' or 'bn')") from None
 
 
-Rows = Sequence[Sequence[Polynomial]]
-
-
-class ShapeError(ValueError):
-    """A matrix does not have the coordinate shape required here."""
-
-
 class VanishingPatternError(RuntimeError):
     """The commutator word violated its forced vanishing pattern.
 
     This cannot happen for correct arithmetic; it aborts the run instead of
     producing a wrong generator sequence.
     """
-
-
-class PolyMatrix:
-    """Square matrix of polynomials over one shared ring (immutable)."""
-
-    __slots__ = ("ring", "rows")
-
-    def __init__(self, ring: RingDescriptor, rows: Rows) -> None:
-        for row in rows:
-            if len(row) != len(rows):
-                raise ShapeError("matrix must be square")
-            for p in row:
-                if p.ring != ring:
-                    raise ShapeError("all entries must share one ring")
-        self.ring = ring
-        self.rows = tuple(tuple(row) for row in rows)
-
-    def entry(self, i: int, j: int) -> Polynomial:
-        """1-based entry access, matching the (i, j) position convention."""
-        return self.rows[i - 1][j - 1]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        return self.ring == other.ring and self.rows == other.rows
 
 
 def commutator_ring(kind: str, n: int, genus: int, field: Field = QQ) -> RingDescriptor:
@@ -117,29 +86,6 @@ def commutator_ring(kind: str, n: int, genus: int, field: Field = QQ) -> RingDes
     return RingDescriptor(variables, field, tuple(unit_pairs))
 
 
-def coordinate_matrix(
-    ring: RingDescriptor, kind: str, n: int, copy: int, role: str
-) -> PolyMatrix:
-    """Generic matrix of the `copy`-th x- or y-factor inside `ring`."""
-    kind = normalize_kind(kind)
-    if n < 2:
-        raise ValueError("matrix size must be at least 2")
-    if role not in ("x", "y"):
-        raise ValueError("role must be 'x' or 'y'")
-    rows: List[List[Polynomial]] = []
-    for i in range(1, n + 1):
-        row: List[Polynomial] = []
-        for j in range(1, n + 1):
-            if j < i:
-                row.append(ring.zero())
-            elif j == i and kind == UNIPOTENT:
-                row.append(ring.one())
-            else:
-                row.append(ring.gen(f"{role}_{copy}_{i}_{j}"))
-        rows.append(row)
-    return PolyMatrix(ring, rows)
-
-
 @dataclass(frozen=True)
 class CommutatorSystem:
     """The commutator word of a group family, with its generator sequence.
@@ -154,7 +100,7 @@ class CommutatorSystem:
     n: int
     genus: int
     ring: RingDescriptor
-    word_matrix: PolyMatrix
+    word_matrix: Tuple[Tuple[Polynomial, ...], ...]  # 0-based rows
     generators: Tuple[Tuple[Tuple[int, int], Polynomial], ...]
     unit_relations: Tuple[Polynomial, ...]
     zero_positions: Tuple[Tuple[int, int], ...]
@@ -171,7 +117,12 @@ def _check_deadline(deadline: Optional[float]) -> None:
         raise TimeoutError("the commutator word build passed its deadline")
 
 
-def _product(ring: RingDescriptor, A: Rows, B: Rows, deadline: Optional[float]) -> Rows:
+def _product(
+    ring: RingDescriptor,
+    A: List[List[Polynomial]],
+    B: List[List[Polynomial]],
+    deadline: Optional[float],
+) -> List[List[Polynomial]]:
     """A*B for upper-triangular A and B (k runs over i..j only), unit-reduced."""
     n = len(A)
     out = [[ring.zero()] * n for _ in range(n)]
@@ -188,11 +139,11 @@ def _product(ring: RingDescriptor, A: Rows, B: Rows, deadline: Optional[float]) 
 
 def _solve(
     ring: RingDescriptor,
-    A: Rows,
-    B: Rows,
+    A: List[List[Polynomial]],
+    B: List[List[Polynomial]],
     inv_diag: Optional[Sequence[Polynomial]],
     deadline: Optional[float],
-) -> Rows:
+) -> List[List[Polynomial]]:
     """W with W*B = A for upper-triangular A and B, by forward substitution.
 
     `inv_diag[j]` inverts B[j][j] modulo the unit relations; None means B has
@@ -225,15 +176,26 @@ def commutator_word(
     weight-homogeneous of weight j - i.  For the borel family the word matrix
     is the product minus the identity and the diagonal must vanish.  Any
     violation aborts: it would mean the arithmetic itself is broken.  Past
-    `deadline` (a `time.monotonic` value), checked before every polynomial
-    product, the build raises `TimeoutError`.
+    `deadline` (a `time.monotonic` value), checked before every row of the
+    coordinate matrices and every polynomial product, the build raises
+    `TimeoutError`.
     """
     kind = normalize_kind(kind)
     ring = commutator_ring(kind, n, genus, field)
-    word = [[ring.const(int(i == j)) for j in range(n)] for i in range(n)]
+    zero, one = ring.zero(), ring.one()
+    word = [[one if i == j else zero for j in range(n)] for i in range(n)]
     for t in range(1, genus + 1):
-        X = coordinate_matrix(ring, kind, n, t, "x").rows
-        Y = coordinate_matrix(ring, kind, n, t, "y").rows
+        # the generic X and Y of copy pair t: 0 left of the diagonal, 1 on a
+        # unipotent diagonal, the entry variables elsewhere.  Each generator
+        # is a dense exponent tuple, so the deadline is checked row by row.
+        X: List[List[Polynomial]] = []
+        Y: List[List[Polynomial]] = []
+        for i in range(1, n + 1):
+            _check_deadline(deadline)
+            for M, role in ((X, "x"), (Y, "y")):
+                row = [zero] * (i - 1) + [one] * (kind == UNIPOTENT)
+                row += [ring.gen(f"{role}_{t}_{i}_{j}") for j in range(len(row) + 1, n + 1)]
+                M.append(row)
         inv_diag = None
         if kind == BOREL:  # 1/(y_jj * x_jj), by the registered inverse variables
             inv_diag = [
@@ -244,19 +206,16 @@ def commutator_word(
     if kind == BOREL:
         for i in range(n):
             word[i][i] = word[i][i] - 1
-    F = PolyMatrix(ring, word)
 
     zero_positions: List[Tuple[int, int]] = []
     generators: List[Tuple[Tuple[int, int], Polynomial]] = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            e = F.entry(i, j)
+    for i, row in enumerate(word, 1):
+        for j, e in enumerate(row, 1):
             if j < i:
                 if not e.is_zero:
                     raise VanishingPatternError(f"nonzero below the diagonal at ({i}, {j})")
             elif j == i:
-                expected = ring.one() if kind == UNIPOTENT else ring.zero()
-                if e != expected:
+                if e != (one if kind == UNIPOTENT else zero):
                     raise VanishingPatternError(f"diagonal entry at ({i}, {i}) not forced value")
                 if kind == BOREL:
                     zero_positions.append((i, i))
@@ -273,8 +232,9 @@ def commutator_word(
 
     # d_s_i * diag - 1 for each registered pair, copy by copy
     unit_relations = tuple(ring.gen(d) * ring.gen(x) - 1 for d, x in ring.unit_pairs)
+    word_matrix = tuple(tuple(row) for row in word)
     return CommutatorSystem(
-        kind, n, genus, ring, F, tuple(generators), unit_relations, tuple(zero_positions)
+        kind, n, genus, ring, word_matrix, tuple(generators), unit_relations, tuple(zero_positions)
     )
 
 

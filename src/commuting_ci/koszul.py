@@ -37,7 +37,7 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .polyring import Polynomial, PrimeField, RingDescriptor
+from .polyring import Polynomial, RingDescriptor
 
 #: Chain slices above this many basis elements are not materialized.
 DEFAULT_SLICE_CAP = 200_000
@@ -216,7 +216,7 @@ def homology_slice(
     dims = (_slice_dim(K, i - 1, w), _slice_dim(K, i, w), _slice_dim(K, i + 1, w))
     if max(dims) > size_cap:
         return KoszulSliceReport(i, w, dims, None, "incomplete")
-    prime = K.ring.field.p if isinstance(K.ring.field, PrimeField) else None
+    prime = K.ring.field.p
 
     ranks = [0, 0]
     shapes = [(0, 0), (0, 0)]

@@ -3,9 +3,16 @@
 A `RingDescriptor` fixes an ordered tuple of named variables, one nonnegative
 integer weight per variable, and a coefficient field: the rationals, or a
 prime field GF(p) with p below `PRIME_BOUND` (about 3.3e24), where the
-primality test is exact.  `Polynomial` values are immutable; `terms` maps
-dense exponent tuples to nonzero coefficients and is never mutated after
-construction, so polynomials are safe to share between threads.
+primality test is exact.  Each field reports its modulus as `p` (None for
+the rationals), which only decides whether sums are reduced mod p.
+`Polynomial` values are immutable; `terms` maps dense exponent tuples to
+nonzero coefficients and is never mutated after construction, so
+polynomials are safe to share between threads.
+
+`Polynomial` carries only the algebra the commutator word build and its
+consumers run: `+`, `-` and `*` (with a polynomial or a coefficient on the
+right), unit-pair reduction and the weight grading.  Polynomials are not
+hashable.
 
 Coefficients over the rationals are Python ints or `fractions.Fraction`
 values in lowest terms (arbitrary precision, no rounding anywhere); over
@@ -72,6 +79,8 @@ def _is_prime(n: int) -> bool:
 @dataclass(frozen=True)
 class Rationals:
     """Marker type for exact rational coefficients."""
+
+    p = None  # no modulus: sums are never reduced
 
     def label(self) -> str:
         return "q"
@@ -200,18 +209,11 @@ class RingDescriptor:
     def __repr__(self) -> str:
         return f"RingDescriptor({self.nvars} vars, {self.field!r})"
 
-    # pickling support for worker pools (slots + custom init)
-    def __reduce__(self):
-        return (
-            RingDescriptor,
-            (tuple(zip(self.variables, self.weights)), self.field, self.unit_pairs),
-        )
-
 
 def _coerce(field: Field, c: Coeff) -> Coeff:
     """Normalize a coefficient for the given field; may return 0."""
-    if isinstance(field, PrimeField):
-        p = field.p
+    p = field.p
+    if p:
         if isinstance(c, Fraction):
             den = c.denominator % p
             if den == 0:
@@ -232,7 +234,7 @@ class Polynomial:
 
     def __init__(self, ring: RingDescriptor, terms: Mapping[Exponent, Coeff] = ()) -> None:
         acc: Dict[Exponent, Coeff] = {}
-        n = ring.nvars
+        n, p = ring.nvars, ring.field.p
         items = terms.items() if isinstance(terms, Mapping) else terms
         for exp, c in items:
             exp = tuple(exp)
@@ -243,8 +245,8 @@ class Polynomial:
             c = _coerce(ring.field, c)
             if exp in acc:
                 c = acc[exp] + c
-                if isinstance(ring.field, PrimeField):
-                    c %= ring.field.p
+                if p:
+                    c %= p
             if c:
                 acc[exp] = c
             else:
@@ -282,51 +284,35 @@ class Polynomial:
         if not b:
             return self
         out = dict(a)
-        if isinstance(self.ring.field, PrimeField):
-            p = self.ring.field.p
-            for exp, c in b.items():
-                v = (out.get(exp, 0) + c) % p
-                if v:
-                    out[exp] = v
-                else:
-                    out.pop(exp, None)
-        else:
-            for exp, c in b.items():
-                v = out.get(exp, 0) + c
-                if v:
-                    out[exp] = v
-                else:
-                    out.pop(exp, None)
+        p = self.ring.field.p
+        for exp, c in b.items():
+            v = out.get(exp, 0) + c
+            if p:
+                v %= p
+            if v:
+                out[exp] = v
+            else:
+                out.pop(exp, None)
         return Polynomial._raw(self.ring, out)
 
-    def __radd__(self, other: Coeff) -> "Polynomial":
-        return self.__add__(other)
-
     def __neg__(self) -> "Polynomial":
-        if isinstance(self.ring.field, PrimeField):
-            p = self.ring.field.p
-            return Polynomial._raw(self.ring, {e: (-c) % p for e, c in self.terms.items()})
-        return Polynomial._raw(self.ring, {e: -c for e, c in self.terms.items()})
+        p = self.ring.field.p
+        return Polynomial._raw(self.ring, {e: -c % p if p else -c for e, c in self.terms.items()})
 
     def __sub__(self, other: Union["Polynomial", Coeff]) -> "Polynomial":
         if not isinstance(other, Polynomial):
             other = self.ring.const(other)
         return self.__add__(-other)
 
-    def __rsub__(self, other: Coeff) -> "Polynomial":
-        return (-self).__add__(other)
-
     def __mul__(self, other: Union["Polynomial", Coeff]) -> "Polynomial":
+        p = self.ring.field.p
         if not isinstance(other, Polynomial):
             c = _coerce(self.ring.field, other)
             if not c:
                 return self.ring.zero()
-            if isinstance(self.ring.field, PrimeField):
-                p = self.ring.field.p
-                return Polynomial._raw(
-                    self.ring, {e: v * c % p for e, v in self.terms.items()}
-                )
-            return Polynomial._raw(self.ring, {e: v * c for e, v in self.terms.items()})
+            return Polynomial._raw(
+                self.ring, {e: v * c % p if p else v * c for e, v in self.terms.items()}
+            )
         self._check_ring(other)
         a, b = self.terms, other.terms
         if not a or not b:
@@ -334,41 +320,17 @@ class Polynomial:
         if len(a) < len(b):
             a, b = b, a
         out: Dict[Exponent, Coeff] = {}
-        if isinstance(self.ring.field, PrimeField):
-            p = self.ring.field.p
-            for eb, cb in b.items():
-                for ea, ca in a.items():
-                    e = tuple(map(int.__add__, ea, eb))
-                    v = (out.get(e, 0) + ca * cb) % p
-                    if v:
-                        out[e] = v
-                    else:
-                        out.pop(e, None)
-        else:
-            for eb, cb in b.items():
-                for ea, ca in a.items():
-                    e = tuple(map(int.__add__, ea, eb))
-                    v = out.get(e, 0) + ca * cb
-                    if v:
-                        out[e] = v
-                    else:
-                        out.pop(e, None)
+        for eb, cb in b.items():
+            for ea, ca in a.items():
+                e = tuple(map(int.__add__, ea, eb))
+                v = out.get(e, 0) + ca * cb
+                if p:
+                    v %= p
+                if v:
+                    out[e] = v
+                else:
+                    out.pop(e, None)
         return Polynomial._raw(self.ring, out)
-
-    def __rmul__(self, other: Coeff) -> "Polynomial":
-        return self.__mul__(other)
-
-    def __pow__(self, k: int) -> "Polynomial":
-        if k < 0:
-            raise ValueError("negative power")
-        out = self.ring.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
 
     # -- grading ------------------------------------------------------
 
@@ -388,48 +350,6 @@ class Polynomial:
                 return None
         return w
 
-    # -- substitution ---------------------------------------------------
-
-    def substitute(self, assignment: Mapping[str, Union["Polynomial", Coeff]]) -> "Polynomial":
-        """Simultaneously substitute polynomials for variables (by name).
-
-        Unassigned variables map to themselves; every assigned polynomial must
-        live in this polynomial's ring.
-        """
-        ring = self.ring
-        amap: Dict[int, Polynomial] = {}
-        for name, val in assignment.items():
-            idx = ring.index(name)
-            poly = val if isinstance(val, Polynomial) else ring.const(val)
-            if poly.ring != ring:
-                raise RingMismatchError(f"assignment for {name!r} lives in another ring")
-            amap[idx] = poly
-        if not amap or not self.terms:
-            return self
-        pow_cache: Dict[Tuple[int, int], Polynomial] = {}
-
-        def power(idx: int, e: int) -> Polynomial:
-            key = (idx, e)
-            got = pow_cache.get(key)
-            if got is None:
-                got = amap[idx] ** e
-                pow_cache[key] = got
-            return got
-
-        total = ring.zero()
-        for exp, c in self.terms.items():
-            residual = list(exp)
-            factor: Optional[Polynomial] = None
-            for idx in amap:
-                e = exp[idx]
-                if e:
-                    residual[idx] = 0
-                    piece = power(idx, e)
-                    factor = piece if factor is None else factor * piece
-            term = Polynomial._raw(ring, {tuple(residual): c})
-            total = total + (term if factor is None else term * factor)
-        return total
-
     # -- unit-pair rewriting -------------------------------------------
 
     def reduce_units(self) -> "Polynomial":
@@ -438,7 +358,7 @@ class Polynomial:
         if not pairs or not self.terms:
             return self
         out: Dict[Exponent, Coeff] = {}
-        prime = self.ring.field.p if isinstance(self.ring.field, PrimeField) else None
+        prime = self.ring.field.p
         changed = False
         for exp, c in self.terms.items():
             lst = None
@@ -470,18 +390,8 @@ class Polynomial:
             return NotImplemented
         return self.ring == other.ring and self.terms == other.terms
 
-    def __hash__(self) -> int:
-        return hash((self.ring, frozenset(self.terms.items())))
-
     def __repr__(self) -> str:
         return f"Polynomial({format_poly(self)!r})"
-
-    def __reduce__(self):
-        return (_unpickle_poly, (self.ring, tuple(self.terms.items())))
-
-
-def _unpickle_poly(ring: RingDescriptor, items: Tuple) -> Polynomial:
-    return Polynomial._raw(ring, dict(items))
 
 
 # -- textual format -------------------------------------------------------
@@ -506,7 +416,7 @@ def format_poly(p: Polynomial, order: Optional[MonomialOrder] = None) -> str:
     keyf = order.key_func()
     parts: List[str] = []
     for exp, c in sorted(p.terms.items(), key=lambda t: keyf(t[0]), reverse=True):
-        negative = (not isinstance(ring.field, PrimeField)) and c < 0
+        negative = not ring.field.p and c < 0
         mag = -c if negative else c
         factors = []
         for i, e in enumerate(exp):

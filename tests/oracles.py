@@ -158,17 +158,17 @@ def kunneth_zero_check(K: KoszulComplex, zeros: int, max_weight: int) -> bool:
     """
     ext = extend_with_zero_generators(K, zeros)
 
-    @functools.cache
-    def h_dim(C: KoszulComplex, i: int, w: int) -> int:
+    @functools.cache  # keyed by the complex's name: polynomials are unhashable
+    def h_dim(name: str, i: int, w: int) -> int:
         if i < 0 or w < 0:
             return 0
-        rep = homology_slice(C, i, w)
+        rep = homology_slice({"K": K, "ext": ext}[name], i, w)
         if rep.status != "ok":
             raise RuntimeError(f"slice cap exceeded at H_{i} weight {w}")
         return rep.h_dim
 
     return all(
-        h_dim(ext, i, w) == sum(comb(zeros, b) * h_dim(K, i - b, w - b) for b in range(i + 1))
+        h_dim("ext", i, w) == sum(comb(zeros, b) * h_dim("K", i - b, w - b) for b in range(i + 1))
         for w in range(max_weight + 1)
         for i in range(3)
     )

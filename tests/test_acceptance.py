@@ -105,7 +105,7 @@ def test_criterion_5_vanishing_pattern():
             assert s.zero_positions == tuple((i, i + 1) for i in range(1, n))
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
-                    e = s.word_matrix.entry(i, j)
+                    e = s.word_matrix[i - 1][j - 1]
                     if j == i + 1:
                         assert e.is_zero, (n, genus, i, j)
                     elif j > i + 1:
@@ -115,7 +115,7 @@ def test_criterion_5_vanishing_pattern():
         for genus in (1, 2):
             s = system("bn", n, genus)
             for i in range(1, n + 1):
-                assert s.word_matrix.entry(i, i).is_zero, (n, genus, i)
+                assert s.word_matrix[i - 1][i - 1].is_zero, (n, genus, i)
             for (i, j), f in s.generators:
                 assert f.weight_of() == j - i
             checked += 1
@@ -206,7 +206,7 @@ def test_criterion_8c_evaluation_consistency():
             for i in range(n):
                 for j in range(n):
                     expected = word[i][j] - (1 if (kind == "bn" and i == j) else 0)
-                    assert evaluate(sysm.word_matrix.rows[i][j], values) == expected
+                    assert evaluate(sysm.word_matrix[i][j], values) == expected
     _report(8, f"(c) word matrix matches numeric commutators at 50 random points per fixture ({len(fixtures)} fixtures)")
 
 

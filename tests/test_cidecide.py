@@ -10,6 +10,7 @@ from commuting_ci.cidecide import (
     classify_table,
     decide_ci,
     resolve_field,
+    set_to_zero,
     u6_witness,
 )
 from commuting_ci.groebner import buchberger, normal_form
@@ -130,13 +131,13 @@ def test_witness_concludes_not_ci(witness):
 def test_witness_pattern_values(witness):
     sys6 = system("un", 6, 1)
     ring = sys6.ring
-    kill = {name: ring.zero() for name in witness.substitution}
-    image14 = sys6.generator_at(1, 4).substitute(kill)
+    kill = witness.substitution
+    image14 = set_to_zero(sys6.generator_at(1, 4), kill)
     assert image14 == parse_poly(
         "x_1_1_2*y_1_2_4 + x_1_1_3*y_1_3_4 - x_1_3_4*y_1_1_3 - x_1_2_4*y_1_1_2", ring
     )
-    assert sys6.generator_at(2, 5).substitute(kill).is_zero
-    image36 = sys6.generator_at(3, 6).substitute(kill)
+    assert set_to_zero(sys6.generator_at(2, 5), kill).is_zero
+    image36 = set_to_zero(sys6.generator_at(3, 6), kill)
     assert image36 == parse_poly(
         "x_1_3_4*y_1_4_6 + x_1_3_5*y_1_5_6 - x_1_5_6*y_1_3_5 - x_1_4_6*y_1_3_4", ring
     )

@@ -1,14 +1,17 @@
 """Exit codes, JSON reports, and flag handling of the command-line front end."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 import commuting_ci
-from commuting_ci.cli import EXIT_INCOMPLETE, EXIT_OK, EXIT_USAGE, main
+from commuting_ci import cli
+from commuting_ci.cli import EXIT_INCOMPLETE, EXIT_OK, EXIT_USAGE, build_parser, main
 
 
 def run(capsys, *argv):
@@ -80,6 +83,8 @@ def test_invalid_flag_values_name_the_flag(capsys):
         (["decide", "--group", "un", "--n", "3", "--degree-cap", "0"], "--degree-cap"),
         (["witness-u6", "--field", "gf:15"], "--field"),
         (["table", "--family", "un", "--max-n", "1"], "--max-n"),
+        (["table", "--family", "un", "--max-n", "3", "--jobs", "0"], "--jobs"),
+        (["table", "--family", "un", "--max-n", "3", "--jobs", "-3"], "--jobs"),
         (["koszul", "--group", "un", "--n", "3", "--max-weight", "3", "--slice-cap", "0"], "--slice-cap"),
     ):
         assert main(argv) == EXIT_USAGE, argv
@@ -225,13 +230,13 @@ def test_koszul_honours_the_timeout(capsys, monkeypatch):
     assert json.loads(out)["stopped_by"] == "timeout"
 
 
-def _run_fresh(*argv):
+def _run_fresh(*argv, **env):
     """The CLI in a fresh interpreter, so that an unbounded run fails the test
     by its 60 s timeout instead of hanging the suite."""
     src = Path(commuting_ci.__file__).resolve().parent.parent
     return subprocess.run(
         [sys.executable, "-m", "commuting_ci.cli", *argv],
-        env=dict(os.environ, PYTHONPATH=str(src)),
+        env=dict(os.environ, PYTHONPATH=str(src), **env),
         capture_output=True,
         text=True,
         timeout=60,
@@ -250,15 +255,32 @@ def test_decide_timeout_bounds_the_word_build():
     assert (report["nvars"], report["unit_relations"]) == (182, 0)
     for key in ("generators", "exterior_factors", "stats", "witness"):
         assert report[key] is None
+    # U110: the coordinate matrices alone take seconds and over a GB
+    t0 = time.monotonic()
+    done = _run_fresh("decide", "--group", "un", "--n", "110", "--timeout", "0.5")
+    assert time.monotonic() - t0 < 3
+    assert done.returncode == EXIT_INCOMPLETE
+    assert json.loads(done.stdout)["nvars"] == 110 * 109
 
 
 def test_koszul_timeout_bounds_the_word_build():
+    for n, timeout, limit in (("14", "1", 10), ("110", "0.5", 3)):
+        t0 = time.monotonic()
+        done = _run_fresh("koszul", "--group", "un", "--n", n, "--max-weight", "2", "--timeout", timeout)
+        assert time.monotonic() - t0 < limit, n
+        assert done.returncode == EXIT_INCOMPLETE, n
+        payload = json.loads(done.stdout)
+        assert payload["stopped_by"] == "timeout" and payload["slices"] == [], n
+
+
+def test_dump_honours_the_env_timeout():
+    # the whole U14 dump takes about 20 s and 340 MB on a 2-vCPU machine
     t0 = time.monotonic()
-    done = _run_fresh("koszul", "--group", "un", "--n", "14", "--max-weight", "2", "--timeout", "1")
+    done = _run_fresh("dump", "--group", "un", "--n", "14", COMMUTING_CI_TIMEOUT="1")
     assert time.monotonic() - t0 < 10
     assert done.returncode == EXIT_INCOMPLETE
-    payload = json.loads(done.stdout)
-    assert payload["stopped_by"] == "timeout" and payload["slices"] == []
+    assert done.stdout == ""
+    assert "timeout" in done.stderr
 
 
 def test_dump_u3(capsys):
@@ -311,3 +333,17 @@ def test_env_timeout_override(capsys, monkeypatch):
     # explicit flag wins over the environment
     code, out = run(capsys, "decide", "--group", "un", "--n", "5", "--timeout", "600")
     assert code == EXIT_OK
+
+
+def test_flag_docs_match_the_parser():
+    # the README table and the module docstring list exactly the accepted flags
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    accepted = {
+        name: {flag for action in p._actions for flag in action.option_strings if flag not in ("-h", "--help")}
+        for name, p in sub.choices.items()
+    }
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    table = re.findall(r"^\| `([\w-]+)` +\| `(--[^`]*)` \|$", readme, re.M)
+    listed = re.findall(r"^    ([\w-]+) .*\n {16}(--.*)$", cli.__doc__, re.M)
+    assert {name: set(flags.split()) for name, flags in table} == accepted
+    assert {name: set(flags.split()) for name, flags in listed} == accepted

@@ -69,15 +69,16 @@ def test_field_width_boundary(bits):
 def test_engine_orders_high_powers(e):
     # y^e + x: y^e leads for every e >= 2, whatever width the engine picks
     ring = RingDescriptor([("x", 1), ("y", 1)])
-    x, y = ring.gen("x"), ring.gen("y")
-    f = y ** e + x
+    x = ring.gen("x")
+    y_e, y_e1 = Polynomial(ring, {(0, e): 1}), Polynomial(ring, {(0, e - 1): 1})
+    f = y_e + x
     gb = buchberger([f], degree_cap=2)
     assert gb.is_complete
     lead = (1, 0) if e == 1 else (0, e)
     assert gb.leading_exponents() == [lead]
     if e >= 2:
-        assert normal_form(y ** e, [f]) == Polynomial(ring, {(1, 0): -1})
-        assert normal_form(y ** (e - 1), [f]) == y ** (e - 1)
+        assert normal_form(y_e, [f]) == Polynomial(ring, {(1, 0): -1})
+        assert normal_form(y_e1, [f]) == y_e1
 
 
 @pytest.mark.parametrize("n", [2, 3])

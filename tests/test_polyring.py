@@ -1,4 +1,4 @@
-"""Polynomial arithmetic, grading, substitution, and the textual format."""
+"""Polynomial arithmetic, grading, and the textual format."""
 
 import random
 from fractions import Fraction
@@ -17,7 +17,7 @@ from commuting_ci.polyring import (
     parse_poly,
 )
 
-from oracles import evaluate, monomials_of_weight, reduce_mod
+from oracles import monomials_of_weight, reduce_mod
 
 U3_VARS = [
     ("x_1_1_2", 1),
@@ -210,44 +210,6 @@ def test_weight_of_mixed_is_none(ring):
 def test_weight_additivity_with_zero(ring):
     p = _random_poly(ring, random.Random(6))
     assert (p * ring.zero()).weight_of() == BOTTOM_WEIGHT
-
-
-# -- substitution --------------------------------------------------------------
-
-
-def test_substitute_identity(ring):
-    p = _random_poly(ring, random.Random(8))
-    assert p.substitute({}) == p
-    assert p.substitute({"x_1_1_2": ring.gen("x_1_1_2")}) == p
-
-
-def test_substitute_kills_terms(ring):
-    rel = parse_poly("x_1_1_2*y_1_2_3 - x_1_2_3*y_1_1_2", ring)
-    assert rel.substitute({"x_1_2_3": ring.zero(), "y_1_2_3": ring.zero()}).is_zero
-
-
-def test_substitute_expands_polynomials(ring):
-    x, y = ring.gen("x_1_1_2"), ring.gen("y_1_1_2")
-    p = x * x + y
-    image = p.substitute({"x_1_1_2": x + y})
-    assert image == (x + y) * (x + y) + y
-
-
-def test_substitute_ring_mismatch(ring):
-    other = RingDescriptor(U3_VARS)
-    weird = RingDescriptor([("x_1_1_2", 1)])
-    p = ring.gen("x_1_1_2")
-    assert p.substitute({"x_1_1_2": other.gen("x_1_1_2")}) == p  # equal layouts are the same ring
-    with pytest.raises(RingMismatchError):
-        p.substitute({"x_1_1_2": weird.gen("x_1_1_2")})
-
-
-def test_evaluate_matches_substitution(ring):
-    rng = random.Random(9)
-    p = _random_poly(ring, rng)
-    point = {name: rng.randint(-4, 4) for name in ring.variables}
-    by_sub = p.substitute({k: ring.const(v) for k, v in point.items()})
-    assert by_sub.terms.get((0,) * ring.nvars, 0) == evaluate(p, point)
 
 
 # -- unit pairs ------------------------------------------------------------------
