@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .groebner import buchberger, krull_dimension, normal_form
-from .groupmat import UNIPOTENT, CommutatorSystem, commutator_ring, commutator_word, normalize_kind
+from .groebner import DEFAULT_DEGREE_CAP, DEFAULT_TIMEOUT, buchberger, krull_dimension, normal_form
+from .groupmat import UNIPOTENT, CommutatorSystem, commutator_word, normalize_kind, ring_size
 from .ordering import MonomialOrder
 from .polyring import (
     DEFAULT_PRIME,
@@ -40,10 +40,6 @@ from .polyring import (
     parse_field_label,
     parse_poly,
 )
-
-#: Default resource limits for one basis computation.
-DEFAULT_DEGREE_CAP = 30
-DEFAULT_TIMEOUT = 3600.0
 
 
 def resolve_field(kind: str, n: int, field: Optional[str]) -> Field:
@@ -160,22 +156,23 @@ def decide_ci(
     the computed codimension of the generator ideal (including unit relations
     for borel) with the number of generators; the two agree exactly when the
     sequence is regular.  Resource limits produce verdict "Incomplete"; the
-    timeout bounds the word build as well as each basis.
+    timeout bounds the word build, ring included, as well as each basis.  The
+    order is drawn after the word build, so a report of a stopped word build
+    has a null `order["permutation"]`.
     """
     t0 = time.monotonic()
     kind = normalize_kind(kind)
     fld = resolve_field(kind, n, field)
-    ring = commutator_ring(kind, n, genus, fld)  # checks n and genus
-    order = MonomialOrder.seeded(ring.nvars, order_seed)
+    nvars, units = ring_size(kind, n, genus)
     report = CIReport(
         group=kind,
         n=n,
         genus=genus,
         field=fld.label(),
-        order={"kind": "grevlex", "seed": order_seed, "permutation": list(order.permutation)},
-        nvars=ring.nvars,
+        order={"kind": "grevlex", "seed": order_seed, "permutation": None},
+        nvars=nvars,
         generators=None,
-        unit_relations=len(ring.unit_pairs),
+        unit_relations=units,
         dim=None,
         codim=None,
         verdict="Incomplete",
@@ -187,6 +184,8 @@ def decide_ci(
         report.note = "stopped by the timeout while building the commutator word"
         report.wall_seconds = time.monotonic() - t0
         return report
+    order = MonomialOrder.seeded(system.ring.nvars, order_seed)
+    report.order["permutation"] = list(order.permutation)
     gens = [f for _, f in system.generators]
     r = len(gens)
     u = len(system.unit_relations)

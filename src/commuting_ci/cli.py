@@ -32,14 +32,8 @@ import sys
 import time
 from typing import Callable, Optional, Sequence
 
-from .cidecide import (
-    DEFAULT_DEGREE_CAP,
-    DEFAULT_TIMEOUT,
-    classify_table,
-    decide_ci,
-    resolve_field,
-    u6_witness,
-)
+from .cidecide import classify_table, decide_ci, resolve_field, u6_witness
+from .groebner import DEFAULT_DEGREE_CAP, DEFAULT_TIMEOUT
 from .groupmat import commutator_word, dump_generators, normalize_kind
 from .koszul import DEFAULT_SLICE_CAP, build_complex, homology_slice
 from .ordering import MonomialOrder
@@ -93,10 +87,12 @@ def _timeout(args: argparse.Namespace) -> float:
     `dump` has no --timeout flag and reads only the environment and the default.
     """
     value = getattr(args, "timeout", None)
+    source = "--timeout"
     if value is None:
         env = os.environ.get("COMMUTING_CI_TIMEOUT")
         if not env:
             return DEFAULT_TIMEOUT
+        source = "COMMUTING_CI_TIMEOUT"
         try:
             value = float(env)
         except ValueError:
@@ -104,7 +100,7 @@ def _timeout(args: argparse.Namespace) -> float:
                 f"COMMUTING_CI_TIMEOUT must be a number of seconds, got {env!r}"
             ) from None
     if not (0 < value < math.inf):  # False for nan
-        raise ValueError("--timeout must be positive and finite")
+        raise ValueError(f"{source} must be positive and finite")
     return value
 
 

@@ -34,6 +34,11 @@ guard.  Packing an exponent above fmax raises `OverflowError` instead of
 mis-ordering.  Public signatures and `Polynomial` keep exponent tuples; only
 the returned basis and remainders are unpacked.
 
+One term loop serves both fields: sums are formed exactly, and
+`_reduce_terms` reduces a GF(p) coefficient mod p once, when it pops its
+monomial, and drops it there if it is 0.  S-polynomials are built as plain
+sums, zeros included, for `_reduce_terms` to reduce and drop the same way.
+
 Resource limits (total-degree cap, wall-clock timeout) never turn into
 answers: hitting one marks the basis ``incomplete``, names the limit in
 ``stats.stopped_by``, and every consumer of an incomplete basis refuses to
@@ -263,6 +268,8 @@ def _reduce_terms(
             if pops % _CLOCK_EVERY == 0 and time.monotonic() > deadline:
                 raise _DeadlinePassed
         c = h.pop(m, 0)
+        if prime is not None:
+            c %= prime
         if not c:
             continue
         for g in elems:
@@ -272,34 +279,19 @@ def _reduce_terms(
         else:
             remainder[m] = c
             continue
-        if prime is not None:
-            neg_c = prime - c
-            for et, ct in g.tail:
-                e = q + et
-                old = h.get(e)
-                if old is None:
-                    h[e] = neg_c * ct % prime
-                    push(heap, -e)
+        neg_c = -c
+        for et, ct in g.tail:
+            e = q + et
+            old = h.get(e)
+            if old is None:
+                h[e] = neg_c * ct
+                push(heap, -e)
+            else:
+                v = old + neg_c * ct
+                if v:
+                    h[e] = v
                 else:
-                    v = (old + neg_c * ct) % prime
-                    if v:
-                        h[e] = v
-                    else:
-                        del h[e]
-        else:
-            neg_c = -c
-            for et, ct in g.tail:
-                e = q + et
-                old = h.get(e)
-                if old is None:
-                    h[e] = neg_c * ct
-                    push(heap, -e)
-                else:
-                    v = old + neg_c * ct
-                    if v:
-                        h[e] = v
-                    else:
-                        del h[e]
+                    del h[e]
     return remainder
 
 
@@ -326,14 +318,18 @@ def normal_form(
 
 # -- Buchberger -------------------------------------------------------------
 
+#: Default limits of one basis computation: total-degree cap and seconds.
+DEFAULT_DEGREE_CAP = 30
+DEFAULT_TIMEOUT = 3600.0
+
 
 def buchberger(
     gens: Sequence[Polynomial],
     order: Optional[MonomialOrder] = None,
     *,
     ring: Optional[RingDescriptor] = None,
-    degree_cap: int = 30,
-    timeout: float = 3600.0,
+    degree_cap: int = DEFAULT_DEGREE_CAP,
+    timeout: float = DEFAULT_TIMEOUT,
 ) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by `gens`.
 
@@ -434,22 +430,9 @@ def buchberger(
             qi = l + fi.neg
             qj = l + fj.neg
             s: Dict[int, Coeff] = {qi + e: c for e, c in fi.tail}
-            if prime is not None:
-                for e, c in fj.tail:
-                    ee = qj + e
-                    v = (s.get(ee, 0) - c) % prime
-                    if v:
-                        s[ee] = v
-                    else:
-                        s.pop(ee, None)
-            else:
-                for e, c in fj.tail:
-                    ee = qj + e
-                    v = s.get(ee, 0) - c
-                    if v:
-                        s[ee] = v
-                    else:
-                        s.pop(ee, None)
+            for e, c in fj.tail:
+                ee = qj + e
+                s[ee] = s.get(ee, 0) - c
             active = [polys[k] for k in sorted(G)]
             rem = _reduce_terms(s, active, guards, prime, deadline)
             del P[(i, j)]  # only now: a pair cut short by the clock stays pending

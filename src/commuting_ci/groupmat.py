@@ -57,8 +57,26 @@ class VanishingPatternError(RuntimeError):
     """
 
 
-def commutator_ring(kind: str, n: int, genus: int, field: Field = QQ) -> RingDescriptor:
-    """Coordinate ring of 2*genus copies of the group, with internal weights."""
+def _check_deadline(deadline: Optional[float]) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise TimeoutError("the commutator word build passed its deadline")
+
+
+def ring_size(kind: str, n: int, genus: int) -> Tuple[int, int]:
+    """(nvars, unit relations) of `commutator_ring(kind, n, genus)`, without building it."""
+    if normalize_kind(kind) == UNIPOTENT:
+        return 2 * genus * (n * (n - 1) // 2), 0
+    return 2 * genus * (n * (n + 1) // 2 + n), 2 * genus * n
+
+
+def commutator_ring(
+    kind: str, n: int, genus: int, field: Field = QQ, *, deadline: Optional[float] = None
+) -> RingDescriptor:
+    """Coordinate ring of 2*genus copies of the group, with internal weights.
+
+    Past `deadline` (a `time.monotonic` value), checked before every row of
+    every copy, the listing of the variables raises `TimeoutError`.
+    """
     kind = normalize_kind(kind)
     if n < 2:
         raise ValueError("matrix size must be at least 2")
@@ -70,16 +88,13 @@ def commutator_ring(kind: str, n: int, genus: int, field: Field = QQ) -> RingDes
         t = (s + 1) // 2
         prefix = "x" if s % 2 else "y"
         diag_index: Dict[int, int] = {}
-        if kind == UNIPOTENT:
-            for i in range(1, n + 1):
-                for j in range(i + 1, n + 1):
-                    variables.append((f"{prefix}_{t}_{i}_{j}", j - i))
-        else:
-            for i in range(1, n + 1):
-                for j in range(i, n + 1):
-                    if i == j:
-                        diag_index[i] = len(variables)
-                    variables.append((f"{prefix}_{t}_{i}_{j}", j - i))
+        for i in range(1, n + 1):
+            _check_deadline(deadline)
+            for j in range(i + (kind == UNIPOTENT), n + 1):
+                if i == j:
+                    diag_index[i] = len(variables)
+                variables.append((f"{prefix}_{t}_{i}_{j}", j - i))
+        if kind == BOREL:
             for i in range(1, n + 1):
                 unit_pairs.append((len(variables), diag_index[i]))
                 variables.append((f"d_{s}_{i}", 0))
@@ -110,11 +125,6 @@ class CommutatorSystem:
             if (a, b) == (i, j):
                 return f
         raise KeyError(f"no generator at position ({i}, {j})")
-
-
-def _check_deadline(deadline: Optional[float]) -> None:
-    if deadline is not None and time.monotonic() > deadline:
-        raise TimeoutError("the commutator word build passed its deadline")
 
 
 def _product(
@@ -177,11 +187,11 @@ def commutator_word(
     is the product minus the identity and the diagonal must vanish.  Any
     violation aborts: it would mean the arithmetic itself is broken.  Past
     `deadline` (a `time.monotonic` value), checked before every row of the
-    coordinate matrices and every polynomial product, the build raises
-    `TimeoutError`.
+    ring's variable list and of the coordinate matrices and before every
+    polynomial product, the build raises `TimeoutError`.
     """
     kind = normalize_kind(kind)
-    ring = commutator_ring(kind, n, genus, field)
+    ring = commutator_ring(kind, n, genus, field, deadline=deadline)
     zero, one = ring.zero(), ring.one()
     word = [[one if i == j else zero for j in range(n)] for i in range(n)]
     for t in range(1, genus + 1):

@@ -79,6 +79,8 @@ def test_decide_incomplete_on_timeout():
     # the clock already stops the word build
     assert r.note == "stopped by the timeout while building the commutator word"
     assert r.generators is None and r.stats is None and r.nvars == 20
+    # the order is drawn after the word build
+    assert r.order["permutation"] is None
 
 
 def test_incomplete_report_names_its_limit_and_progress():

@@ -106,7 +106,13 @@ def test_non_finite_timeout_is_a_usage_error(capsys, monkeypatch):
         assert "--timeout" in capsys.readouterr().err
     monkeypatch.setenv("COMMUTING_CI_TIMEOUT", "nan")
     assert main(["decide", "--group", "un", "--n", "3"]) == EXIT_USAGE
-    assert "--timeout" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "COMMUTING_CI_TIMEOUT must be positive and finite" in err and "--timeout" not in err
+    # dump has no --timeout flag: the message names the variable it read
+    monkeypatch.setenv("COMMUTING_CI_TIMEOUT", "0")
+    assert main(["dump", "--group", "un", "--n", "3"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "COMMUTING_CI_TIMEOUT must be positive and finite" in err and "--timeout" not in err
 
 
 def test_unparsable_env_timeout_names_the_variable(capsys, monkeypatch):
@@ -230,7 +236,7 @@ def test_koszul_honours_the_timeout(capsys, monkeypatch):
     assert json.loads(out)["stopped_by"] == "timeout"
 
 
-def _run_fresh(*argv, **env):
+def _run_fresh(*argv, preexec_fn=None, **env):
     """The CLI in a fresh interpreter, so that an unbounded run fails the test
     by its 60 s timeout instead of hanging the suite."""
     src = Path(commuting_ci.__file__).resolve().parent.parent
@@ -240,6 +246,7 @@ def _run_fresh(*argv, **env):
         capture_output=True,
         text=True,
         timeout=60,
+        preexec_fn=preexec_fn,
     )
 
 
@@ -281,6 +288,31 @@ def test_dump_honours_the_env_timeout():
     assert done.returncode == EXIT_INCOMPLETE
     assert done.stdout == ""
     assert "timeout" in done.stderr
+
+
+def test_huge_genus_ends_incomplete_under_a_memory_limit():
+    # listing the 2 * 10^8 variables of U2 at genus 10^8 needs far more than
+    # 1.5 GB: the deadline must stop the ring before the address space runs out
+    import resource
+
+    def limit_memory():  # runs in the child only
+        cap = 1536 * 2**20
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    case = ["--group", "un", "--n", "2", "--genus", "100000000"]
+    for argv, env in (
+        (["decide", *case, "--timeout", "1"], {}),
+        (["koszul", *case, "--max-weight", "1", "--timeout", "1"], {}),
+        (["dump", *case], {"COMMUTING_CI_TIMEOUT": "1"}),
+    ):
+        t0 = time.monotonic()
+        done = _run_fresh(*argv, preexec_fn=limit_memory, **env)
+        assert time.monotonic() - t0 < 10, argv[0]
+        assert done.returncode == EXIT_INCOMPLETE, (argv[0], done.stderr)
+        assert "Traceback" not in done.stderr, argv[0]
+    report = json.loads(_run_fresh("decide", *case, "--timeout", "0.1").stdout)
+    assert (report["nvars"], report["unit_relations"]) == (2 * 10**8, 0)
+    assert report["order"] == {"kind": "grevlex", "seed": None, "permutation": None}
 
 
 def test_dump_u3(capsys):

@@ -434,8 +434,13 @@ def test_standard_monomial_count_matches_quotient():
 
 # -- pinned bases ------------------------------------------------------------------------
 
-#: sha256 of the polynomial lines of `dump()` and the counters, as computed by
-#: the exponent-tuple engine this packed engine replaced.
+#: sha256 of the polynomial lines of `dump()` and the counters.  The first
+#: three are as computed by the exponent-tuple engine this packed engine
+#: replaced; the GF(p) cases after them were computed when every term sum was
+#: still reduced mod p as it was formed, and pin the reduce-at-pop loop to it.
+P61 = 2**61 - 1
+P82 = 3317044064679887385961813  # the largest prime below PRIME_BOUND
+
 PINNED = [
     # (kind, n, genus, prime, order seed, degree cap),
     # (sha256, lines, pairs, zero reductions, max degree, status)
@@ -451,10 +456,36 @@ PINNED = [
         ("un", 5, 2, 32003, None, 6),
         ("ed4bd58b7bbfe9567436e325361f3e71004ff98487612eb069afee62a57bb5c7", 28, 41, 19, 6, "incomplete"),
     ),
+    (  # the B4 case of the `frontier` bench workload
+        ("bn", 4, 1, 32003, None, 7),
+        ("77fa685872fddea08026a83b3048740f2e31a448671fa10363ca112f69892717", 81, 365, 266, 8, "incomplete"),
+    ),
+    (
+        ("un", 4, 1, P61, None, 30),
+        ("fbf58f4d7672dc433f5d86aa1bbf11799699e27dc04562b6d39366e49d4c7dda", 5, 5, 3, 4, "complete"),
+    ),
+    (
+        ("un", 4, 1, P82, None, 30),
+        ("09e287531d37e43d3591a27d0a99f7f969b98b47bf6fc4c3a05cfd4e4cd3d34e", 5, 5, 3, 4, "complete"),
+    ),
+    (
+        ("bn", 3, 1, P61, None, 30),
+        ("9343e7a9e09816522ac468827abbd337a0005c5ce8a9bb0bdc99b77196c94f1c", 40, 229, 180, 9, "complete"),
+    ),
+    (
+        ("bn", 3, 1, P82, None, 30),
+        ("557a427530e723827dc4b01d2db14d07e49259238f69ff17acfebfe3dcad3b09", 40, 229, 180, 9, "complete"),
+    ),
 ]
 
 
-@pytest.mark.parametrize("case,pinned", PINNED, ids=[f"{c[0]}{c[1]}-g{c[2]}" for c, _ in PINNED])
+def _pin_id(case) -> str:
+    kind, n, genus, prime = case[:4]
+    suffix = "" if prime in (None, 32003) else f"-gf{prime}"
+    return f"{kind}{n}-g{genus}{suffix}"
+
+
+@pytest.mark.parametrize("case,pinned", PINNED, ids=[_pin_id(c) for c, _ in PINNED])
 def test_basis_dump_is_pinned(case, pinned):
     kind, n, genus, prime, seed, cap = case
     sha, nlines, pairs, zeros, maxdeg, status = pinned

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from commuting_ci.groupmat import (
     commutator_word,
     dump_generators,
     normalize_kind,
+    ring_size,
 )
 from commuting_ci.polyring import format_poly, parse_poly
 
@@ -34,6 +36,18 @@ def test_normalize_kind_aliases():
 def test_commutator_ring_rejects_small_n():
     with pytest.raises(ValueError):
         commutator_ring("un", 1, 1)
+
+
+def test_ring_size_counts_the_ring():
+    for kind, n, genus in [("un", 2, 1), ("un", 5, 3), ("bn", 2, 1), ("bn", 4, 2)]:
+        ring = commutator_ring(kind, n, genus)
+        assert ring_size(kind, n, genus) == (ring.nvars, len(ring.unit_pairs))
+
+
+def test_commutator_ring_honours_the_deadline():
+    with pytest.raises(TimeoutError):
+        commutator_ring("bn", 3, 1, deadline=time.monotonic() - 1)
+    assert commutator_ring("bn", 3, 1, deadline=time.monotonic() + 60).nvars == 18
 
 
 def test_variable_blocks_are_deterministic():
