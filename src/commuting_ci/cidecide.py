@@ -28,7 +28,14 @@ from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .groebner import DEFAULT_DEGREE_CAP, DEFAULT_TIMEOUT, buchberger, krull_dimension, normal_form
-from .groupmat import UNIPOTENT, CommutatorSystem, commutator_word, normalize_kind, ring_size
+from .groupmat import (
+    UNIPOTENT,
+    CommutatorSystem,
+    WordTooLarge,
+    commutator_word,
+    normalize_kind,
+    ring_size,
+)
 from .ordering import MonomialOrder
 from .polyring import (
     DEFAULT_PRIME,
@@ -156,7 +163,8 @@ def decide_ci(
     the computed codimension of the generator ideal (including unit relations
     for borel) with the number of generators; the two agree exactly when the
     sequence is regular.  Resource limits produce verdict "Incomplete"; the
-    timeout bounds the word build, ring included, as well as each basis.  The
+    timeout bounds the word build, ring included, as well as each basis, and
+    a ring too large for the word build ends "Incomplete" at once.  The
     order is drawn after the word build, so a report of a stopped word build
     has a null `order["permutation"]`.
     """
@@ -182,6 +190,10 @@ def decide_ci(
         system = commutator_word(kind, n, genus, fld, deadline=t0 + timeout)
     except TimeoutError:
         report.note = "stopped by the timeout while building the commutator word"
+        report.wall_seconds = time.monotonic() - t0
+        return report
+    except WordTooLarge as exc:
+        report.note = f"the commutator word was not built: {exc}"
         report.wall_seconds = time.monotonic() - t0
         return report
     order = MonomialOrder.seeded(system.ring.nvars, order_seed)

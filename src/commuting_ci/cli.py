@@ -34,7 +34,7 @@ from typing import Callable, Optional, Sequence
 
 from .cidecide import classify_table, decide_ci, resolve_field, u6_witness
 from .groebner import DEFAULT_DEGREE_CAP, DEFAULT_TIMEOUT
-from .groupmat import commutator_word, dump_generators, normalize_kind
+from .groupmat import WordTooLarge, commutator_word, dump_generators, normalize_kind
 from .koszul import DEFAULT_SLICE_CAP, build_complex, homology_slice
 from .ordering import MonomialOrder
 from .polyring import parse_field_label
@@ -219,6 +219,10 @@ def cmd_koszul(args: argparse.Namespace) -> int:
     except TimeoutError:
         _emit(payload, args.output)
         return EXIT_INCOMPLETE
+    except WordTooLarge:
+        payload["stopped_by"] = "word_size"
+        _emit(payload, args.output)
+        return EXIT_INCOMPLETE
     complex_ = build_complex(system)
     r = len(complex_.generators)
     if not 0 <= args.degree <= r:
@@ -231,13 +235,16 @@ def cmd_koszul(args: argparse.Namespace) -> int:
         if time.monotonic() > deadline:
             stopped_by = "timeout"
             break
-        rep = homology_slice(complex_, args.degree, w, size_cap=args.slice_cap)
+        rep = homology_slice(
+            complex_, args.degree, w, size_cap=args.slice_cap, deadline=deadline
+        )
         rows.append(rep.to_json())
         if rep.status != "ok":
-            # U_n has the weight-1 variable x_{1,2}; multiplying by it embeds
-            # each chain slice in the next weight, so every later slice is
-            # over the cap as well
-            stopped_by = "slice_cap"
+            # Over the cap: U_n has the weight-1 variable x_{1,2}; multiplying
+            # by it embeds each chain slice in the next weight, so every later
+            # slice is over the cap as well.  Within it, the deadline cut the
+            # slice off between two blocks.
+            stopped_by = "slice_cap" if max(rep.chain_dims) > args.slice_cap else "timeout"
             break
     payload.update(
         exterior_factors=complex_.exterior_zero_count, stopped_by=stopped_by, slices=rows
@@ -253,6 +260,9 @@ def cmd_dump(args: argparse.Namespace) -> int:
         system = commutator_word(args.group, args.n, args.genus, fld, deadline=deadline)
     except TimeoutError:
         print("commuting-ci: stopped by the timeout while building the commutator word", file=sys.stderr)
+        return EXIT_INCOMPLETE
+    except WordTooLarge as exc:
+        print(f"commuting-ci: the commutator word was not built: {exc}", file=sys.stderr)
         return EXIT_INCOMPLETE
     order = MonomialOrder.seeded(system.ring.nvars, args.order_seed)
     _write(dump_generators(system, order), args.output)

@@ -57,6 +57,16 @@ class VanishingPatternError(RuntimeError):
     """
 
 
+#: Each variable of the word build is a dense exponent tuple of nvars entries,
+#: so the coordinate matrices alone take about 8 * nvars**2 bytes: 2 GiB at
+#: this many variables.  A larger ring is refused before anything is built.
+MAX_WORD_NVARS = 16_384
+
+
+class WordTooLarge(Exception):
+    """The ring has more variables than the dense word build can hold."""
+
+
 def _check_deadline(deadline: Optional[float]) -> None:
     if deadline is not None and time.monotonic() > deadline:
         raise TimeoutError("the commutator word build passed its deadline")
@@ -75,13 +85,21 @@ def commutator_ring(
     """Coordinate ring of 2*genus copies of the group, with internal weights.
 
     Past `deadline` (a `time.monotonic` value), checked before every row of
-    every copy, the listing of the variables raises `TimeoutError`.
+    every copy, the listing of the variables raises `TimeoutError`.  A ring
+    of more than `MAX_WORD_NVARS` variables raises `WordTooLarge` up front.
     """
     kind = normalize_kind(kind)
     if n < 2:
         raise ValueError("matrix size must be at least 2")
     if genus < 1:
         raise ValueError("genus must be at least 1")
+    nvars, _ = ring_size(kind, n, genus)
+    if nvars > MAX_WORD_NVARS:
+        raise WordTooLarge(
+            f"{nvars} variables: the coordinate matrices alone would take about "
+            f"{8 * nvars**2 / 2**30:.3g} GiB of dense exponent tuples; the word "
+            f"build takes at most {MAX_WORD_NVARS} variables"
+        )
     variables: List[Tuple[str, int]] = []
     unit_pairs: List[Tuple[int, int]] = []
     for s in range(1, 2 * genus + 1):
@@ -188,7 +206,8 @@ def commutator_word(
     violation aborts: it would mean the arithmetic itself is broken.  Past
     `deadline` (a `time.monotonic` value), checked before every row of the
     ring's variable list and of the coordinate matrices and before every
-    polynomial product, the build raises `TimeoutError`.
+    polynomial product, the build raises `TimeoutError`.  A ring too large to
+    build raises `WordTooLarge` (see `commutator_ring`).
     """
     kind = normalize_kind(kind)
     ring = commutator_ring(kind, n, genus, field, deadline=deadline)

@@ -130,12 +130,34 @@ def standard_monomial_dimension(gb: GroebnerBasis, weight: int) -> int:
 # -- Koszul slices ---------------------------------------------------------------
 
 
+def slice_blocks(K: KoszulComplex, i: int, w: int) -> dict:
+    """The torus blocks of C_i(w) as `koszul` builds them, from a table of every
+    monomial of weight <= w."""
+    return koszul._SliceLayout(K, w, w).blocks(i)
+
+
+def block_basis(parts) -> List[int]:
+    """Packed keys of one block's C_i basis, in the row order of `koszul._block_rows`."""
+    return [key_S + m for key_S, _, monomials in parts for m in monomials]
+
+
 def slice_basis(K: KoszulComplex, i: int, w: int) -> List[int]:
-    """Packed keys of the C_i(w) basis, in the row order of `koszul._differential_rows`."""
+    """Packed keys of the C_i(w) basis, block by block."""
     if i < 0 or w < 0:
         return []
-    fits, table, _, base = koszul._slice_layout(K, i, w)
-    return [sum(1 << (base + s) for s in S) + m for S, rem in fits for m in table[rem]]
+    return [key for parts in slice_blocks(K, i, w).values() for key in block_basis(parts)]
+
+
+def key_torus(K: KoszulComplex, key: int, w: int) -> tuple:
+    """Torus weight of the basis element t_S * m packed in `key` at weight w,
+    summed from the generators in S and the variables of m."""
+    width = max(w.bit_length(), 1)
+    nvars = K.ring.nvars
+    fields = [(key >> (v * width)) & ((1 << width) - 1) for v in range(nvars)]
+    S = [s for s in range(len(K.generators)) if key >> (nvars * width + s) & 1]
+    parts = [K.generator_torus[s] for s in S]
+    parts += [tuple(e * x for x in K.variable_torus[v]) for v, e in enumerate(fields) if e]
+    return tuple(map(sum, zip(*parts))) if parts else (0,) * len(K.variable_torus[0])
 
 
 def extend_with_zero_generators(K: KoszulComplex, count: int) -> KoszulComplex:

@@ -292,7 +292,8 @@ def test_dump_honours_the_env_timeout():
 
 def test_huge_genus_ends_incomplete_under_a_memory_limit():
     # listing the 2 * 10^8 variables of U2 at genus 10^8 needs far more than
-    # 1.5 GB: the deadline must stop the ring before the address space runs out
+    # 1.5 GB: the size check (or else the deadline) must stop the ring before
+    # the address space runs out
     import resource
 
     def limit_memory():  # runs in the child only
@@ -313,6 +314,78 @@ def test_huge_genus_ends_incomplete_under_a_memory_limit():
     report = json.loads(_run_fresh("decide", *case, "--timeout", "0.1").stdout)
     assert (report["nvars"], report["unit_relations"]) == (2 * 10**8, 0)
     assert report["order"] == {"kind": "grevlex", "seed": None, "permutation": None}
+
+
+def test_oversized_ring_ends_incomplete_under_a_memory_limit():
+    # U150 has 22,350 variables: its dense coordinate matrices alone would take
+    # about 3.7 GiB, so the word build is refused before it starts
+    import resource
+
+    def limit_memory():  # runs in the child only
+        cap = 2048 * 2**20
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    case = ["--group", "un", "--n", "150"]
+    for argv in (
+        ["decide", *case, "--timeout", "60"],
+        ["koszul", *case, "--max-weight", "3", "--timeout", "60"],
+        ["dump", *case],
+    ):
+        t0 = time.monotonic()
+        done = _run_fresh(*argv, preexec_fn=limit_memory)
+        assert time.monotonic() - t0 < 10, argv[0]
+        assert done.returncode == EXIT_INCOMPLETE, (argv[0], done.stderr)
+        assert "Traceback" not in done.stderr, argv[0]
+        if argv[0] == "decide":
+            report = json.loads(done.stdout)
+            assert (report["verdict"], report["nvars"], report["generators"]) == ("Incomplete", 22350, None)
+            assert "the commutator word was not built" in report["note"]
+        elif argv[0] == "koszul":
+            payload = json.loads(done.stdout)
+            assert payload["stopped_by"] == "word_size" and payload["slices"] == []
+        else:
+            assert done.stdout == "" and "22350 variables" in done.stderr
+
+
+def test_koszul_u6_genus_two_weight_seven_fits_a_small_address_space():
+    # built one torus block at a time, this run peaks near 34 MB RSS; built a
+    # whole slice at a time, it needs over 400 MB
+    import resource
+
+    def limit_memory():  # runs in the child only
+        cap = 160 * 2**20
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    done = _run_fresh(
+        "koszul", "--group", "un", "--n", "6", "--genus", "2", "--max-weight", "7",
+        "--field", "gf:32003", "--slice-cap", "2000000", preexec_fn=limit_memory,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    payload = json.loads(done.stdout)
+    assert payload["stopped_by"] is None
+    assert [row["h_dim"] for row in payload["slices"]] == [0] * 8
+    last = payload["slices"][-1]
+    assert last["ranks"] == [318651, 14076]
+    assert last["shapes"] == [[332727, 1057076], [14174, 113016]]
+    assert last["blocks"] == 274 and last["largest_block"] == [7800, 21984]
+
+
+def test_koszul_timeout_cuts_a_slice_off_between_blocks():
+    # weights 0-6 take well under a second and weights 7 and 8 many seconds,
+    # so the deadline falls inside a slice, which must stop at its next block
+    t0 = time.monotonic()
+    done = _run_fresh(
+        "koszul", "--group", "un", "--n", "6", "--genus", "2", "--max-weight", "8",
+        "--field", "gf:32003", "--slice-cap", "20000000", "--timeout", "2",
+    )
+    assert time.monotonic() - t0 < 5
+    assert done.returncode == EXIT_INCOMPLETE
+    payload = json.loads(done.stdout)
+    assert payload["stopped_by"] == "timeout"
+    *ok, last = payload["slices"]
+    assert all(row["status"] == "ok" for row in ok)
+    assert (last["status"], last["h_dim"], last["ranks"]) == ("incomplete", None, None)
+    assert max(last["chain_dims"]) <= 20000000
 
 
 def test_dump_u3(capsys):

@@ -10,7 +10,9 @@ import pytest
 from commuting_ci.cidecide import set_to_zero
 from commuting_ci.groupmat import (
     BOREL,
+    MAX_WORD_NVARS,
     UNIPOTENT,
+    WordTooLarge,
     commutator_ring,
     commutator_word,
     dump_generators,
@@ -48,6 +50,16 @@ def test_commutator_ring_honours_the_deadline():
     with pytest.raises(TimeoutError):
         commutator_ring("bn", 3, 1, deadline=time.monotonic() - 1)
     assert commutator_ring("bn", 3, 1, deadline=time.monotonic() + 60).nvars == 18
+
+
+def test_commutator_ring_refuses_more_variables_than_the_word_build_holds():
+    assert ring_size("un", 128, 1)[0] <= MAX_WORD_NVARS < ring_size("un", 129, 1)[0]
+    assert commutator_ring("un", 128, 1).nvars == 128 * 127
+    for kind, n, genus in (("un", 129, 1), ("un", 150, 1), ("bn", 2, 10**8)):
+        with pytest.raises(WordTooLarge, match="variables"):
+            commutator_ring(kind, n, genus)
+    with pytest.raises(WordTooLarge):
+        commutator_word("un", 150, 1)
 
 
 def test_variable_blocks_are_deterministic():

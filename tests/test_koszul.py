@@ -1,6 +1,7 @@
 """Koszul slices: differentials square to zero, homology matches theory."""
 
 import json
+import time
 from itertools import combinations
 
 import pytest
@@ -9,7 +10,7 @@ from commuting_ci import koszul
 from commuting_ci.koszul import (
     KoszulComplex,
     PositiveWeightRequired,
-    _differential_rows,
+    _block_rows,
     _slice_dim,
     build_complex,
     homology_slice,
@@ -18,10 +19,13 @@ from commuting_ci.polyring import RingDescriptor
 
 from conftest import system, system_basis
 from oracles import (
+    block_basis,
     extend_with_zero_generators,
+    key_torus,
     kunneth_zero_check,
     monomials_of_weight,
     slice_basis,
+    slice_blocks,
     standard_monomial_dimension,
 )
 
@@ -53,6 +57,29 @@ def test_complex_rejects_inhomogeneous_generator(one_var):
     p = one_var.gen("x") + one_var.one()
     with pytest.raises(ValueError):
         KoszulComplex(one_var, (p,), (1,))
+
+
+def test_complex_rejects_a_generator_that_is_not_torus_homogeneous():
+    # x_{1,3} + x_{2,4} in U4 has weight 2, but torus weights e1 - e3 and e2 - e4
+    K = build_complex(system("un", 4, 1))
+    f = K.ring.gen("x_1_1_3") + K.ring.gen("x_1_2_4")
+    KoszulComplex(K.ring, (f,), (2,))  # weight-homogeneous, so fine on the one-field torus
+    for torus in ((1, 1, 0), (0, 1, 1)):
+        with pytest.raises(ValueError, match="torus-homogeneous"):
+            KoszulComplex(K.ring, (f,), (2,), 0, K.variable_torus, (torus,))
+    with pytest.raises(ValueError, match="sum 2"):
+        KoszulComplex(K.ring, (K.ring.gen("x_1_1_3"),), (2,), 0, K.variable_torus, ((1, 0, 0),))
+    with pytest.raises(ValueError, match="or neither"):
+        KoszulComplex(K.ring, (), (), 0, K.variable_torus, None)
+
+
+def test_build_complex_grades_by_the_diagonal_torus():
+    K = build_complex(system("un", 4, 1))
+    torus = dict(zip(K.ring.variables, K.variable_torus))
+    # e_i - e_j in simple-root coordinates, for both copies
+    assert torus["x_1_1_2"] == torus["y_1_1_2"] == (1, 0, 0)
+    assert torus["x_1_2_4"] == (0, 1, 1) and torus["y_1_1_4"] == (1, 1, 1)
+    assert sorted(K.generator_torus) == [(0, 1, 1), (1, 1, 0), (1, 1, 1)]
 
 
 def test_build_complex_exterior_counts():
@@ -96,24 +123,30 @@ def test_h0_of_regular_element(one_var):
 @pytest.mark.parametrize("w", [2, 3, 4, 5])
 def test_differential_squares_to_zero(w):
     K = build_complex(system("un", 4, 1))
-    b2 = slice_basis(K, 2, w)
-    b1 = slice_basis(K, 1, w)
-    if not b2 or not b1:
-        return
-    d2, cols1 = _differential_rows(K, 2, w)
-    d1, cols0 = _differential_rows(K, 1, w)
-    assert len(d2) == len(b2) and len(d1) == len(b1)
-    # the lazily numbered columns are keys of the full slices below
-    assert set(cols1) <= set(b1)
-    assert set(cols0) <= set(slice_basis(K, 0, w))
-    d1_of = dict(zip(b1, d1))
-    key_of = {col: key for key, col in cols1.items()}
-    for row in d2:
-        composed = {}
-        for col1, v in row.items():
-            for col0, u in d1_of[key_of[col1]].items():
-                composed[col0] = composed.get(col0, 0) + v * u
-        assert all(val == 0 for val in composed.values())
+    blocks2, blocks1 = slice_blocks(K, 2, w), slice_blocks(K, 1, w)
+    b0 = set(slice_basis(K, 0, w))
+    seen = set()
+    for t, parts2 in blocks2.items():
+        b2, b1 = block_basis(parts2), block_basis(blocks1.get(t, []))
+        d2, cols1 = _block_rows(parts2)
+        d1, cols0 = _block_rows(blocks1.get(t, []))
+        assert len(d2) == len(b2) and len(d1) == len(b1)
+        # the lazily numbered columns are keys of the same block one degree down
+        assert set(cols1) <= set(b1)
+        assert set(cols0) <= b0
+        # one torus weight per block, and a different one for every block
+        (torus,) = {key_torus(K, key, w) for key in b2 + b1 + list(cols0)}
+        assert torus not in seen
+        seen.add(torus)
+        d1_of = dict(zip(b1, d1))
+        key_of = {col: key for key, col in cols1.items()}
+        for row in d2:
+            composed = {}
+            for col1, v in row.items():
+                for col0, u in d1_of[key_of[col1]].items():
+                    composed[col0] = composed.get(col0, 0) + v * u
+            assert all(val == 0 for val in composed.values())
+    assert sum(len(block_basis(parts)) for parts in blocks2.values()) == _slice_dim(K, 2, w)
 
 
 # -- counting and packing ----------------------------------------------------------
@@ -147,7 +180,8 @@ def test_packed_keys_at_field_width_boundaries(prime, w):
     for j, dim in zip((0, 1, 2), rep.chain_dims):
         keys = slice_basis(K, j, w)
         assert dim == len(set(keys)) == enumerated_dim(K, j, w), (j, w)
-    _, cols = _differential_rows(K, 1, w)
+    cols = [key for parts in slice_blocks(K, 1, w).values() for key in _block_rows(parts)[1]]
+    assert len(cols) == len(set(cols))  # no two blocks share a column
     assert set(cols) <= set(slice_basis(K, 0, w))
 
 
@@ -184,6 +218,18 @@ def test_u6_h1_weight_seven_slice_is_pinned(prime):
     assert rep["ranks"] == [19953, 2654]
     assert rep["shapes"] == [[22608, 32962], [2712, 10614]]
     assert rep["h_dim"] == 1
+
+
+@pytest.mark.parametrize("prime", [None, 32003])
+def test_block_ranks_sum_to_the_whole_slice_rank(prime):
+    # the same complex without a torus is one block per slice: the ranks
+    # taken block by block must add up to the rank of the whole slice
+    K = build_complex(system("un", 6, 1, prime))
+    whole = KoszulComplex(K.ring, K.generators, K.weights, K.exterior_zero_count)
+    by_block, at_once = homology_slice(K, 1, 7), homology_slice(whole, 1, 7)
+    assert (by_block.ranks, by_block.shapes, by_block.h_dim) == (at_once.ranks, at_once.shapes, 1)
+    assert (by_block.blocks, by_block.largest_block) == (274, (576, 696))
+    assert (at_once.blocks, at_once.largest_block) == (1, at_once.shapes[0])
 
 
 def test_u6_h1_weight_seven_nonzero_under_second_prime():
@@ -267,13 +313,24 @@ def test_slice_cap_yields_incomplete():
     assert rep.to_json()["ranks"] is None and rep.to_json()["shapes"] is None
 
 
+def test_passed_deadline_cuts_the_slice_off_before_its_first_block():
+    K = build_complex(system("un", 4, 1))
+    rep = homology_slice(K, 1, 5, deadline=time.monotonic() - 1).to_json()
+    assert (rep["status"], rep["h_dim"], rep["chain_dims"]) == ("incomplete", None, [586, 189, 8])
+    assert rep["ranks"] is None and rep["blocks"] is None and rep["seconds"] is None
+    assert homology_slice(K, 1, 5, deadline=time.monotonic() + 60).h_dim == 0
+
+
 # -- report schema -----------------------------------------------------------------------
 
 
 def test_slice_report_names_ranks_and_shapes():
     K = build_complex(system("un", 4, 1))
     got = homology_slice(K, 1, 5).to_json()
-    assert set(got) == {"i", "w", "chain_dims", "h_dim", "status", "ranks", "shapes", "seconds"}
+    assert set(got) == {
+        "i", "w", "chain_dims", "h_dim", "status", "ranks", "shapes", "blocks", "largest_block",
+        "seconds",
+    }
     assert set(got["seconds"]) == {"assembly", "rank"}
     assert all(s >= 0 for s in got["seconds"].values())
     assert (got["i"], got["w"], got["status"]) == (1, 5, "ok")
@@ -284,8 +341,12 @@ def test_slice_report_names_ranks_and_shapes():
     # rows are the full C_1 and C_2; columns only those some row hits
     assert (rows_down, rows_up) == (189, 8)
     assert 0 < cols_down <= 586 and 0 < cols_up <= 189
-    # H_0 has no d_0 to build
-    assert homology_slice(K, 0, 2).to_json()["shapes"][0] == [0, 0]
+    # C_1(5) splits into 14 torus blocks; the one with the most rows is 34 x 52
+    assert got["blocks"] == 14 and got["largest_block"] == [34, 52]
+    # H_0 has no d_0 to build, but C_0 still has its blocks
+    h0 = homology_slice(K, 0, 2).to_json()
+    assert h0["shapes"][0] == [0, 0] and h0["largest_block"] == [0, 0]
+    assert h0["blocks"] == len({key_torus(K, key, 2) for key in slice_basis(K, 0, 2)}) > 1
 
 
 def test_slice_report_json_round_trip():
