@@ -7,7 +7,8 @@ two certificates in that ring and order:
    (`window_witness`): seven generators of the leading 6x6 window lie in an
    ideal with only six generators, so by Krull's height theorem that
    subsequence has codimension at most 6 < 7, the full sequence cannot be
-   regular, and the variety is not a complete intersection.
+   regular, and the variety is not a complete intersection.  The
+   memberships follow from a substitution identity, with no basis.
 2. Otherwise, a reduced Groebner basis of the generators (plus the unit
    relations in the borel case) whose leading-term ideal gives the
    codimension:
@@ -16,6 +17,8 @@ two certificates in that ring and order:
 
 Hitting a resource limit yields verdict "Incomplete", never a guess, and
 every "NotCI" carries its certificate: the witness or the completed basis.
+The timeout of a case becomes one deadline, which the word build and the
+basis share.
 `classify_table` is `decide_ci` over a range of n; `u6_witness` runs the
 witness alone on the 6x6 system.
 """
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .groebner import DEFAULT_DEGREE_CAP, DEFAULT_TIMEOUT, buchberger, krull_dimension, normal_form
+from .groebner import DEFAULT_DEGREE_CAP, buchberger, krull_dimension
 from .groupmat import (
     UNIPOTENT,
     CommutatorSystem,
@@ -47,6 +50,9 @@ from .polyring import (
     parse_field_label,
     parse_poly,
 )
+
+#: Default seconds for one case, from the start of its word build to its verdict.
+DEFAULT_TIMEOUT = 3600.0
 
 
 def resolve_field(kind: str, n: int, field: Optional[str]) -> Field:
@@ -163,12 +169,13 @@ def decide_ci(
     the computed codimension of the generator ideal (including unit relations
     for borel) with the number of generators; the two agree exactly when the
     sequence is regular.  Resource limits produce verdict "Incomplete"; the
-    timeout bounds the word build, ring included, as well as each basis, and
-    a ring too large for the word build ends "Incomplete" at once.  The
-    order is drawn after the word build, so a report of a stopped word build
-    has a null `order["permutation"]`.
+    timeout is one deadline for the whole case, word build (ring included)
+    and basis alike, and a word too large to build ends "Incomplete" at once.
+    The order is drawn after the word build, so a report of a stopped word
+    build has a null `order["permutation"]`.
     """
     t0 = time.monotonic()
+    deadline = t0 + timeout
     kind = normalize_kind(kind)
     fld = resolve_field(kind, n, field)
     nvars, units = ring_size(kind, n, genus)
@@ -187,7 +194,7 @@ def decide_ci(
         exterior_factors=None,
     )
     try:
-        system = commutator_word(kind, n, genus, fld, deadline=t0 + timeout)
+        system = commutator_word(kind, n, genus, fld, deadline=deadline)
     except TimeoutError:
         report.note = "stopped by the timeout while building the commutator word"
         report.wall_seconds = time.monotonic() - t0
@@ -204,14 +211,14 @@ def decide_ci(
     report.generators = r
     report.exterior_factors = len(system.zero_positions)
     if kind == UNIPOTENT and genus == 1 and n >= 6:
-        witness = window_witness(system, order, degree_cap=degree_cap, timeout=timeout)
+        witness = window_witness(system, order)
         if witness.conclusion == "NotCI":
             report.verdict = "NotCI"
             report.witness = witness.to_json()
             report.wall_seconds = time.monotonic() - t0
             return report
     all_gens = gens + list(system.unit_relations)
-    gb = buchberger(all_gens, order, ring=system.ring, degree_cap=degree_cap, timeout=timeout)
+    gb = buchberger(all_gens, order, ring=system.ring, degree_cap=degree_cap, deadline=deadline)
     report.stats = gb.stats.to_json()
     if gb.is_complete:
         stats = krull_dimension(gb)
@@ -263,27 +270,23 @@ def set_to_zero(f: Polynomial, names: Sequence[str]) -> Polynomial:
     return Polynomial._raw(f.ring, {e: c for e, c in f.terms.items() if not any(e[i] for i in idx)})
 
 
-def window_witness(
-    system: CommutatorSystem,
-    order: MonomialOrder,
-    *,
-    degree_cap: int = DEFAULT_DEGREE_CAP,
-    timeout: float = DEFAULT_TIMEOUT,
-) -> WitnessReport:
+def window_witness(system: CommutatorSystem, order: MonomialOrder) -> WitnessReport:
     """Certify that a unipotent genus-1 system with n >= 6 is not a complete intersection.
 
     Entry (i, j) of a product or inverse of upper-triangular matrices only
     involves indices i..j, so the seven selected generators, all inside the
-    leading 6x6 window, are the same polynomials for every n >= 6.  Steps, all
-    in the ring and order of `system`: (a) set the four killed variables to 0
-    and check the forced pattern (five selected entries vanish, two survive
-    with known values); (b) verify that each of the seven
-    unsubstituted generators lies in the ideal spanned by the four killed
-    variables and the two survivors.  Seven generators inside a 6-generated
-    ideal bound the codimension of that subsequence by 6 < 7 (Krull's height
-    theorem), so the full generator sequence is not regular and the variety
-    is not a complete intersection.  Any failed check returns conclusion
-    "Inconclusive" with the failing position.
+    leading 6x6 window, are the same polynomials for every n >= 6.  Write
+    phi for setting the four killed variables to 0.  The check is that phi
+    maps five selected generators to 0 and the other two to the known
+    survivors.  Then each selected f = (f - phi(f)) + phi(f) lies in the
+    ideal of the killed variables and the survivors: every term of
+    f - phi(f) contains a killed variable, and phi(f) is 0 or a survivor.
+    Seven generators inside a 6-generated ideal bound the codimension of
+    that subsequence by 6 < 7 (Krull's height theorem), so the full
+    generator sequence is not regular and the variety is not a complete
+    intersection.  A failed check returns conclusion "Inconclusive" with
+    the failing position and no memberships.  `order` only formats the
+    survivors.
     """
     if system.kind != UNIPOTENT or system.genus != 1 or system.n < 6:
         raise ValueError(
@@ -292,11 +295,8 @@ def window_witness(
         )
     ring = system.ring
     survivors = {pos: parse_poly(text, ring) for pos, text in _WITNESS_SURVIVORS.items()}
-    bounding = [ring.gen(name) for name in _WITNESS_KILLED]
-    bounding += [survivors[p] for p in sorted(survivors)]
 
     surviving: Dict[str, str] = {}
-    pattern_ok = True
     failed: Optional[Tuple[int, int]] = None
     for pos in _WITNESS_POSITIONS:
         image = set_to_zero(system.generator_at(*pos), _WITNESS_KILLED)
@@ -306,54 +306,30 @@ def window_witness(
         else:
             ok = image.is_zero
         if not ok:
-            pattern_ok = False
             failed = pos
             break
 
-    memberships: Dict[str, bool] = {}
-    conclusion = "Inconclusive"
-    codim_bound: Optional[int] = None
-    if pattern_ok:
-        gb = buchberger(bounding, order, ring=ring, degree_cap=degree_cap, timeout=timeout)
-        if gb.is_complete:
-            all_in = True
-            for pos in _WITNESS_POSITIONS:
-                f = system.generator_at(*pos)
-                ok = normal_form(f, gb.basis, order).is_zero
-                memberships[f"{pos[0]},{pos[1]}"] = ok
-                if not ok:
-                    all_in = False
-                    failed = pos
-            if all_in:
-                codim_bound = len(bounding)
-                conclusion = "NotCI"
-
+    pattern_ok = failed is None
+    bounding = len(_WITNESS_KILLED) + len(survivors)
     return WitnessReport(
         substitution=_WITNESS_KILLED,
         surviving=surviving,
         positions=_WITNESS_POSITIONS,
         pattern_ok=pattern_ok,
-        memberships=memberships,
-        bounding_generators=len(bounding),
-        codim_bound=codim_bound,
-        conclusion=conclusion,
+        memberships={f"{i},{j}": True for i, j in _WITNESS_POSITIONS} if pattern_ok else {},
+        bounding_generators=bounding,
+        codim_bound=bounding if pattern_ok else None,
+        conclusion="NotCI" if pattern_ok else "Inconclusive",
         failed_position=failed,
         field=ring.field.label(),
     )
 
 
-def u6_witness(
-    field: Optional[str] = "q",
-    order_seed: Optional[int] = None,
-    *,
-    degree_cap: int = DEFAULT_DEGREE_CAP,
-    timeout: float = DEFAULT_TIMEOUT,
-) -> WitnessReport:
-    """Run `window_witness` on the 6x6 unipotent genus-1 system."""
-    fld = resolve_field(UNIPOTENT, 6, field) if isinstance(field, str) else (field or QQ)
-    system = commutator_word(UNIPOTENT, 6, 1, fld)
+def u6_witness(field: str = "q", order_seed: Optional[int] = None) -> WitnessReport:
+    """Run `window_witness` on the 6x6 unipotent genus-1 system over `field`, a field label."""
+    system = commutator_word(UNIPOTENT, 6, 1, resolve_field(UNIPOTENT, 6, field))
     order = MonomialOrder.seeded(system.ring.nvars, order_seed)
-    return window_witness(system, order, degree_cap=degree_cap, timeout=timeout)
+    return window_witness(system, order)
 
 
 def classify_table(

@@ -5,18 +5,19 @@ Subcommands, and the flags each takes:
     decide      one (group, n, genus) verdict as a JSON report
                 --group --n --genus --field --order-seed --degree-cap --timeout --output
     witness-u6  the 6x6 unipotent obstruction pipeline
-                --field --order-seed --degree-cap --timeout --output
+                --field --order-seed --output
     koszul      homology slices of the Koszul complex up to a weight bound
                 --group --n --genus --max-weight --degree --slice-cap --field --timeout --output
     dump        the generator polynomials, one per line
-                --group --n --genus --field --order-seed --output
+                --group --n --genus --field --order-seed --timeout --output
     table       the classification across a family, fanned out to workers
                 --family --max-n --genus --jobs --field --order-seed --degree-cap --timeout --output
 
-Flag values are checked as they are parsed; the timeout, which may come from
-the environment variable COMMUTING_CI_TIMEOUT, and the koszul degree, whose
-range depends on the generators, are checked by the subcommand.  `dump`
-bounds its word build by that variable or the default timeout alone.
+Flag values are checked as they are parsed; only the upper end of the koszul
+degree, which depends on the generators, is checked by the subcommand.
+`--timeout` bounds the whole case, word build included: one deadline, taken
+when the case starts, that every stage shares.  For `table` it bounds each
+row.
 
 Exit codes: 0 for a completed verdict, 1 for usage or configuration errors,
 2 when a resource limit left the answer incomplete or inconclusive.
@@ -32,8 +33,8 @@ import sys
 import time
 from typing import Callable, Optional, Sequence
 
-from .cidecide import classify_table, decide_ci, resolve_field, u6_witness
-from .groebner import DEFAULT_DEGREE_CAP, DEFAULT_TIMEOUT
+from .cidecide import DEFAULT_TIMEOUT, classify_table, decide_ci, resolve_field, u6_witness
+from .groebner import DEFAULT_DEGREE_CAP
 from .groupmat import WordTooLarge, commutator_word, dump_generators, normalize_kind
 from .koszul import DEFAULT_SLICE_CAP, build_complex, homology_slice
 from .ordering import MonomialOrder
@@ -81,26 +82,10 @@ def _field_label(text: str) -> str:
     return text
 
 
-def _timeout(args: argparse.Namespace) -> float:
-    """--timeout, else COMMUTING_CI_TIMEOUT, else the default; positive and finite.
-
-    `dump` has no --timeout flag and reads only the environment and the default.
-    """
-    value = getattr(args, "timeout", None)
-    source = "--timeout"
-    if value is None:
-        env = os.environ.get("COMMUTING_CI_TIMEOUT")
-        if not env:
-            return DEFAULT_TIMEOUT
-        source = "COMMUTING_CI_TIMEOUT"
-        try:
-            value = float(env)
-        except ValueError:
-            raise ValueError(
-                f"COMMUTING_CI_TIMEOUT must be a number of seconds, got {env!r}"
-            ) from None
+def _seconds(text: str) -> float:
+    value = float(text)
     if not (0 < value < math.inf):  # False for nan
-        raise ValueError(f"{source} must be positive and finite")
+        raise ValueError(f"must be positive and finite, got {text}")
     return value
 
 
@@ -121,10 +106,9 @@ _SHARED = {
     "--order-seed": dict(type=int, default=None, help="seed for the variable permutation"),
     "--degree-cap": dict(type=_int_at_least(1), default=DEFAULT_DEGREE_CAP),
     "--timeout": dict(
-        type=float,
-        default=None,
-        help="seconds for the word build and each basis, or per koszul run "
-        "(env COMMUTING_CI_TIMEOUT)",
+        type=_checked(_seconds),
+        default=DEFAULT_TIMEOUT,
+        help="seconds for the whole case (for table, each row)",
     ),
 }
 
@@ -153,18 +137,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared(p, "--order-seed", "--degree-cap", "--timeout")
 
     p = sub.add_parser("witness-u6", help="run the 6x6 obstruction pipeline")
-    _add_shared(p, "--order-seed", "--degree-cap", "--timeout", field_default="q")
+    _add_shared(p, "--order-seed", field_default="q")
 
     p = sub.add_parser("koszul", help="homology slices of the Koszul complex")
     _add_case(p)
     p.add_argument("--max-weight", type=_int_at_least(0), required=True)
-    p.add_argument("--degree", type=int, default=1, help="homological degree (default 1)")
+    p.add_argument("--degree", type=_int_at_least(0), default=1, help="homological degree (default 1)")
     p.add_argument("--slice-cap", type=_int_at_least(1), default=DEFAULT_SLICE_CAP)
     _add_shared(p, "--timeout")
 
     p = sub.add_parser("dump", help="print the generator polynomials")
     _add_case(p)
-    _add_shared(p, "--order-seed")
+    _add_shared(p, "--order-seed", "--timeout")
 
     p = sub.add_parser("table", help="classification table across a family")
     p.add_argument("--family", required=True, type=_checked(normalize_kind), help="un | bn")
@@ -184,25 +168,20 @@ def cmd_decide(args: argparse.Namespace) -> int:
         field=args.field,
         order_seed=args.order_seed,
         degree_cap=args.degree_cap,
-        timeout=_timeout(args),
+        timeout=args.timeout,
     )
     _emit(report.to_json(), args.output)
     return EXIT_OK if report.verdict in ("CI", "NotCI") else EXIT_INCOMPLETE
 
 
 def cmd_witness(args: argparse.Namespace) -> int:
-    report = u6_witness(
-        args.field,
-        args.order_seed,
-        degree_cap=args.degree_cap,
-        timeout=_timeout(args),
-    )
+    report = u6_witness(args.field, args.order_seed)
     _emit(report.to_json(), args.output)
     return EXIT_OK if report.conclusion == "NotCI" else EXIT_INCOMPLETE
 
 
 def cmd_koszul(args: argparse.Namespace) -> int:
-    deadline = time.monotonic() + _timeout(args)
+    deadline = time.monotonic() + args.timeout
     fld = resolve_field(args.group, args.n, args.field)
     payload = {
         "group": args.group,
@@ -225,7 +204,7 @@ def cmd_koszul(args: argparse.Namespace) -> int:
         return EXIT_INCOMPLETE
     complex_ = build_complex(system)
     r = len(complex_.generators)
-    if not 0 <= args.degree <= r:
+    if args.degree > r:
         # C_i is zero for i > r: every slice would be a zero slice and the
         # slice cap could never end the loop
         raise ValueError(f"--degree must be in 0..{r} (the nonzero generators), got {args.degree}")
@@ -254,7 +233,7 @@ def cmd_koszul(args: argparse.Namespace) -> int:
 
 
 def cmd_dump(args: argparse.Namespace) -> int:
-    deadline = time.monotonic() + _timeout(args)
+    deadline = time.monotonic() + args.timeout
     fld = resolve_field(args.group, args.n, args.field)
     try:
         system = commutator_word(args.group, args.n, args.genus, fld, deadline=deadline)
@@ -277,7 +256,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         field=args.field,
         order_seed=args.order_seed,
         degree_cap=args.degree_cap,
-        timeout=_timeout(args),
+        timeout=args.timeout,
         jobs=args.jobs,
     )
     payload = {"family": args.family, "genus": args.genus, "rows": [r.to_json() for r in reports]}

@@ -4,7 +4,7 @@ The engine is a plain Buchberger loop with the normal selection strategy
 (smallest lcm first, hence smallest lcm degree first) and the Gebauer-Moeller
 pair update, which implements both the product and the chain criterion.
 Bases are returned monic and sorted by leading monomial ascending, and
-reduced unless the timeout stopped the run.
+reduced unless the deadline stopped the run.
 
 Inside `buchberger` and `normal_form` every monomial is one packed int
 (Monagan & Pearce, "Polynomial division using dynamic arrays, heaps, and
@@ -39,12 +39,14 @@ One term loop serves both fields: sums are formed exactly, and
 monomial, and drops it there if it is 0.  S-polynomials are built as plain
 sums, zeros included, for `_reduce_terms` to reduce and drop the same way.
 
-Resource limits (total-degree cap, wall-clock timeout) never turn into
+Resource limits (total-degree cap, wall-clock deadline) never turn into
 answers: hitting one marks the basis ``incomplete``, names the limit in
 ``stats.stopped_by``, and every consumer of an incomplete basis refuses to
-certify anything from it.  The timeout is also checked inside a reduction,
-every few thousand heap pops; a reduction cut short is never admitted, and a
-run the clock stopped returns its basis without inter-reducing it.
+certify anything from it.  The deadline is an absolute `time.monotonic`
+value, as everywhere in the package, so a caller hands one budget to every
+stage of a run; it is also checked inside a reduction, every few thousand
+heap pops.  A reduction cut short is never admitted, and a run the clock
+stopped returns its basis without inter-reducing it.
 
 Dimension of the quotient is read off the leading-term ideal: the maximal
 number of variables avoiding the support of every leading monomial.  The
@@ -233,7 +235,7 @@ class _Elem:
 
 
 class _DeadlinePassed(Exception):
-    """The timeout expired inside a reduction."""
+    """The deadline passed inside a reduction."""
 
 
 #: Heap pops between two looks at the clock inside `_reduce_terms`.
@@ -318,9 +320,8 @@ def normal_form(
 
 # -- Buchberger -------------------------------------------------------------
 
-#: Default limits of one basis computation: total-degree cap and seconds.
+#: Default total-degree cap of one basis computation.
 DEFAULT_DEGREE_CAP = 30
-DEFAULT_TIMEOUT = 3600.0
 
 
 def buchberger(
@@ -329,14 +330,15 @@ def buchberger(
     *,
     ring: Optional[RingDescriptor] = None,
     degree_cap: int = DEFAULT_DEGREE_CAP,
-    timeout: float = DEFAULT_TIMEOUT,
+    deadline: Optional[float] = None,
 ) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by `gens`.
 
-    Zero generators are dropped.  When the degree cap or the timeout is hit,
-    the partial basis is returned with status "incomplete" and the limit in
-    `stats.stopped_by` (after a timeout without inter-reduction); callers
-    must not derive verdicts from it.
+    Zero generators are dropped.  When the degree cap is hit or `deadline`
+    (a `time.monotonic` value; None for no limit) passes, the partial basis
+    is returned with status "incomplete" and the limit in `stats.stopped_by`
+    ("timeout" without inter-reduction); callers must not derive verdicts
+    from it.
     """
     t0 = time.monotonic()
     gens = [g for g in gens if not g.is_zero]
@@ -362,7 +364,6 @@ def buchberger(
     G: Set[int] = set()  # indices of the current (pruned) basis
     P: Dict[Tuple[int, int], int] = {}  # pending pairs and their lcms
     heap: List[Tuple[int, int, int]] = []  # (lcm, i, j): smallest lcm first
-    deadline = t0 + timeout
 
     def update(ih: int) -> None:
         """Gebauer-Moeller pair update after admitting element `ih`."""
@@ -417,7 +418,7 @@ def buchberger(
                 admit(rem)
 
         while heap:
-            if time.monotonic() > deadline:
+            if deadline is not None and time.monotonic() > deadline:
                 stats.stopped_by = "timeout"
                 break
             l, i, j = heapq.heappop(heap)

@@ -64,7 +64,7 @@ MAX_WORD_NVARS = 16_384
 
 
 class WordTooLarge(Exception):
-    """The ring has more variables than the dense word build can hold."""
+    """The word build does not fit: too many variables, or out of memory."""
 
 
 def _check_deadline(deadline: Optional[float]) -> None:
@@ -207,9 +207,20 @@ def commutator_word(
     `deadline` (a `time.monotonic` value), checked before every row of the
     ring's variable list and of the coordinate matrices and before every
     polynomial product, the build raises `TimeoutError`.  A ring too large to
-    build raises `WordTooLarge` (see `commutator_ring`).
+    build raises `WordTooLarge` (see `commutator_ring`), and so does a build
+    that runs out of memory.
     """
-    kind = normalize_kind(kind)
+    try:
+        return _build_word(normalize_kind(kind), n, genus, field, deadline)
+    except MemoryError:
+        pass  # raised below, once the partial word has been freed with the traceback
+    nvars, _ = ring_size(kind, n, genus)
+    raise WordTooLarge(f"{nvars} variables: the word build ran out of memory")
+
+
+def _build_word(
+    kind: str, n: int, genus: int, field: Field, deadline: Optional[float]
+) -> CommutatorSystem:
     ring = commutator_ring(kind, n, genus, field, deadline=deadline)
     zero, one = ring.zero(), ring.one()
     word = [[one if i == j else zero for j in range(n)] for i in range(n)]

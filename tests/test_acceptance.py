@@ -71,10 +71,10 @@ def test_criterion_3_u6_obstruction():
     w = u6_witness("q")
     assert w.pattern_ok, "substitution pattern mismatch"
     assert len(w.memberships) == 7
-    assert all(w.memberships.values()), "a membership normal form was nonzero"
+    assert all(w.memberships.values()), "a membership does not hold"
     assert w.conclusion == "NotCI"
     assert w.codim_bound == 6
-    _report(3, "6x6 pattern matched at 7 positions; 7 memberships reduce to 0; NotCI")
+    _report(3, "6x6 pattern matched at 7 positions, so all 7 lie in the 6-generated ideal; NotCI")
 
 
 def test_criterion_4_explicit_relation_fixtures():

@@ -12,9 +12,11 @@ from commuting_ci.cidecide import (
     resolve_field,
     set_to_zero,
     u6_witness,
+    window_witness,
 )
 from commuting_ci.groebner import buchberger, normal_form
 from commuting_ci.koszul import build_complex, homology_slice
+from commuting_ci.ordering import MonomialOrder
 from commuting_ci.polyring import QQ, PrimeField, parse_poly
 
 from conftest import system
@@ -117,6 +119,11 @@ def test_verdicts_agree_with_koszul_vanishing():
 # -- the 6x6 witness ------------------------------------------------------------
 
 
+_SURVIVOR_14 = "x_1_1_2*y_1_2_4 + x_1_1_3*y_1_3_4 - x_1_3_4*y_1_1_3 - x_1_2_4*y_1_1_2"
+_SURVIVOR_36 = "x_1_3_4*y_1_4_6 + x_1_3_5*y_1_5_6 - x_1_5_6*y_1_3_5 - x_1_4_6*y_1_3_4"
+_WINDOW = ((1, 3), (1, 4), (2, 4), (2, 5), (3, 5), (3, 6), (4, 6))
+
+
 @pytest.fixture(scope="module")
 def witness():
     return u6_witness("q")
@@ -134,29 +141,48 @@ def test_witness_pattern_values(witness):
     sys6 = system("un", 6, 1)
     ring = sys6.ring
     kill = witness.substitution
-    image14 = set_to_zero(sys6.generator_at(1, 4), kill)
-    assert image14 == parse_poly(
-        "x_1_1_2*y_1_2_4 + x_1_1_3*y_1_3_4 - x_1_3_4*y_1_1_3 - x_1_2_4*y_1_1_2", ring
-    )
+    assert set_to_zero(sys6.generator_at(1, 4), kill) == parse_poly(_SURVIVOR_14, ring)
     assert set_to_zero(sys6.generator_at(2, 5), kill).is_zero
-    image36 = set_to_zero(sys6.generator_at(3, 6), kill)
-    assert image36 == parse_poly(
-        "x_1_3_4*y_1_4_6 + x_1_3_5*y_1_5_6 - x_1_5_6*y_1_3_5 - x_1_4_6*y_1_3_4", ring
-    )
+    assert set_to_zero(sys6.generator_at(3, 6), kill) == parse_poly(_SURVIVOR_36, ring)
 
 
-def test_witness_membership_of_f13_directly():
-    sys6 = system("un", 6, 1)
-    ring = sys6.ring
+@pytest.mark.parametrize("prime", [None, 32003])
+@pytest.mark.parametrize("n", [6, 7, 8, 9])
+def test_window_generators_lie_in_the_bounding_ideal(n, prime):
+    # the witness proves the seven memberships by a substitution identity;
+    # a Groebner basis of the six bounding polynomials checks them directly
+    sys_n = system("un", n, 1, prime)
+    ring = sys_n.ring
     bounding = [ring.gen(v) for v in ("x_1_2_3", "x_1_4_5", "y_1_2_3", "y_1_4_5")]
-    bounding.append(
-        parse_poly("x_1_1_2*y_1_2_4 + x_1_1_3*y_1_3_4 - x_1_3_4*y_1_1_3 - x_1_2_4*y_1_1_2", ring)
-    )
-    bounding.append(
-        parse_poly("x_1_3_4*y_1_4_6 + x_1_3_5*y_1_5_6 - x_1_5_6*y_1_3_5 - x_1_4_6*y_1_3_4", ring)
-    )
+    bounding += [parse_poly(_SURVIVOR_14, ring), parse_poly(_SURVIVOR_36, ring)]
     gb = buchberger(bounding, ring=ring)
-    assert normal_form(sys6.generator_at(1, 3), gb.basis, gb.order).is_zero
+    assert gb.is_complete
+    for pos in _WINDOW:
+        assert normal_form(sys_n.generator_at(*pos), gb.basis, gb.order).is_zero, pos
+
+
+@pytest.mark.parametrize("pos", [(2, 5), (3, 6)])
+def test_a_failed_pattern_leaves_the_witness_inconclusive(pos, monkeypatch):
+    # add a term with no killed variable in it to one window generator
+    sys6 = system("un", 6, 1)
+    extra = parse_poly("x_1_2_4*y_1_1_2", sys6.ring)
+    gens = tuple((p, f + extra if p == pos else f) for p, f in sys6.generators)
+    tampered = dataclasses.replace(sys6, generators=gens)
+    w = window_witness(tampered, MonomialOrder.identity(tampered.ring.nvars))
+    assert (w.pattern_ok, w.conclusion, w.failed_position) == (False, "Inconclusive", pos)
+    assert w.memberships == {} and w.codim_bound is None
+    # decide_ci then falls through to the basis, which the degree cap stops
+    monkeypatch.setattr(cidecide, "commutator_word", lambda *args, **kwargs: tampered)
+    r = decide_ci("un", 6, 1, degree_cap=2)
+    assert (r.verdict, r.witness) == ("Incomplete", None)
+    assert r.stats["stopped_by"] == "degree_cap"
+
+
+@pytest.mark.parametrize("kind,n,genus", [("un", 5, 1), ("un", 6, 2), ("bn", 6, 1)])
+def test_window_witness_needs_a_unipotent_genus_one_system_with_n_at_least_6(kind, n, genus):
+    sys_ = system(kind, n, genus)
+    with pytest.raises(ValueError, match="window witness"):
+        window_witness(sys_, MonomialOrder.identity(sys_.ring.nvars))
 
 
 def test_witness_modular_run():

@@ -66,13 +66,14 @@ def test_flags_a_subcommand_does_not_use_are_usage_errors(capsys):
         koszul + ["--degree-cap", "5"],
         koszul + ["--order-seed", "7"],
         dump + ["--degree-cap", "5"],
-        dump + ["--timeout", "10"],
+        ["witness-u6", "--timeout", "1"],
+        ["witness-u6", "--degree-cap", "3"],
     ):
         assert main(argv) == EXIT_USAGE, argv
         assert "unrecognized arguments" in capsys.readouterr().err
     # the flags these subcommands do use still work
     assert run(capsys, *koszul, "--field", "gf:7", "--timeout", "60", "--slice-cap", "100")[0] == EXIT_OK
-    assert run(capsys, *dump, "--order-seed", "7", "--field", "q")[0] == EXIT_OK
+    assert run(capsys, *dump, "--order-seed", "7", "--field", "q", "--timeout", "60")[0] == EXIT_OK
 
 
 def test_invalid_flag_values_name_the_flag(capsys):
@@ -86,6 +87,10 @@ def test_invalid_flag_values_name_the_flag(capsys):
         (["table", "--family", "un", "--max-n", "3", "--jobs", "0"], "--jobs"),
         (["table", "--family", "un", "--max-n", "3", "--jobs", "-3"], "--jobs"),
         (["koszul", "--group", "un", "--n", "3", "--max-weight", "3", "--slice-cap", "0"], "--slice-cap"),
+        # a negative degree is refused before the word build, which this
+        # timeout would otherwise stop with exit 2
+        (["koszul", "--group", "un", "--n", "12", "--max-weight", "1", "--timeout", "0.001", "--degree", "-1"],
+         "--degree"),
     ):
         assert main(argv) == EXIT_USAGE, argv
         assert flag in capsys.readouterr().err, argv
@@ -100,25 +105,18 @@ def test_decide_u6_by_window_witness(capsys):
     assert len(report["witness"]["memberships"]) == 7
 
 
-def test_non_finite_timeout_is_a_usage_error(capsys, monkeypatch):
-    for value in ("nan", "inf"):
-        assert main(["decide", "--group", "un", "--n", "3", "--timeout", value]) == EXIT_USAGE
-        assert "--timeout" in capsys.readouterr().err
-    monkeypatch.setenv("COMMUTING_CI_TIMEOUT", "nan")
-    assert main(["decide", "--group", "un", "--n", "3"]) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert "COMMUTING_CI_TIMEOUT must be positive and finite" in err and "--timeout" not in err
-    # dump has no --timeout flag: the message names the variable it read
-    monkeypatch.setenv("COMMUTING_CI_TIMEOUT", "0")
-    assert main(["dump", "--group", "un", "--n", "3"]) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert "COMMUTING_CI_TIMEOUT must be positive and finite" in err and "--timeout" not in err
-
-
-def test_unparsable_env_timeout_names_the_variable(capsys, monkeypatch):
-    monkeypatch.setenv("COMMUTING_CI_TIMEOUT", "abc")
-    assert main(["decide", "--group", "un", "--n", "3"]) == EXIT_USAGE
-    assert "COMMUTING_CI_TIMEOUT" in capsys.readouterr().err
+def test_non_finite_timeout_is_a_usage_error(capsys):
+    cases = {
+        "decide": ["--group", "un", "--n", "3"],
+        "koszul": ["--group", "un", "--n", "3", "--max-weight", "1"],
+        "dump": ["--group", "un", "--n", "3"],
+        "table": ["--family", "un", "--max-n", "3"],
+    }
+    for command, case in cases.items():
+        for value in ("nan", "inf", "0", "-1", "abc"):
+            assert main([command, *case, "--timeout", value]) == EXIT_USAGE, (command, value)
+            out, err = capsys.readouterr()
+            assert out == "" and "argument --timeout" in err, (command, value)
 
 
 def test_witness_u6(capsys):
@@ -206,7 +204,7 @@ def test_koszul_degree_outside_the_complex_is_a_usage_error():
         "--max-weight", "100000000", "--timeout", "2",
     ]
     env = dict(os.environ, PYTHONPATH=str(src))
-    for degree in ("2", "5", "-1"):
+    for degree in ("2", "5"):
         done = subprocess.run(
             base + ["--degree", degree], env=env, capture_output=True, text=True, timeout=30
         )
@@ -225,24 +223,20 @@ def test_koszul_degrees_at_both_ends_of_the_range_are_computed(capsys):
     assert payload["slices"][0]["h_dim"] == 0  # H_1 at weight 0
 
 
-def test_koszul_honours_the_timeout(capsys, monkeypatch):
+def test_koszul_honours_the_timeout(capsys):
     argv = ["koszul", "--group", "un", "--n", "3", "--max-weight", "100000000"]
     code, out = run(capsys, *argv, "--timeout", "0.000001")
     assert code == EXIT_INCOMPLETE
     assert json.loads(out)["stopped_by"] == "timeout"
-    monkeypatch.setenv("COMMUTING_CI_TIMEOUT", "0.000001")
-    code, out = run(capsys, *argv)
-    assert code == EXIT_INCOMPLETE
-    assert json.loads(out)["stopped_by"] == "timeout"
 
 
-def _run_fresh(*argv, preexec_fn=None, **env):
+def _run_fresh(*argv, preexec_fn=None):
     """The CLI in a fresh interpreter, so that an unbounded run fails the test
     by its 60 s timeout instead of hanging the suite."""
     src = Path(commuting_ci.__file__).resolve().parent.parent
     return subprocess.run(
         [sys.executable, "-m", "commuting_ci.cli", *argv],
-        env=dict(os.environ, PYTHONPATH=str(src), **env),
+        env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True,
         text=True,
         timeout=60,
@@ -280,10 +274,10 @@ def test_koszul_timeout_bounds_the_word_build():
         assert payload["stopped_by"] == "timeout" and payload["slices"] == [], n
 
 
-def test_dump_honours_the_env_timeout():
+def test_dump_honours_the_timeout():
     # the whole U14 dump takes about 20 s and 340 MB on a 2-vCPU machine
     t0 = time.monotonic()
-    done = _run_fresh("dump", "--group", "un", "--n", "14", COMMUTING_CI_TIMEOUT="1")
+    done = _run_fresh("dump", "--group", "un", "--n", "14", "--timeout", "1")
     assert time.monotonic() - t0 < 10
     assert done.returncode == EXIT_INCOMPLETE
     assert done.stdout == ""
@@ -301,13 +295,13 @@ def test_huge_genus_ends_incomplete_under_a_memory_limit():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
     case = ["--group", "un", "--n", "2", "--genus", "100000000"]
-    for argv, env in (
-        (["decide", *case, "--timeout", "1"], {}),
-        (["koszul", *case, "--max-weight", "1", "--timeout", "1"], {}),
-        (["dump", *case], {"COMMUTING_CI_TIMEOUT": "1"}),
+    for argv in (
+        ["decide", *case, "--timeout", "1"],
+        ["koszul", *case, "--max-weight", "1", "--timeout", "1"],
+        ["dump", *case, "--timeout", "1"],
     ):
         t0 = time.monotonic()
-        done = _run_fresh(*argv, preexec_fn=limit_memory, **env)
+        done = _run_fresh(*argv, preexec_fn=limit_memory)
         assert time.monotonic() - t0 < 10, argv[0]
         assert done.returncode == EXIT_INCOMPLETE, (argv[0], done.stderr)
         assert "Traceback" not in done.stderr, argv[0]
@@ -345,6 +339,34 @@ def test_oversized_ring_ends_incomplete_under_a_memory_limit():
             assert payload["stopped_by"] == "word_size" and payload["slices"] == []
         else:
             assert done.stdout == "" and "22350 variables" in done.stderr
+
+
+def test_word_build_out_of_memory_ends_incomplete():
+    # U80 has 6,320 variables, under the size bound, but its dense coordinate
+    # matrices alone take about 300 MB: under a 400 MB address space the word
+    # build runs out of memory within seconds, long before the timeout
+    import resource
+
+    def limit_memory():  # runs in the child only
+        cap = 400 * 2**20
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    case = ["--group", "un", "--n", "80", "--timeout", "60"]
+    for argv in (["decide", *case], ["koszul", *case, "--max-weight", "3"], ["dump", *case]):
+        t0 = time.monotonic()
+        done = _run_fresh(*argv, preexec_fn=limit_memory)
+        assert time.monotonic() - t0 < 10, argv[0]
+        assert done.returncode == EXIT_INCOMPLETE, (argv[0], done.stderr)
+        assert "Traceback" not in done.stderr, argv[0]
+        if argv[0] == "decide":
+            report = json.loads(done.stdout)
+            assert (report["verdict"], report["nvars"], report["generators"]) == ("Incomplete", 6320, None)
+            assert "ran out of memory" in report["note"]
+        elif argv[0] == "koszul":
+            payload = json.loads(done.stdout)
+            assert payload["stopped_by"] == "word_size" and payload["slices"] == []
+        else:
+            assert done.stdout == "" and "ran out of memory" in done.stderr
 
 
 def test_koszul_u6_genus_two_weight_seven_fits_a_small_address_space():
@@ -431,15 +453,6 @@ def test_output_file_round_trip(tmp_path, capsys):
     assert on_disk["verdict"] == "CI"
 
 
-def test_env_timeout_override(capsys, monkeypatch):
-    monkeypatch.setenv("COMMUTING_CI_TIMEOUT", "0.000001")
-    code, out = run(capsys, "decide", "--group", "un", "--n", "5")
-    assert code == EXIT_INCOMPLETE
-    # explicit flag wins over the environment
-    code, out = run(capsys, "decide", "--group", "un", "--n", "5", "--timeout", "600")
-    assert code == EXIT_OK
-
-
 def test_flag_docs_match_the_parser():
     # the README table and the module docstring list exactly the accepted flags
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
@@ -452,3 +465,10 @@ def test_flag_docs_match_the_parser():
     listed = re.findall(r"^    ([\w-]+) .*\n {16}(--.*)$", cli.__doc__, re.M)
     assert {name: set(flags.split()) for name, flags in table} == accepted
     assert {name: set(flags.split()) for name, flags in listed} == accepted
+    # and every default the README states is the one each subcommand parses
+    stated = dict(re.findall(r"`(--[\w-]+)` \(default (\d+)", readme))
+    assert stated.keys() == {"--degree-cap", "--timeout", "--slice-cap"}
+    for p in sub.choices.values():
+        for action in p._actions:
+            for flag in set(action.option_strings) & stated.keys():
+                assert action.default == float(stated[flag]), (p.prog, flag)

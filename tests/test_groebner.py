@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import sys
+import time
 import types
 
 import pytest
@@ -284,7 +285,7 @@ def test_sympy_agrees_on_random_ideals():
                 exprs.append(e)
         if not gens:
             continue
-        mine = buchberger(gens, ring=ring, timeout=30)
+        mine = buchberger(gens, ring=ring, deadline=time.monotonic() + 30)
         assert mine.is_complete
         theirs = sympy.groebner(exprs, *syms, order="grevlex")
         mine_set = {
@@ -333,7 +334,7 @@ def test_sympy_agrees_on_small_ideals():
 def test_timeout_yields_incomplete_not_a_verdict():
     s = system("un", 5, 1, 32003)
     gens = [f for _, f in s.generators]
-    gb = buchberger(gens, ring=s.ring, timeout=0.0)
+    gb = buchberger(gens, ring=s.ring, deadline=time.monotonic())
     assert gb.status == "incomplete"
     with pytest.raises(IncompleteComputation):
         krull_dimension(gb)
@@ -349,7 +350,7 @@ def test_degree_cap_yields_incomplete():
 def test_tiny_timeout_on_u5_genus_2():
     s = system("un", 5, 2, 32003)
     gens = [f for _, f in s.generators]
-    gb = buchberger(gens, ring=s.ring, timeout=0.01)
+    gb = buchberger(gens, ring=s.ring, deadline=time.monotonic() + 0.01)
     assert gb.status == "incomplete"
     assert gb.stats.stopped_by == "timeout"
     assert gb.stats.seconds < 5
@@ -378,7 +379,7 @@ def test_deadline_inside_a_reduction_admits_no_partial_remainder(monkeypatch):
     monkeypatch.setattr(groebner, "_Elem", Recorded)
     monkeypatch.setattr(groebner, "_CLOCK_EVERY", 1)
     monkeypatch.setattr(groebner, "time", types.SimpleNamespace(monotonic=clock))
-    full = buchberger(gens, ring=s.ring, degree_cap=6, timeout=1.0)
+    full = buchberger(gens, ring=s.ring, degree_cap=6, deadline=1.0)
     reference = list(admitted)
     inside = [k for k, name in enumerate(calls) if name == "_reduce_terms"]
     assert full.stats.stopped_by == "degree_cap" and inside
@@ -387,7 +388,7 @@ def test_deadline_inside_a_reduction_admits_no_partial_remainder(monkeypatch):
     trip[0] = inside[len(inside) // 2]
     admitted.clear()
     calls.clear()
-    cut = buchberger(gens, ring=s.ring, degree_cap=6, timeout=1.0)
+    cut = buchberger(gens, ring=s.ring, degree_cap=6, deadline=1.0)
     assert calls[-2] == "_reduce_terms"  # the read that tripped (the last one times the run)
     assert cut.status == "incomplete" and cut.stats.stopped_by == "timeout"
     assert cut.stats.pairs < full.stats.pairs and cut.stats.pairs_pending > 0
