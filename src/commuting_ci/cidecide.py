@@ -34,7 +34,7 @@ from .groebner import DEFAULT_DEGREE_CAP, buchberger, krull_dimension
 from .groupmat import (
     UNIPOTENT,
     CommutatorSystem,
-    WordTooLarge,
+    WordStopped,
     commutator_word,
     normalize_kind,
     ring_size,
@@ -47,6 +47,7 @@ from .polyring import (
     PrimeField,
     QQ,
     format_poly,
+    jsonable,
     parse_field_label,
     parse_poly,
 )
@@ -86,18 +87,7 @@ class WitnessReport:
     field: str = "q"
 
     def to_json(self) -> dict:
-        return {
-            "substitution": list(self.substitution),
-            "surviving": dict(self.surviving),
-            "positions": [list(p) for p in self.positions],
-            "pattern_ok": self.pattern_ok,
-            "memberships": dict(self.memberships),
-            "bounding_generators": self.bounding_generators,
-            "codim_bound": self.codim_bound,
-            "conclusion": self.conclusion,
-            "failed_position": list(self.failed_position) if self.failed_position else None,
-            "field": self.field,
-        }
+        return jsonable(self)
 
 
 @dataclass
@@ -123,32 +113,13 @@ class CIReport:
     note: Optional[str] = None
 
     def to_json(self) -> dict:
-        return {
-            "group": self.group,
-            "n": self.n,
-            "genus": self.genus,
-            "field": self.field,
-            "order": self.order,
-            "nvars": self.nvars,
-            "generators": self.generators,
-            "unit_relations": self.unit_relations,
-            "dim": self.dim,
-            "codim": self.codim,
-            "verdict": self.verdict,
-            "exterior_factors": self.exterior_factors,
-            "structure": self.structure,
-            "witness": self.witness,
-            "stats": self.stats,
-            "wall_seconds": round(self.wall_seconds, 3),
-            "note": self.note,
-        }
+        return {**jsonable(self), "wall_seconds": round(self.wall_seconds, 3)}
 
 
-def _structure_statement(kind: str, n: int) -> str:
-    count = n - 1 if kind == UNIPOTENT else n
+def _structure_statement(report: CIReport) -> str:
     return (
         "full homology == coordinate ring of the variety tensored with an "
-        f"exterior factor on {count} degree-1 generators"
+        f"exterior factor on {report.exterior_factors} degree-1 generators"
     )
 
 
@@ -169,8 +140,9 @@ def decide_ci(
     the computed codimension of the generator ideal (including unit relations
     for borel) with the number of generators; the two agree exactly when the
     sequence is regular.  Resource limits produce verdict "Incomplete"; the
-    timeout is one deadline for the whole case, word build (ring included)
-    and basis alike, and a word too large to build ends "Incomplete" at once.
+    timeout is one deadline for the whole case, word build and basis alike.
+    A word build that stops (`WordStopped`: the timeout, or a word too large
+    to build) ends "Incomplete" at once, with the stop's message as `note`.
     The order is drawn after the word build, so a report of a stopped word
     build has a null `order["permutation"]`.
     """
@@ -195,12 +167,8 @@ def decide_ci(
     )
     try:
         system = commutator_word(kind, n, genus, fld, deadline=deadline)
-    except TimeoutError:
-        report.note = "stopped by the timeout while building the commutator word"
-        report.wall_seconds = time.monotonic() - t0
-        return report
-    except WordTooLarge as exc:
-        report.note = f"the commutator word was not built: {exc}"
+    except WordStopped as exc:
+        report.note = str(exc)
         report.wall_seconds = time.monotonic() - t0
         return report
     order = MonomialOrder.seeded(system.ring.nvars, order_seed)
@@ -232,7 +200,7 @@ def decide_ci(
         if stats.codimension == r + u:
             report.verdict = "CI"
             if kind == UNIPOTENT:
-                report.structure = _structure_statement(kind, n)
+                report.structure = _structure_statement(report)
         else:
             report.verdict = "NotCI"
     if genus > 1:

@@ -13,11 +13,14 @@ Subcommands, and the flags each takes:
     table       the classification across a family, fanned out to workers
                 --family --max-n --genus --jobs --field --order-seed --degree-cap --timeout --output
 
-Flag values are checked as they are parsed; only the upper end of the koszul
-degree, which depends on the generators, is checked by the subcommand.
-`--timeout` bounds the whole case, word build included: one deadline, taken
-when the case starts, that every stage shares.  For `table` it bounds each
-row.
+Flag values are checked as they are parsed.  Two koszul checks are left to
+the subcommand: the group must be unipotent (B_n slices are never finite),
+refused before any word is built, and the upper end of the degree depends on
+the generators.  `--timeout` bounds the whole case, word build included: one
+deadline, taken when the case starts, that every stage shares.  For `table`
+it bounds each row.  A word build that stops raises `WordStopped`: its
+message is decide's `note` and dump's stderr line, and its `stopped_by` is
+koszul's.
 
 Exit codes: 0 for a completed verdict, 1 for usage or configuration errors,
 2 when a resource limit left the answer incomplete or inconclusive.
@@ -35,8 +38,8 @@ from typing import Callable, Optional, Sequence
 
 from .cidecide import DEFAULT_TIMEOUT, classify_table, decide_ci, resolve_field, u6_witness
 from .groebner import DEFAULT_DEGREE_CAP
-from .groupmat import WordTooLarge, commutator_word, dump_generators, normalize_kind
-from .koszul import DEFAULT_SLICE_CAP, build_complex, homology_slice
+from .groupmat import WordStopped, commutator_word, dump_generators, normalize_kind
+from .koszul import DEFAULT_SLICE_CAP, build_complex, homology_slice, require_unipotent
 from .ordering import MonomialOrder
 from .polyring import parse_field_label
 
@@ -182,6 +185,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
 
 def cmd_koszul(args: argparse.Namespace) -> int:
     deadline = time.monotonic() + args.timeout
+    require_unipotent(args.group)  # before the word build, which a B_n slice never needs
     fld = resolve_field(args.group, args.n, args.field)
     payload = {
         "group": args.group,
@@ -190,16 +194,13 @@ def cmd_koszul(args: argparse.Namespace) -> int:
         "field": fld.label(),
         "degree": args.degree,
         "exterior_factors": None,
-        "stopped_by": "timeout",
+        "stopped_by": None,
         "slices": [],
     }
     try:
         system = commutator_word(args.group, args.n, args.genus, fld, deadline=deadline)
-    except TimeoutError:
-        _emit(payload, args.output)
-        return EXIT_INCOMPLETE
-    except WordTooLarge:
-        payload["stopped_by"] = "word_size"
+    except WordStopped as exc:
+        payload["stopped_by"] = exc.stopped_by
         _emit(payload, args.output)
         return EXIT_INCOMPLETE
     complex_ = build_complex(system)
@@ -237,11 +238,8 @@ def cmd_dump(args: argparse.Namespace) -> int:
     fld = resolve_field(args.group, args.n, args.field)
     try:
         system = commutator_word(args.group, args.n, args.genus, fld, deadline=deadline)
-    except TimeoutError:
-        print("commuting-ci: stopped by the timeout while building the commutator word", file=sys.stderr)
-        return EXIT_INCOMPLETE
-    except WordTooLarge as exc:
-        print(f"commuting-ci: the commutator word was not built: {exc}", file=sys.stderr)
+    except WordStopped as exc:
+        print(f"commuting-ci: {exc}", file=sys.stderr)
         return EXIT_INCOMPLETE
     order = MonomialOrder.seeded(system.ring.nvars, args.order_seed)
     _write(dump_generators(system, order), args.output)

@@ -40,8 +40,8 @@ monomial, and drops it there if it is 0.  S-polynomials are built as plain
 sums, zeros included, for `_reduce_terms` to reduce and drop the same way.
 
 Resource limits (total-degree cap, wall-clock deadline) never turn into
-answers: hitting one marks the basis ``incomplete``, names the limit in
-``stats.stopped_by``, and every consumer of an incomplete basis refuses to
+answers: hitting one names the limit in ``stats.stopped_by``, which makes
+the basis incomplete, and every consumer of an incomplete basis refuses to
 certify anything from it.  The deadline is an absolute `time.monotonic`
 value, as everywhere in the package, so a caller hands one budget to every
 stage of a run; it is also checked inside a reduction, every few thousand
@@ -71,6 +71,7 @@ from .polyring import (
     Polynomial,
     RingDescriptor,
     format_poly,
+    jsonable,
 )
 
 
@@ -96,15 +97,7 @@ class BuchbergerStats:
     pairs_pending: int = 0
 
     def to_json(self) -> dict:
-        return {
-            "pairs": self.pairs,
-            "zero_reductions": self.zero_reductions,
-            "max_degree": self.max_degree,
-            "seconds": round(self.seconds, 3),
-            "stopped_by": self.stopped_by,
-            "basis_size": self.basis_size,
-            "pairs_pending": self.pairs_pending,
-        }
+        return {**jsonable(self), "seconds": round(self.seconds, 3)}
 
 
 @dataclass(frozen=True)
@@ -122,11 +115,10 @@ class GroebnerBasis:
     order: MonomialOrder
     basis: Tuple[Polynomial, ...]
     stats: BuchbergerStats
-    status: str  # "complete" | "incomplete"
 
     @property
     def is_complete(self) -> bool:
-        return self.status == "complete"
+        return self.stats.stopped_by is None
 
     def leading_exponents(self) -> List[Exponent]:
         lead = self.order.leading_exponent
@@ -336,9 +328,9 @@ def buchberger(
 
     Zero generators are dropped.  When the degree cap is hit or `deadline`
     (a `time.monotonic` value; None for no limit) passes, the partial basis
-    is returned with status "incomplete" and the limit in `stats.stopped_by`
-    ("timeout" without inter-reduction); callers must not derive verdicts
-    from it.
+    is returned with the limit in `stats.stopped_by` ("timeout" without
+    inter-reduction), so `is_complete` is False; callers must not derive
+    verdicts from it.
     """
     t0 = time.monotonic()
     gens = [g for g in gens if not g.is_zero]
@@ -356,7 +348,7 @@ def buchberger(
 
     if not gens:
         stats.seconds = time.monotonic() - t0
-        return GroebnerBasis(ring, order, (), stats, "complete")
+        return GroebnerBasis(ring, order, (), stats)
 
     packing = _Packing(order, max(degree_cap, _max_degree(gens)))
     one, guards, shift, lcm = packing.one, packing.guards, packing.shift, packing.lcm
@@ -468,8 +460,7 @@ def buchberger(
     reduced.sort(key=max)
     basis = tuple(Polynomial._raw(ring, packing.unpack_terms(r)) for r in reduced)
     stats.seconds = time.monotonic() - t0
-    status = "incomplete" if stats.stopped_by else "complete"
-    return GroebnerBasis(ring, order, basis, stats, status)
+    return GroebnerBasis(ring, order, basis, stats)
 
 
 # -- dimension of the leading-term ideal ------------------------------------

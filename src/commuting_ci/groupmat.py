@@ -63,13 +63,25 @@ class VanishingPatternError(RuntimeError):
 MAX_WORD_NVARS = 16_384
 
 
-class WordTooLarge(Exception):
-    """The word build does not fit: too many variables, or out of memory."""
+class WordStopped(Exception):
+    """The word build stopped before its word was built.
+
+    `stopped_by` is "timeout" (the deadline passed) or "word_size" (too many
+    variables, or out of memory); the message is the note a report gives.
+    """
+
+    def __init__(self, stopped_by: str, note: str) -> None:
+        super().__init__(note)
+        self.stopped_by = stopped_by
+
+
+def _too_large(nvars: int, why: str) -> WordStopped:
+    return WordStopped("word_size", f"the commutator word was not built: {nvars} variables: {why}")
 
 
 def _check_deadline(deadline: Optional[float]) -> None:
     if deadline is not None and time.monotonic() > deadline:
-        raise TimeoutError("the commutator word build passed its deadline")
+        raise WordStopped("timeout", "stopped by the timeout while building the commutator word")
 
 
 def ring_size(kind: str, n: int, genus: int) -> Tuple[int, int]:
@@ -79,14 +91,11 @@ def ring_size(kind: str, n: int, genus: int) -> Tuple[int, int]:
     return 2 * genus * (n * (n + 1) // 2 + n), 2 * genus * n
 
 
-def commutator_ring(
-    kind: str, n: int, genus: int, field: Field = QQ, *, deadline: Optional[float] = None
-) -> RingDescriptor:
+def commutator_ring(kind: str, n: int, genus: int, field: Field = QQ) -> RingDescriptor:
     """Coordinate ring of 2*genus copies of the group, with internal weights.
 
-    Past `deadline` (a `time.monotonic` value), checked before every row of
-    every copy, the listing of the variables raises `TimeoutError`.  A ring
-    of more than `MAX_WORD_NVARS` variables raises `WordTooLarge` up front.
+    A ring of more than `MAX_WORD_NVARS` variables raises `WordStopped` up
+    front, so a ring that is listed at all is listed in milliseconds.
     """
     kind = normalize_kind(kind)
     if n < 2:
@@ -95,10 +104,10 @@ def commutator_ring(
         raise ValueError("genus must be at least 1")
     nvars, _ = ring_size(kind, n, genus)
     if nvars > MAX_WORD_NVARS:
-        raise WordTooLarge(
-            f"{nvars} variables: the coordinate matrices alone would take about "
-            f"{8 * nvars**2 / 2**30:.3g} GiB of dense exponent tuples; the word "
-            f"build takes at most {MAX_WORD_NVARS} variables"
+        raise _too_large(
+            nvars,
+            f"the coordinate matrices alone would take about {8 * nvars**2 / 2**30:.3g} GiB "
+            f"of dense exponent tuples; the word build takes at most {MAX_WORD_NVARS} variables",
         )
     variables: List[Tuple[str, int]] = []
     unit_pairs: List[Tuple[int, int]] = []
@@ -107,7 +116,6 @@ def commutator_ring(
         prefix = "x" if s % 2 else "y"
         diag_index: Dict[int, int] = {}
         for i in range(1, n + 1):
-            _check_deadline(deadline)
             for j in range(i + (kind == UNIPOTENT), n + 1):
                 if i == j:
                     diag_index[i] = len(variables)
@@ -203,25 +211,24 @@ def commutator_word(
     subdiagonal entries must vanish identically and every entry above them is
     weight-homogeneous of weight j - i.  For the borel family the word matrix
     is the product minus the identity and the diagonal must vanish.  Any
-    violation aborts: it would mean the arithmetic itself is broken.  Past
-    `deadline` (a `time.monotonic` value), checked before every row of the
-    ring's variable list and of the coordinate matrices and before every
-    polynomial product, the build raises `TimeoutError`.  A ring too large to
-    build raises `WordTooLarge` (see `commutator_ring`), and so does a build
-    that runs out of memory.
+    violation aborts: it would mean the arithmetic itself is broken.  Every
+    stop raises `WordStopped`: past `deadline` (a `time.monotonic` value),
+    checked before every row of the coordinate matrices and before every
+    polynomial product, with `stopped_by` "timeout"; for a ring too large to
+    build (see `commutator_ring`) or a build that runs out of memory, with
+    "word_size".
     """
     try:
         return _build_word(normalize_kind(kind), n, genus, field, deadline)
     except MemoryError:
         pass  # raised below, once the partial word has been freed with the traceback
-    nvars, _ = ring_size(kind, n, genus)
-    raise WordTooLarge(f"{nvars} variables: the word build ran out of memory")
+    raise _too_large(ring_size(kind, n, genus)[0], "the word build ran out of memory")
 
 
 def _build_word(
     kind: str, n: int, genus: int, field: Field, deadline: Optional[float]
 ) -> CommutatorSystem:
-    ring = commutator_ring(kind, n, genus, field, deadline=deadline)
+    ring = commutator_ring(kind, n, genus, field)
     zero, one = ring.zero(), ring.one()
     word = [[one if i == j else zero for j in range(n)] for i in range(n)]
     for t in range(1, genus + 1):

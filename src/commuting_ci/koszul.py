@@ -48,7 +48,8 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .polyring import Exponent, Polynomial, RingDescriptor
+from .groupmat import UNIPOTENT
+from .polyring import Exponent, Polynomial, RingDescriptor, jsonable
 
 #: Chain slices above this many basis elements are not materialized.
 DEFAULT_SLICE_CAP = 200_000
@@ -150,18 +151,7 @@ class KoszulSliceReport:
     seconds: Optional[Dict[str, float]] = None
 
     def to_json(self) -> dict:
-        return {
-            "i": self.i,
-            "w": self.w,
-            "chain_dims": list(self.chain_dims),
-            "h_dim": self.h_dim,
-            "status": self.status,
-            "ranks": None if self.ranks is None else list(self.ranks),
-            "shapes": None if self.shapes is None else [list(s) for s in self.shapes],
-            "blocks": self.blocks,
-            "largest_block": None if self.largest_block is None else list(self.largest_block),
-            "seconds": None if self.seconds is None else dict(self.seconds),
-        }
+        return jsonable(self)
 
 
 def _root(i: int, j: int, n: int) -> Torus:
@@ -169,15 +159,18 @@ def _root(i: int, j: int, n: int) -> Torus:
     return tuple(int(i <= k < j) for k in range(1, n))
 
 
-def build_complex(system) -> KoszulComplex:
-    """Koszul complex on the nonzero generators of a unipotent commutator system,
-    graded by the diagonal torus."""
-    from .groupmat import UNIPOTENT  # local import to avoid a cycle
-
-    if system.kind != UNIPOTENT:
+def require_unipotent(kind: str) -> None:
+    """Refuse a group family whose slices are not finite: every one but unipotent."""
+    if kind != UNIPOTENT:
         raise PositiveWeightRequired(
             "only unipotent systems have positively weighted coordinate rings"
         )
+
+
+def build_complex(system) -> KoszulComplex:
+    """Koszul complex on the nonzero generators of a unipotent commutator system,
+    graded by the diagonal torus."""
+    require_unipotent(system.kind)
     n = system.n
     gens: List[Polynomial] = []
     weights: List[int] = []

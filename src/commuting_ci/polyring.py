@@ -18,15 +18,16 @@ Coefficients over the rationals are Python ints or `fractions.Fraction`
 values in lowest terms (arbitrary precision, no rounding anywhere); over
 GF(p) they are ints in [1, p).  The textual format of `format_poly` /
 `parse_poly` round-trips bit-exactly and is the fixture and report format
-used throughout the package.
+used throughout the package.  `jsonable` turns a report dataclass into its
+JSON object.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .ordering import MonomialOrder
 
@@ -132,7 +133,7 @@ class RingDescriptor:
     never affect plain ring arithmetic.
     """
 
-    __slots__ = ("variables", "weights", "field", "unit_pairs", "_index", "_hash")
+    __slots__ = ("variables", "weights", "field", "unit_pairs", "_index")
 
     def __init__(
         self,
@@ -154,7 +155,6 @@ class RingDescriptor:
             if not (0 <= a < len(names) and 0 <= b < len(names)):
                 raise ValueError("unit pair index out of range")
         self._index = {name: i for i, name in enumerate(names)}
-        self._hash = hash((names, weights, field, self.unit_pairs))
 
     @property
     def nvars(self) -> int:
@@ -202,9 +202,6 @@ class RingDescriptor:
             and self.field == other.field
             and self.unit_pairs == other.unit_pairs
         )
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return f"RingDescriptor({self.nvars} vars, {self.field!r})"
@@ -492,3 +489,19 @@ def parse_poly(text: str, ring: RingDescriptor) -> Polynomial:
             raise ValueError(f"bad term {chunk!r} in {text!r}")
         terms.append((tuple(exp), sgn * coeff))
     return Polynomial(ring, terms)
+
+
+# -- report values ----------------------------------------------------------
+
+
+def jsonable(value: Any) -> Any:
+    """`value` as JSON-ready data: a dataclass becomes a dict of its fields in
+    declaration order, tuples and lists become lists and dicts are copied, all
+    recursively; anything else is returned as it is."""
+    if is_dataclass(value):
+        return {f.name: jsonable(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (tuple, list)):
+        return [jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {k: jsonable(v) for k, v in value.items()}
+    return value

@@ -182,7 +182,7 @@ def test_criterion_8b_spair_postcondition():
     pairs = 0
     for kind, n, genus, prime in shipped:
         gb = system_basis(kind, n, genus, prime)
-        assert gb.status == "complete"
+        assert gb.is_complete
         for i in range(len(gb.basis)):
             for j in range(i + 1, len(gb.basis)):
                 s = spolynomial(gb.basis[i], gb.basis[j], gb.order)

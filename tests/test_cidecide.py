@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from commuting_ci import cidecide
+from commuting_ci import cidecide, cli
 from commuting_ci.cidecide import (
     classify_table,
     decide_ci,
@@ -263,6 +263,26 @@ def test_codim_above_generator_count_raises(monkeypatch):
     monkeypatch.setattr(cidecide, "krull_dimension", inflated)
     with pytest.raises(RuntimeError, match="unipotent n=3 genus=1"):
         decide_ci("un", 3, 1)
+
+
+def test_codim_below_generator_count_is_not_ci(monkeypatch):
+    # the witness decides every NotCI case at hand, so a codimension one short
+    # of the generator count is planted to reach the basis's own NotCI branch
+    real = cidecide.krull_dimension
+    gens = len(system("un", 4, 1).generators)
+
+    def deflated(gb):
+        stats = real(gb)
+        return dataclasses.replace(stats, dimension=stats.nvars - gens + 1, codimension=gens - 1)
+
+    monkeypatch.setattr(cidecide, "krull_dimension", deflated)
+    r = decide_ci("un", 4, 1)
+    assert r.verdict == "NotCI"
+    assert (r.dim, r.codim) == (r.nvars - gens + 1, gens - 1)
+    assert r.codim == r.generators + r.unit_relations - 1
+    assert r.structure is None and r.witness is None and r.stats is not None
+    assert r.to_json()["structure"] is None
+    assert cli.main(["decide", "--group", "un", "--n", "4"]) == 0
 
 
 def test_table_parallel_matches_serial():

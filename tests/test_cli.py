@@ -157,6 +157,13 @@ def test_koszul_u3(capsys):
 def test_koszul_rejects_borel(capsys):
     code = main(["koszul", "--group", "bn", "--n", "2", "--max-weight", "3"])
     assert code == EXIT_USAGE
+    # B_n slices are never finite, so the group is refused before the word
+    # build, whatever its size or the timeout
+    for extra in (["--n", "200"], ["--n", "40", "--timeout", "0.01"]):
+        t0 = time.monotonic()
+        code, out = run(capsys, "koszul", "--group", "bn", "--max-weight", "1", *extra)
+        assert time.monotonic() - t0 < 1, extra
+        assert (code, out) == (EXIT_USAGE, ""), extra
 
 
 def test_koszul_negative_max_weight_is_a_usage_error(capsys):
@@ -286,8 +293,7 @@ def test_dump_honours_the_timeout():
 
 def test_huge_genus_ends_incomplete_under_a_memory_limit():
     # listing the 2 * 10^8 variables of U2 at genus 10^8 needs far more than
-    # 1.5 GB: the size check (or else the deadline) must stop the ring before
-    # the address space runs out
+    # 1.5 GB: the size check stops the ring before the address space runs out
     import resource
 
     def limit_memory():  # runs in the child only

@@ -92,7 +92,7 @@ def test_single_generator_basis(u3ring):
 
     g = u3_relation(u3ring)
     gb = buchberger([g])
-    assert gb.status == "complete"
+    assert gb.is_complete
     assert len(gb.basis) == 1
     # monic normalization of the same polynomial
     lead = gb.order.leading_exponent(g.terms)
@@ -127,7 +127,7 @@ def test_u3_dimension_and_enumeration_oracle(u3ring):
 
 def test_u5_full_run():
     gb = system_basis("un", 5, 1, 32003)
-    assert gb.status == "complete"
+    assert gb.is_complete
     stats = krull_dimension(gb)
     assert stats.dimension == 14 and stats.codimension == 6
 
@@ -173,7 +173,7 @@ def test_membership_rejects_low_weight(u3ring):
 )
 def test_all_spairs_reduce_to_zero(kind, n, genus, prime):
     gb = system_basis(kind, n, genus, prime)
-    assert gb.status == "complete"
+    assert gb.is_complete
     assert len(gb.basis) <= 40
     for i in range(len(gb.basis)):
         for j in range(i + 1, len(gb.basis)):
@@ -335,7 +335,7 @@ def test_timeout_yields_incomplete_not_a_verdict():
     s = system("un", 5, 1, 32003)
     gens = [f for _, f in s.generators]
     gb = buchberger(gens, ring=s.ring, deadline=time.monotonic())
-    assert gb.status == "incomplete"
+    assert not gb.is_complete
     with pytest.raises(IncompleteComputation):
         krull_dimension(gb)
 
@@ -344,14 +344,14 @@ def test_degree_cap_yields_incomplete():
     s = system("un", 5, 1, 32003)
     gens = [f for _, f in s.generators]
     gb = buchberger(gens, ring=s.ring, degree_cap=2)
-    assert gb.status == "incomplete"
+    assert not gb.is_complete
 
 
 def test_tiny_timeout_on_u5_genus_2():
     s = system("un", 5, 2, 32003)
     gens = [f for _, f in s.generators]
     gb = buchberger(gens, ring=s.ring, deadline=time.monotonic() + 0.01)
-    assert gb.status == "incomplete"
+    assert not gb.is_complete
     assert gb.stats.stopped_by == "timeout"
     assert gb.stats.seconds < 5
 
@@ -390,7 +390,7 @@ def test_deadline_inside_a_reduction_admits_no_partial_remainder(monkeypatch):
     calls.clear()
     cut = buchberger(gens, ring=s.ring, degree_cap=6, deadline=1.0)
     assert calls[-2] == "_reduce_terms"  # the read that tripped (the last one times the run)
-    assert cut.status == "incomplete" and cut.stats.stopped_by == "timeout"
+    assert not cut.is_complete and cut.stats.stopped_by == "timeout"
     assert cut.stats.pairs < full.stats.pairs and cut.stats.pairs_pending > 0
     # the same deterministic run up to the cut, and nothing admitted from it
     assert 0 < len(admitted) < len(reference)
@@ -499,6 +499,6 @@ def test_basis_dump_is_pinned(case, pinned):
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == sha
     stats = json.loads(stats)
     assert (stats["pairs"], stats["zero_reductions"], stats["max_degree"]) == (pairs, zeros, maxdeg)
-    assert gb.status == status
+    assert gb.is_complete == (status == "complete")
     assert stats["stopped_by"] == (None if status == "complete" else "degree_cap")
     assert stats["basis_size"] == nlines

@@ -2,7 +2,6 @@
 
 import hashlib
 import random
-import time
 from fractions import Fraction
 
 import pytest
@@ -12,7 +11,7 @@ from commuting_ci.groupmat import (
     BOREL,
     MAX_WORD_NVARS,
     UNIPOTENT,
-    WordTooLarge,
+    WordStopped,
     commutator_ring,
     commutator_word,
     dump_generators,
@@ -46,19 +45,13 @@ def test_ring_size_counts_the_ring():
         assert ring_size(kind, n, genus) == (ring.nvars, len(ring.unit_pairs))
 
 
-def test_commutator_ring_honours_the_deadline():
-    with pytest.raises(TimeoutError):
-        commutator_ring("bn", 3, 1, deadline=time.monotonic() - 1)
-    assert commutator_ring("bn", 3, 1, deadline=time.monotonic() + 60).nvars == 18
-
-
 def test_commutator_ring_refuses_more_variables_than_the_word_build_holds():
     assert ring_size("un", 128, 1)[0] <= MAX_WORD_NVARS < ring_size("un", 129, 1)[0]
     assert commutator_ring("un", 128, 1).nvars == 128 * 127
     for kind, n, genus in (("un", 129, 1), ("un", 150, 1), ("bn", 2, 10**8)):
-        with pytest.raises(WordTooLarge, match="variables"):
+        with pytest.raises(WordStopped, match="variables"):
             commutator_ring(kind, n, genus)
-    with pytest.raises(WordTooLarge):
+    with pytest.raises(WordStopped):
         commutator_word("un", 150, 1)
 
 
