@@ -3,8 +3,8 @@
 The engine is a plain Buchberger loop with the normal selection strategy
 (smallest lcm first, hence smallest lcm degree first) and the Gebauer-Moeller
 pair update, which implements both the product and the chain criterion.
-Bases are returned monic and sorted by leading monomial ascending, and
-reduced unless the deadline stopped the run.
+Bases are monic and sorted by leading monomial ascending, and reduced when
+`.basis` is first read unless the deadline stopped the run.
 
 Inside `buchberger` and `normal_form` every monomial is one packed int
 (Monagan & Pearce, "Polynomial division using dynamic arrays, heaps, and
@@ -32,7 +32,7 @@ S-polynomial that the cap admits ever exceeds that degree, every exponent
 and every leading degree stays within fmax, and no field can carry into its
 guard.  Packing an exponent above fmax raises `OverflowError` instead of
 mis-ordering.  Public signatures and `Polynomial` keep exponent tuples; only
-the returned basis and remainders are unpacked.
+a basis, when it is read, and remainders are unpacked.
 
 One term loop serves both fields: sums are formed exactly, and
 `_reduce_terms` reduces a GF(p) coefficient mod p once, when it pops its
@@ -45,8 +45,8 @@ the basis incomplete, and every consumer of an incomplete basis refuses to
 certify anything from it.  The deadline is an absolute `time.monotonic`
 value, as everywhere in the package, so a caller hands one budget to every
 stage of a run; it is also checked inside a reduction, every few thousand
-heap pops.  A reduction cut short is never admitted, and a run the clock
-stopped returns its basis without inter-reducing it.
+heap pops.  A reduction cut short is never admitted, and the basis of a run
+the clock stopped is read as it stands, without inter-reducing it.
 
 Dimension of the quotient is read off the leading-term ideal: the maximal
 number of variables avoiding the support of every leading monomial.  The
@@ -60,7 +60,8 @@ import heapq
 import json
 import operator
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -111,18 +112,45 @@ class IdealStats:
 
 @dataclass
 class GroebnerBasis:
+    """The basis `buchberger` returns, kept packed until `.basis` is read.
+
+    `_elems` are the basis elements as the pair loop left them, monic, packed
+    by `_packing` and sorted by leading monomial ascending.  No element's
+    leading monomial divides another's, so inter-reduction keeps every
+    leading monomial: `leading_exponents` unpacks just those, and the basis
+    is reduced when `.basis` is first read.
+    """
+
     ring: RingDescriptor
     order: MonomialOrder
-    basis: Tuple[Polynomial, ...]
     stats: BuchbergerStats
+    _packing: _Packing = field(repr=False)
+    _elems: List[_Elem] = field(repr=False)
 
     @property
     def is_complete(self) -> bool:
         return self.stats.stopped_by is None
 
+    @cached_property
+    def basis(self) -> Tuple[Polynomial, ...]:
+        """Monic, sorted by leading monomial ascending, and reduced unless
+        the deadline stopped the run; computed on the first read."""
+        elems, guards, prime = self._elems, self._packing.guards, self.ring.field.p
+        if self.stats.stopped_by == "timeout":
+            # the clock has run out: the basis as it stands, not inter-reduced
+            reduced = [e.poly for e in elems]
+        else:
+            reduced = [
+                _reduce_terms(e.poly, elems[:pos] + elems[pos + 1 :], guards, prime)
+                for pos, e in enumerate(elems)
+            ]
+        unpack_terms = self._packing.unpack_terms
+        return tuple(Polynomial._raw(self.ring, unpack_terms(r)) for r in reduced)
+
     def leading_exponents(self) -> List[Exponent]:
-        lead = self.order.leading_exponent
-        return [lead(g.terms) for g in self.basis]
+        """Leading exponents of `.basis`, ascending, without reading it."""
+        unpack = self._packing.unpack
+        return [unpack(e.lm) for e in self._elems]
 
     def dump(self) -> str:
         """One polynomial per line, leading monomials ascending; stats as JSON."""
@@ -324,13 +352,14 @@ def buchberger(
     degree_cap: int = DEFAULT_DEGREE_CAP,
     deadline: Optional[float] = None,
 ) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by `gens`.
+    """Groebner basis of the ideal generated by `gens`, reduced when `.basis` is first read.
 
     Zero generators are dropped.  When the degree cap is hit or `deadline`
     (a `time.monotonic` value; None for no limit) passes, the partial basis
-    is returned with the limit in `stats.stopped_by` ("timeout" without
-    inter-reduction), so `is_complete` is False; callers must not derive
-    verdicts from it.
+    is returned with the limit in `stats.stopped_by` ("timeout": its
+    `.basis` is not inter-reduced), so `is_complete` is False; callers must
+    not derive verdicts from it.  `stats.seconds` covers admission and the
+    pair loop.
     """
     t0 = time.monotonic()
     gens = [g for g in gens if not g.is_zero]
@@ -346,20 +375,18 @@ def buchberger(
     prime = ring.field.p
     stats = BuchbergerStats()
 
-    if not gens:
-        stats.seconds = time.monotonic() - t0
-        return GroebnerBasis(ring, order, (), stats)
-
     packing = _Packing(order, max(degree_cap, _max_degree(gens)))
     one, guards, shift, lcm = packing.one, packing.guards, packing.shift, packing.lcm
     polys: List[_Elem] = []  # all elements ever admitted, never removed
     G: Set[int] = set()  # indices of the current (pruned) basis
     P: Dict[Tuple[int, int], int] = {}  # pending pairs and their lcms
     heap: List[Tuple[int, int, int]] = []  # (lcm, i, j): smallest lcm first
+    # the elements of G in ascending index order: remainders depend on it
+    reducers: List[_Elem] = []
 
     def update(ih: int) -> None:
         """Gebauer-Moeller pair update after admitting element `ih`."""
-        nonlocal G, P
+        nonlocal G, P, reducers
         mh = polys[ih].lm
         negh = one - mh  # x + negh has a guard bit set unless mh divides x
         # candidate new pairs, filtered by the chain criterion among themselves
@@ -395,6 +422,7 @@ def buchberger(
         P = newP
         G = {ig for ig in G if (polys[ig].lm + negh) & guards}
         G.add(ih)
+        reducers = [polys[k] for k in sorted(G)]
 
     def admit(terms: Dict[int, Coeff]) -> None:
         elem = _Elem(terms, one, prime)
@@ -405,7 +433,7 @@ def buchberger(
     try:
         # admit the input, reducing each generator against what is already there
         for g in sorted((packing.pack_terms(g.terms) for g in gens), key=max):
-            rem = _reduce_terms(g, [polys[i] for i in sorted(G)], guards, prime, deadline)
+            rem = _reduce_terms(g, reducers, guards, prime, deadline)
             if rem:
                 admit(rem)
 
@@ -426,8 +454,7 @@ def buchberger(
             for e, c in fj.tail:
                 ee = qj + e
                 s[ee] = s.get(ee, 0) - c
-            active = [polys[k] for k in sorted(G)]
-            rem = _reduce_terms(s, active, guards, prime, deadline)
+            rem = _reduce_terms(s, reducers, guards, prime, deadline)
             del P[(i, j)]  # only now: a pair cut short by the clock stays pending
             stats.pairs += 1
             if not rem:
@@ -438,29 +465,12 @@ def buchberger(
         stats.stopped_by = "timeout"
     stats.basis_size = len(G)
     stats.pairs_pending = len(P)
-
-    reduced: List[Dict[int, Coeff]]
-    if stats.stopped_by == "timeout":
-        # the clock has run out: the basis as it stands, not inter-reduced
-        reduced = [polys[k].poly for k in G]
-    else:
-        # inter-reduce the surviving elements into the reduced basis
-        minimal: List[int] = []
-        for k in sorted(G, key=lambda k: polys[k].lm):
-            lm = polys[k].lm
-            if all((lm + polys[m].neg) & guards for m in minimal):
-                minimal.append(k)
-        reduced = []
-        elems = [polys[k] for k in minimal]
-        for pos, k in enumerate(minimal):
-            others = elems[:pos] + elems[pos + 1 :]
-            rem = _reduce_terms(polys[k].poly, others, guards, prime)
-            if rem:
-                reduced.append(rem)
-    reduced.sort(key=max)
-    basis = tuple(Polynomial._raw(ring, packing.unpack_terms(r)) for r in reduced)
+    # each admitted remainder is reduced against G, and the update drops
+    # every element whose leading monomial the new one divides, so no
+    # leading monomial in G divides another: G is already a minimal basis
+    elems = sorted((polys[k] for k in G), key=operator.attrgetter("lm"))
     stats.seconds = time.monotonic() - t0
-    return GroebnerBasis(ring, order, basis, stats)
+    return GroebnerBasis(ring, order, stats, packing, elems)
 
 
 # -- dimension of the leading-term ideal ------------------------------------
@@ -514,9 +524,9 @@ def krull_dimension(gb: GroebnerBasis) -> IdealStats:
     if not gb.is_complete:
         raise IncompleteComputation("dimension of an incomplete basis is meaningless")
     n = gb.ring.nvars
-    if not gb.basis:
-        return IdealStats(n, n, 0)
     lts = gb.leading_exponents()
+    if not lts:
+        return IdealStats(n, n, 0)
     supports = _minimal_supports(lts)
     if any(not s for s in supports):
         raise ValueError("unit ideal has no Krull dimension in this setting")

@@ -8,13 +8,24 @@ tracer that only records what it is asked to wrap.
 
 from pathlib import Path
 
+import pytest
+
 from commuting_ci import cli
+from commuting_ci.groebner import buchberger
+
+from conftest import system
 
 CHILD = Path(__file__).resolve().parent.parent / "bench" / "child.py"
 
 #: Wrapped names that no longer exist: the window witness stopped computing
 #: normal forms, and the entry waits for the next change to the benchmark.
 KNOWN_MISSING = {("commuting_ci.cidecide", "normal_form")}
+
+
+def load_child():
+    child = {"__name__": "bench_child"}  # not "__main__": defines, runs nothing
+    exec(compile(CHILD.read_text(), str(CHILD), "exec"), child)
+    return child
 
 
 class RecordingTracer:
@@ -26,8 +37,7 @@ class RecordingTracer:
 
 
 def test_every_wrapped_name_exists():
-    child = {"__name__": "bench_child"}  # not "__main__": defines, runs nothing
-    exec(compile(CHILD.read_text(), str(CHILD), "exec"), child)
+    child = load_child()
     tracer = RecordingTracer()
     child["install"](tracer, cli)
     names = {(module.__name__, attr) for module, attr in tracer.wrapped}
@@ -46,3 +56,19 @@ def test_every_wrapped_name_exists():
         ("commuting_ci.linalg", "rank_mod_p"),
         ("commuting_ci.linalg", "rank_rational"),
     }
+
+
+@pytest.mark.parametrize("kind,n,genus,prime,cap", [("un", 4, 1, None, 30), ("un", 5, 2, 32003, 6)])
+def test_basis_counts_work_on_a_basis(kind, n, genus, prime, cap):
+    s = system(kind, n, genus, prime)
+    gb = buchberger([f for _, f in s.generators], ring=s.ring, degree_cap=cap)
+    assert gb.is_complete == (cap == 30)
+    counts = load_child()["_basis_counts"]((), {}, gb)
+    stats = gb.stats
+    assert counts == {
+        "pairs": stats.pairs,
+        "zero_reductions": stats.zero_reductions,
+        "max_degree": stats.max_degree,
+        "basis_size": stats.basis_size,
+    }
+    assert counts["pairs"] > 0 and counts["basis_size"] == len(gb.basis)

@@ -10,6 +10,7 @@ import types
 import pytest
 
 from commuting_ci import groebner
+from commuting_ci.cidecide import decide_ci
 from commuting_ci.groebner import (
     IncompleteComputation,
     buchberger,
@@ -399,6 +400,69 @@ def test_deadline_inside_a_reduction_admits_no_partial_remainder(monkeypatch):
     packing = groebner._Packing(cut.order, max(6, groebner._max_degree(gens)))
     assert len(cut.basis) == cut.stats.basis_size
     assert all(packing.pack_terms(g.terms) in admitted for g in cut.basis)
+
+
+# -- the basis is reduced when it is read -----------------------------------------------
+
+
+def count_reductions(monkeypatch):
+    """Replace `groebner._reduce_terms` by a spy; the list it returns grows per call."""
+    calls = []
+    reduce_terms = groebner._reduce_terms
+
+    def spy(*args, **kwargs):
+        calls.append(None)
+        return reduce_terms(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_reduce_terms", spy)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+@pytest.mark.parametrize("prime", [None, 32003])
+@pytest.mark.parametrize(
+    "kind,n,genus", [("un", 3, 1), ("un", 4, 1), ("un", 5, 1), ("un", 4, 2), ("bn", 2, 1), ("bn", 3, 1)]
+)
+def test_lazy_basis_agrees_with_read_basis(kind, n, genus, prime, seed, monkeypatch):
+    s = system(kind, n, genus, prime)
+    gens = [f for _, f in s.generators] + list(s.unit_relations)
+    order = MonomialOrder.seeded(s.ring.nvars, seed)
+    gb = buchberger(gens, order, ring=s.ring)
+    assert gb.is_complete
+    calls = count_reductions(monkeypatch)
+    lazy_lts = gb.leading_exponents()
+    lazy_dim = krull_dimension(gb)
+    assert not calls  # neither read the basis
+    basis = gb.basis
+    assert len(calls) == len(basis) == gb.stats.basis_size
+    assert lazy_lts == [order.leading_exponent(g.terms) for g in basis]
+    assert krull_dimension(gb) == lazy_dim
+    assert gb.basis is basis and len(calls) == len(basis)  # read once
+
+
+#: `stats` of the `frontier` bench cases at degree cap 7 in the default order,
+#: as computed when `buchberger` still inter-reduced before returning:
+#: (pairs, zero reductions, max degree, basis size, pairs pending, stopped by).
+@pytest.mark.parametrize(
+    "kind,n,genus,field,cap,pinned",
+    [
+        ("un", 5, 2, "gf:32003", 7, (95, 61, 7, 40, 68, "degree_cap")),
+        ("bn", 4, 1, "gf:32003", 7, (365, 266, 8, 81, 288, "degree_cap")),
+        ("bn", 3, 1, "q", 30, None),
+    ],
+)
+def test_decide_never_inter_reduces(kind, n, genus, field, cap, pinned, monkeypatch):
+    calls = count_reductions(monkeypatch)
+    report = decide_ci(kind, n, genus, field=field, degree_cap=cap)
+    stats = report.stats
+    # one reduction per generator admitted and one per S-pair, none after the loop
+    assert len(calls) == report.generators + report.unit_relations + stats["pairs"]
+    if pinned is None:
+        assert report.verdict == "CI" and stats["stopped_by"] is None
+    else:
+        assert report.verdict == "Incomplete"
+        keys = ("pairs", "zero_reductions", "max_degree", "basis_size", "pairs_pending", "stopped_by")
+        assert tuple(stats[k] for k in keys) == pinned
 
 
 # -- dump and standard monomials ------------------------------------------------------------
