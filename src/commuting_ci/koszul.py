@@ -271,12 +271,13 @@ class _SliceLayout:
         return out
 
 
-def _block_rows(parts: List[Part]) -> Tuple[List[Dict[int, object]], Dict[int, int]]:
-    """Rows of d on one block of `_SliceLayout.blocks`, and the column numbering.
+def _block_rows(parts: List[Part]) -> Tuple[List[Dict[int, object]], int]:
+    """Rows of d on one block of `_SliceLayout.blocks`, and the number of columns.
 
     A column is the packed key of a C_{i-1}(w) element, numbered when first
-    hit, so C_{i-1}(w) itself is never enumerated.  Entries are the signed
-    generator coefficients; `linalg` reduces them into the field.
+    hit, so C_{i-1}(w) itself is never enumerated.  The numbering is dropped
+    before the rows are ranked.  Entries are the signed generator
+    coefficients; `linalg` reduces them into the field.
     """
     index: Dict[int, int] = {}
     claim = index.setdefault
@@ -284,7 +285,7 @@ def _block_rows(parts: List[Part]) -> Tuple[List[Dict[int, object]], Dict[int, i
     for _, moves, monomials in parts:
         for m in monomials:
             rows.append({claim(m + d, len(index)): c for d, c in moves})
-    return rows, index
+    return rows, len(index)
 
 
 def homology_slice(
@@ -332,15 +333,15 @@ def homology_slice(
                 if deadline is not None and time.monotonic() > deadline:
                     return KoszulSliceReport(i, w, dims, None, "incomplete")
                 t0 = time.perf_counter()
-                rows, index = _block_rows(parts)
+                rows, cols = _block_rows(parts)
                 t1 = time.perf_counter()
-                ranks[k] += _rank(rows, len(index), prime)
+                ranks[k] += _rank(rows, cols, prime)
                 seconds["assembly"] += t1 - t0
                 seconds["rank"] += time.perf_counter() - t1
                 nrows += len(rows)
-                ncols += len(index)
+                ncols += cols
                 if k == 0:
-                    largest = max(largest, (len(rows), len(index)))
+                    largest = max(largest, (len(rows), cols))
             shapes[k] = (nrows, ncols)
     rank_down, rank_up = ranks
 

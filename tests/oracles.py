@@ -141,6 +141,17 @@ def block_basis(parts) -> List[int]:
     return [key_S + m for key_S, _, monomials in parts for m in monomials]
 
 
+def block_columns(parts) -> List[int]:
+    """Packed keys of the C_{i-1} columns that d hits on one block, in the
+    order `koszul._block_rows` numbers them: first hit first."""
+    cols: dict = {}
+    for _, moves, monomials in parts:
+        for m in monomials:
+            for d, _ in moves:
+                cols.setdefault(m + d, len(cols))
+    return list(cols)
+
+
 def slice_basis(K: KoszulComplex, i: int, w: int) -> List[int]:
     """Packed keys of the C_i(w) basis, block by block."""
     if i < 0 or w < 0:

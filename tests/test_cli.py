@@ -154,6 +154,35 @@ def test_koszul_u3(capsys):
     assert payload["stopped_by"] is None
 
 
+#: Every slice of `koszul --group un --n 5 --max-weight 8 --field q`, by w:
+#: chain_dims, ranks, shapes, blocks, largest_block and h_dim.
+U5_Q_SLICES = [
+    ([1, 0, 0], [0, 0], [[0, 0], [0, 0]], 0, [0, 0], 0),
+    ([8, 0, 0], [0, 0], [[0, 0], [0, 0]], 0, [0, 0], 0),
+    ([42, 3, 0], [3, 0], [[3, 6], [0, 0]], 3, [1, 2], 0),
+    ([172, 26, 0], [26, 0], [[26, 52], [0, 0]], 10, [5, 10], 0),
+    ([601, 143, 3], [140, 3], [[143, 267], [3, 12]], 22, [21, 38], 0),
+    ([1864, 608, 30], [578, 30], [[608, 1048], [30, 132]], 40, [52, 80], 0),
+    ([5274, 2189, 178], [2012, 177], [[2189, 3462], [178, 762]], 65, [168, 216], 0),
+    ([13844, 6966, 802], [6178, 788], [[6966, 10116], [802, 3254]], 98, [372, 460], 0),
+    ([34144, 20151, 3019], [17228, 2923], [[20151, 26925], [3019, 11435]], 140, [816, 959], 0),
+]
+
+
+def test_koszul_u5_q_reports_are_pinned(capsys):
+    code, out = run(
+        capsys, "koszul", "--group", "un", "--n", "5", "--max-weight", "8", "--field", "q"
+    )
+    assert code == EXIT_OK
+    slices = json.loads(out)["slices"]
+    assert [(s["i"], s["w"], s["status"]) for s in slices] == [(1, w, "ok") for w in range(9)]
+    got = [
+        tuple(s[k] for k in ("chain_dims", "ranks", "shapes", "blocks", "largest_block", "h_dim"))
+        for s in slices
+    ]
+    assert got == U5_Q_SLICES
+
+
 def test_koszul_rejects_borel(capsys):
     code = main(["koszul", "--group", "bn", "--n", "2", "--max-weight", "3"])
     assert code == EXIT_USAGE

@@ -2,6 +2,7 @@
 
 import json
 import time
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -20,6 +21,7 @@ from commuting_ci.polyring import RingDescriptor
 from conftest import system, system_basis
 from oracles import (
     block_basis,
+    block_columns,
     extend_with_zero_generators,
     key_torus,
     kunneth_zero_check,
@@ -128,9 +130,10 @@ def test_differential_squares_to_zero(w):
     seen = set()
     for t, parts2 in blocks2.items():
         b2, b1 = block_basis(parts2), block_basis(blocks1.get(t, []))
-        d2, cols1 = _block_rows(parts2)
-        d1, cols0 = _block_rows(blocks1.get(t, []))
+        (d2, ncols1), (d1, ncols0) = _block_rows(parts2), _block_rows(blocks1.get(t, []))
+        cols1, cols0 = block_columns(parts2), block_columns(blocks1.get(t, []))
         assert len(d2) == len(b2) and len(d1) == len(b1)
+        assert (ncols1, ncols0) == (len(cols1), len(cols0))
         # the lazily numbered columns are keys of the same block one degree down
         assert set(cols1) <= set(b1)
         assert set(cols0) <= b0
@@ -139,11 +142,10 @@ def test_differential_squares_to_zero(w):
         assert torus not in seen
         seen.add(torus)
         d1_of = dict(zip(b1, d1))
-        key_of = {col: key for key, col in cols1.items()}
         for row in d2:
             composed = {}
             for col1, v in row.items():
-                for col0, u in d1_of[key_of[col1]].items():
+                for col0, u in d1_of[cols1[col1]].items():
                     composed[col0] = composed.get(col0, 0) + v * u
             assert all(val == 0 for val in composed.values())
     assert sum(len(block_basis(parts)) for parts in blocks2.values()) == _slice_dim(K, 2, w)
@@ -180,7 +182,9 @@ def test_packed_keys_at_field_width_boundaries(prime, w):
     for j, dim in zip((0, 1, 2), rep.chain_dims):
         keys = slice_basis(K, j, w)
         assert dim == len(set(keys)) == enumerated_dim(K, j, w), (j, w)
-    cols = [key for parts in slice_blocks(K, 1, w).values() for key in _block_rows(parts)[1]]
+    blocks = slice_blocks(K, 1, w).values()
+    cols = [key for parts in blocks for key in block_columns(parts)]
+    assert len(cols) == sum(_block_rows(parts)[1] for parts in blocks)
     assert len(cols) == len(set(cols))  # no two blocks share a column
     assert set(cols) <= set(slice_basis(K, 0, w))
 
@@ -230,6 +234,23 @@ def test_block_ranks_sum_to_the_whole_slice_rank(prime):
     assert (by_block.ranks, by_block.shapes, by_block.h_dim) == (at_once.ranks, at_once.shapes, 1)
     assert (by_block.blocks, by_block.largest_block) == (274, (576, 696))
     assert (at_once.blocks, at_once.largest_block) == (1, at_once.shapes[0])
+
+
+def test_fraction_generators_give_the_slices_of_the_integer_ones():
+    # scaling a generator by a unit changes no rank; the Fraction entries
+    # send every row over Q through the clearing of denominators in `linalg`
+    K = build_complex(system("un", 4, 1))
+    scaled = tuple(
+        f * (Fraction(1, 3) if k % 2 else Fraction(2, 5)) for k, f in enumerate(K.generators)
+    )
+    assert all(type(c) is Fraction for f in scaled for c in f.terms.values())
+    S = KoszulComplex(
+        K.ring, scaled, K.weights, K.exterior_zero_count, K.variable_torus, K.generator_torus
+    )
+    for w in range(7):
+        want, got = homology_slice(K, 1, w), homology_slice(S, 1, w)
+        assert (got.h_dim, got.ranks) == (want.h_dim, want.ranks), w
+    assert want.ranks == (509, 37)
 
 
 def test_u6_h1_weight_seven_nonzero_under_second_prime():

@@ -188,3 +188,34 @@ def test_rank_leaves_the_callers_rows_unchanged():
         before = [dict(r) for r in arg]
         call(arg)
         assert arg == before
+
+
+@pytest.mark.parametrize("trial", range(6))
+@pytest.mark.parametrize("p", [32003, 2**61 - 1, None])
+def test_rank_with_explicit_zero_entries(trial, p):
+    # explicit zeros anywhere, leading ones included; the first fixed pair
+    # makes a pivot with a zero at column 1 act on a row without column 1
+    rng = random.Random(800 + trial)
+    nrows, ncols = rng.randint(2, 12), rng.randint(2, 12)
+    rows = [{1: 0, 2: 1}, {0: 1, 2: 1}, {0: 0, 3: 5}, {0: 0}] + [
+        {**{c: 0 for c in rng.sample(range(ncols), rng.randint(1, ncols))}, **r}
+        for r in _random_rows(rng, nrows, ncols)
+    ]
+    width = max(ncols, 4)
+    before = [dict(r) for r in rows]
+    rank = linalg.rank_rational(rows, width) if p is None else linalg.rank_mod_p(rows, width, p)
+    assert rank == _rank_fraction_oracle(rows, width)
+    assert rows == before
+
+
+@pytest.mark.parametrize("p", [32003, 2**61 - 1])
+def test_rank_mod_p_drops_a_leading_multiple_of_p(p):
+    # the unit rows become pivots untouched; the rows of two entries lead
+    # with a nonzero multiple of p, so over GF(p) the first is a multiple of
+    # a unit row and the second leads at column 2 instead
+    rows = [{0: 1}, {1: 1}, {0: 3, 3: -2 * p}, {2: 5, 3: p}]
+    before = [dict(r) for r in rows]
+    mod_p = [{0: 1}, {1: 1}, {0: 3}, {2: 5}]
+    assert linalg.rank_mod_p(rows, 4, p) == _rank_fraction_oracle(mod_p, 4) == 3
+    assert linalg.rank_rational(rows, 4) == _rank_fraction_oracle(rows, 4) == 4
+    assert rows == before
