@@ -13,17 +13,19 @@ Subcommands, and the flags each takes:
     table       the classification across a family, fanned out to workers
                 --family --max-n --genus --jobs --field --order-seed --degree-cap --timeout --output
 
-Flag values are checked as they are parsed.  Two koszul checks are left to
-the subcommand: the group must be unipotent (B_n slices are never finite),
-refused before any word is built, and the upper end of the degree depends on
-the generators.  `--timeout` bounds the whole case, word build included: one
-deadline, taken when the case starts, that every stage shares.  For `table`
-it bounds each row.  A word build that stops raises `WordStopped`: its
-message is decide's `note` and dump's stderr line, and its `stopped_by` is
-koszul's.
+Flag values are checked as they are parsed, `--output` too (its directory
+must exist), so a bad value costs no computation.  Two koszul checks are
+left to the subcommand: the group must be unipotent (B_n slices are never
+finite), refused before any word is built, and the upper end of the degree
+depends on the generators.  `--timeout` bounds the whole case, word build
+included: one deadline, taken when the case starts, that every stage
+shares.  For `table` it bounds each row.  A word build that stops raises
+`WordStopped`: its message is decide's `note` and dump's stderr line, and
+its `stopped_by` is koszul's.
 
-Exit codes: 0 for a completed verdict, 1 for usage or configuration errors,
-2 when a resource limit left the answer incomplete or inconclusive.
+Exit codes: 0 for a completed verdict, 1 for usage or configuration errors
+and for output that cannot be written, 2 when a resource limit left the
+answer incomplete or inconclusive.
 """
 
 from __future__ import annotations
@@ -92,16 +94,33 @@ def _seconds(text: str) -> float:
     return value
 
 
+def _output_path(text: str) -> str:
+    if os.path.isdir(text):
+        raise ValueError(f"{text} is a directory")
+    folder = os.path.dirname(text) or "."
+    if not os.path.isdir(folder):
+        raise ValueError(f"no directory {folder}")
+    return text
+
+
 def _emit(payload: dict, output: Optional[str]) -> None:
     _write(json.dumps(payload, indent=2, ensure_ascii=False), output)
 
 
 def _write(text: str, output: Optional[str]) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    """Write `text` and a newline to `output` or stdout; a write that fails is a usage error."""
+    try:
+        if output:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        else:
+            # a large write cut short by a closed pipe can return without an
+            # error: print's second write, or the flush, then raises
+            print(text, flush=True)
+    except OSError as exc:
+        if not output:  # its reader has gone: the flush at exit must not fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise ValueError(f"cannot write the output: {exc}") from None
 
 
 #: Flags that several subcommands share, added by `_add_shared`.
@@ -123,12 +142,11 @@ def _add_case(p: argparse.ArgumentParser) -> None:
 
 
 def _add_shared(p: argparse.ArgumentParser, *flags: str, field_default: Optional[str] = None) -> None:
-    p.add_argument(
-        "--field", type=_checked(_field_label), default=field_default, help="coefficient field: q or gf:<prime>"
-    )
+    field_help = f"coefficient field: q, gf:<prime> or auto, the field policy (default {field_default or 'auto'})"
+    p.add_argument("--field", type=_checked(_field_label), default=field_default, help=field_help)
     for flag in flags:
         p.add_argument(flag, **_SHARED[flag])
-    p.add_argument("--output", default=None, help="write the output to this file")
+    p.add_argument("--output", type=_checked(_output_path), default=None, help="write the output to this file")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -6,33 +6,14 @@ pair update, which implements both the product and the chain criterion.
 Bases are monic and sorted by leading monomial ascending, and reduced when
 `.basis` is first read unless the deadline stopped the run.
 
-Inside `buchberger` and `normal_form` every monomial is one packed int
-(Monagan & Pearce, "Polynomial division using dynamic arrays, heaps, and
-packed exponent vectors", CASC 2007).  For an order with permutation p on n
-variables and a field width of B bits, the layout, most significant first, is
-
-    [deg][c_{p[n-1]}] ... [c_{p[1]}][c_{p[0]}],    c_v = fmax - e_v,
-
-with fmax = 2**B - 1 and one zero guard bit above every c field.  Because
-the fields below deg hold complements, the packed int is the grevlex key
-itself (c_{p[0]} is fixed by deg and the others, so it never decides a
-comparison), and packing is linear: with K0 the packing of 1,
-
-    pack(a * b) = pack(a) + pack(b) - K0,
-
-and a divides b exactly when t = pack(b) + K0 - pack(a) has every guard bit
-clear, in which case t packs the quotient b / a.  A divisor's tail is stored
-pre-shifted by -K0, so each reduction term costs one addition.  The lcm of
-two leading monomials is a per-field minimum of the complement fields
-(SWAR, SIMD within a register); its degree is read back modulo 2**(B+1) - 1.
-
-B is sized from the data: the largest total degree of the input and, for
+Inside `buchberger` and `normal_form` every monomial is one packed int, the
+grevlex key itself, in the layout `ordering.Packing` defines; a divisor's
+tail is stored pre-shifted by -K0, the packing of 1, so each reduction term
+costs one addition.  The packing is sized by the input and, for
 `buchberger`, the degree cap.  The order is graded, so no reduction and no
-S-polynomial that the cap admits ever exceeds that degree, every exponent
-and every leading degree stays within fmax, and no field can carry into its
-guard.  Packing an exponent above fmax raises `OverflowError` instead of
-mis-ordering.  Public signatures and `Polynomial` keep exponent tuples; only
-a basis, when it is read, and remainders are unpacked.
+S-polynomial that the cap admits ever exceeds that degree.  Public
+signatures and `Polynomial` keep exponent tuples; only a basis, when it is
+read, and remainders are unpacked.
 
 One term loop serves both fields: sums are formed exactly, and
 `_reduce_terms` reduces a GF(p) coefficient mod p once, when it pops its
@@ -63,17 +44,10 @@ import time
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .ordering import MonomialOrder
-from .polyring import (
-    Coeff,
-    Exponent,
-    Polynomial,
-    RingDescriptor,
-    format_poly,
-    jsonable,
-)
+from .ordering import Coeff, Exponent, MonomialOrder, Packing
+from .polyring import Polynomial, RingDescriptor, format_poly, jsonable
 
 
 class IncompleteComputation(RuntimeError):
@@ -124,7 +98,7 @@ class GroebnerBasis:
     ring: RingDescriptor
     order: MonomialOrder
     stats: BuchbergerStats
-    _packing: _Packing = field(repr=False)
+    _packing: Packing = field(repr=False)
     _elems: List[_Elem] = field(repr=False)
 
     @property
@@ -159,77 +133,7 @@ class GroebnerBasis:
         return "\n".join(lines)
 
 
-# -- packed monomials ----------------------------------------------------------
-
-
-class _Packing:
-    """Packed monomials of one order whose total degrees stay within `bound`.
-
-    See the module docstring for the layout.  `one` is K0, the packing of the
-    monomial 1; `guards` has the guard bit of every complement field set.
-    """
-
-    __slots__ = (
-        "bits", "fmax", "shift", "one", "guards", "low", "modulus", "nfmax", "_steps", "_offsets",
-    )
-
-    def __init__(self, order: MonomialOrder, bound: int) -> None:
-        n = order.nvars
-        bits = max(bound, 1).bit_length()
-        width = bits + 1
-        self.bits = bits
-        self.fmax = fmax = (1 << bits) - 1
-        self.shift = n * width  # offset of the degree field
-        self.low = (1 << self.shift) - 1  # the complement fields
-        self.one = sum(fmax << (k * width) for k in range(n))
-        self.guards = sum(1 << (k * width + bits) for k in range(n))
-        # 2**width is 1 modulo 2**width - 1, so a packed int is congruent to
-        # the sum of its fields
-        self.modulus = (1 << width) - 1
-        self.nfmax = n * fmax
-        offsets = [0] * n  # offsets[v]: bit offset of the field of variable v
-        for k, v in enumerate(order.permutation):
-            offsets[v] = k * width
-        self._offsets = tuple(offsets)
-        # pack(e) = one + sum(e_v * steps[v])
-        self._steps = tuple((1 << self.shift) - (1 << offset) for offset in offsets)
-
-    def pack(self, exp: Exponent) -> int:
-        if exp and max(exp) > self.fmax:
-            raise OverflowError(
-                f"exponent {max(exp)} does not fit a {self.bits}-bit packed field"
-            )
-        return self.one + sum(map(operator.mul, exp, self._steps))
-
-    def unpack(self, m: int) -> Exponent:
-        exps = self.one - (m & self.low)  # fmax - c_v = e_v in every field
-        fmax = self.fmax
-        return tuple([(exps >> offset) & fmax for offset in self._offsets])
-
-    def pack_terms(self, terms: Dict[Exponent, Coeff]) -> Dict[int, Coeff]:
-        pack = self.pack
-        return {pack(e): c for e, c in terms.items()}
-
-    def unpack_terms(self, terms: Dict[int, Coeff]) -> Dict[Exponent, Coeff]:
-        unpack = self.unpack
-        return {unpack(m): c for m, c in terms.items()}
-
-    def lcm(self, a: int, b: int) -> int:
-        """lcm of two monomials of total degree at most fmax each."""
-        low, guards = self.low, self.guards
-        a &= low
-        b &= low
-        # guard bit k is set where field k of a >= field k of b
-        ge = ((a | guards) - b) & guards
-        mask = ge - (ge >> self.bits)  # fmax in those fields
-        c = a ^ ((a ^ b) & mask)  # fieldwise min of complements = max of exponents
-        # the lcm degree is at most 2 * fmax < modulus, so this residue is it
-        deg = (self.nfmax - c) % self.modulus
-        return (deg << self.shift) | c
-
-
-def _max_degree(polys: Iterable[Polynomial]) -> int:
-    return max((sum(e) for p in polys for e in p.terms), default=0)
+# -- reduction ----------------------------------------------------------------
 
 
 class _Elem:
@@ -331,7 +235,7 @@ def normal_form(
     if order is None:
         order = MonomialOrder.identity(ring.nvars)
     divisors = [g for g in divisors if not g.is_zero]
-    packing = _Packing(order, _max_degree([p, *divisors]))
+    packing = Packing.fitting(order, (e for f in (p, *divisors) for e in f.terms))
     prime = ring.field.p
     elems = [_Elem(packing.pack_terms(g.terms), packing.one, prime) for g in divisors]
     rem = _reduce_terms(packing.pack_terms(p.terms), elems, packing.guards, prime)
@@ -375,7 +279,7 @@ def buchberger(
     prime = ring.field.p
     stats = BuchbergerStats()
 
-    packing = _Packing(order, max(degree_cap, _max_degree(gens)))
+    packing = Packing.fitting(order, (e for g in gens for e in g.terms), degree_cap)
     one, guards, shift, lcm = packing.one, packing.guards, packing.shift, packing.lcm
     polys: List[_Elem] = []  # all elements ever admitted, never removed
     G: Set[int] = set()  # indices of the current (pruned) basis

@@ -49,7 +49,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .groupmat import UNIPOTENT
-from .polyring import Exponent, Polynomial, RingDescriptor, jsonable
+from .ordering import Exponent
+from .polyring import Polynomial, RingDescriptor, jsonable
 
 #: Chain slices above this many basis elements are not materialized.
 DEFAULT_SLICE_CAP = 200_000

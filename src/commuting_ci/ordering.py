@@ -1,22 +1,49 @@
-"""Monomial orders on dense exponent tuples.
+"""The monomial order, and the packed monomials that realise it.
 
 Only one order kind is supported: graded reverse lexicographic on standard
 total degree, composed with a permutation of the variables.  The permutation
 is enough to probe order-independence of downstream verdicts while keeping
 every computation on the same well-understood order.
 
-`key_func` maps an exponent tuple to a tuple key whose comparison realises
-the order for exponents of any size.  The Groebner engine does not use it: it
-packs monomials into ints that are grevlex keys themselves (see `groebner`).
+`Packing` is the one implementation of that order.  It packs a monomial into
+one int that is its grevlex key (Monagan & Pearce, "Polynomial division using
+dynamic arrays, heaps, and packed exponent vectors", CASC 2007).  For an order
+with permutation p on n variables and a field width of B bits, the layout,
+most significant first, is
+
+    [deg][c_{p[n-1]}] ... [c_{p[1]}][c_{p[0]}],    c_v = fmax - e_v,
+
+with fmax = 2**B - 1 and one zero guard bit above every c field.  Because
+the fields below deg hold complements, the packed int is the grevlex key
+itself (c_{p[0]} is fixed by deg and the others, so it never decides a
+comparison), and packing is linear: with K0 the packing of 1,
+
+    pack(a * b) = pack(a) + pack(b) - K0,
+
+and a divides b exactly when t = pack(b) + K0 - pack(a) has every guard bit
+clear, in which case t packs the quotient b / a.  The lcm of two monomials
+is a per-field minimum of the complement fields (SWAR, SIMD within a
+register); its degree is read back modulo 2**(B+1) - 1.
+
+`Packing.fitting` sizes B from the data: the largest total degree of the
+monomials it will see, or a larger degree the caller names.  Within that
+degree every exponent stays within fmax and no field can carry into its
+guard; packing an exponent above fmax raises `OverflowError` instead of
+mis-ordering.  `polyring.format_poly` sorts terms by the packed key and
+`groebner` computes on packed terms, so text and engine read one order.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from fractions import Fraction
+from itertools import compress
+from typing import Dict, Iterable, Optional, Tuple, Union
 
 Exponent = Tuple[int, ...]
+Coeff = Union[int, Fraction]
 
 
 @dataclass(frozen=True)
@@ -50,20 +77,74 @@ class MonomialOrder:
     def nvars(self) -> int:
         return len(self.permutation)
 
-    def key_func(self) -> Callable[[Exponent], Tuple[int, ...]]:
-        """Return a map from exponent tuples to comparable tuple keys.
 
-        Larger key means larger monomial.  Ties in total degree are broken by
-        the reverse lexicographic rule: the monomial whose exponent is smaller
-        at the last position where they differ (in permuted order) is larger.
-        """
-        rev = self.permutation[:0:-1]
+class Packing:
+    """Packed monomials of one order whose total degrees stay within `bound`.
 
-        def key(exp: Exponent) -> Tuple[int, ...]:
-            return (sum(exp), *[-exp[v] for v in rev])
+    See the module docstring for the layout.  `one` is K0, the packing of the
+    monomial 1; `guards` has the guard bit of every complement field set.
+    """
 
-        return key
+    __slots__ = (
+        "bits", "fmax", "shift", "one", "guards", "low", "modulus", "nfmax", "_steps", "_offsets",
+    )
 
-    def leading_exponent(self, terms) -> Exponent:
-        keyf = self.key_func()
-        return max(terms, key=keyf)
+    def __init__(self, order: MonomialOrder, bound: int) -> None:
+        n = order.nvars
+        bits = max(bound, 1).bit_length()
+        width = bits + 1
+        self.bits = bits
+        self.fmax = fmax = (1 << bits) - 1
+        self.shift = n * width  # offset of the degree field
+        self.low = (1 << self.shift) - 1  # the complement fields
+        self.one = sum(fmax << (k * width) for k in range(n))
+        self.guards = sum(1 << (k * width + bits) for k in range(n))
+        # 2**width is 1 modulo 2**width - 1, so a packed int is congruent to
+        # the sum of its fields
+        self.modulus = (1 << width) - 1
+        self.nfmax = n * fmax
+        offsets = [0] * n  # offsets[v]: bit offset of the field of variable v
+        for k, v in enumerate(order.permutation):
+            offsets[v] = k * width
+        self._offsets = tuple(offsets)
+        # pack(e) = one + sum(e_v * steps[v])
+        self._steps = tuple((1 << self.shift) - (1 << offset) for offset in offsets)
+
+    @classmethod
+    def fitting(cls, order: MonomialOrder, exps: Iterable[Exponent], degree: int = 0) -> "Packing":
+        """The packing for the monomials `exps` and any of total degree up to `degree`."""
+        return cls(order, max(degree, max(map(sum, exps), default=0)))
+
+    def pack(self, exp: Exponent) -> int:
+        nonzero = list(compress(exp, exp))  # most monomials have few variables
+        if nonzero and max(nonzero) > self.fmax:
+            raise OverflowError(
+                f"exponent {max(nonzero)} does not fit a {self.bits}-bit packed field"
+            )
+        return self.one + sum(map(operator.mul, nonzero, compress(self._steps, exp)))
+
+    def unpack(self, m: int) -> Exponent:
+        exps = self.one - (m & self.low)  # fmax - c_v = e_v in every field
+        fmax = self.fmax
+        return tuple([(exps >> offset) & fmax for offset in self._offsets])
+
+    def pack_terms(self, terms: Dict[Exponent, Coeff]) -> Dict[int, Coeff]:
+        pack = self.pack
+        return {pack(e): c for e, c in terms.items()}
+
+    def unpack_terms(self, terms: Dict[int, Coeff]) -> Dict[Exponent, Coeff]:
+        unpack = self.unpack
+        return {unpack(m): c for m, c in terms.items()}
+
+    def lcm(self, a: int, b: int) -> int:
+        """lcm of two monomials of total degree at most fmax each."""
+        low, guards = self.low, self.guards
+        a &= low
+        b &= low
+        # guard bit k is set where field k of a >= field k of b
+        ge = ((a | guards) - b) & guards
+        mask = ge - (ge >> self.bits)  # fmax in those fields
+        c = a ^ ((a ^ b) & mask)  # fieldwise min of complements = max of exponents
+        # the lcm degree is at most 2 * fmax < modulus, so this residue is it
+        deg = (self.nfmax - c) % self.modulus
+        return (deg << self.shift) | c

@@ -10,16 +10,17 @@ nonzero coefficients and is never mutated after construction, so
 polynomials are safe to share between threads.
 
 `Polynomial` carries only the algebra the commutator word build and its
-consumers run: `+`, `-` and `*` (with a polynomial or a coefficient on the
-right), unit-pair reduction and the weight grading.  Polynomials are not
-hashable.
+consumers run: `+` and `-` (with a polynomial or a coefficient on the
+right), `*` of two polynomials, unit-pair reduction and the weight grading.
+Polynomials are not hashable.
 
 Coefficients over the rationals are Python ints or `fractions.Fraction`
 values in lowest terms (arbitrary precision, no rounding anywhere); over
 GF(p) they are ints in [1, p).  The textual format of `format_poly` /
 `parse_poly` round-trips bit-exactly and is the fixture and report format
-used throughout the package.  `jsonable` turns a report dataclass into its
-JSON object.
+used throughout the package; `format_poly` orders terms by the packed key of
+`ordering.Packing`, the key the Groebner engine computes with.  `jsonable`
+turns a report dataclass into its JSON object.
 """
 
 from __future__ import annotations
@@ -29,10 +30,7 @@ from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .ordering import MonomialOrder
-
-Exponent = Tuple[int, ...]
-Coeff = Union[int, Fraction]
+from .ordering import Coeff, Exponent, MonomialOrder, Packing
 
 #: Weight reported for the zero polynomial; compares below every true weight
 #: and absorbs addition, so weight additivity holds for products with zero.
@@ -301,16 +299,11 @@ class Polynomial:
             other = self.ring.const(other)
         return self.__add__(-other)
 
-    def __mul__(self, other: Union["Polynomial", Coeff]) -> "Polynomial":
-        p = self.ring.field.p
+    def __mul__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
-            c = _coerce(self.ring.field, other)
-            if not c:
-                return self.ring.zero()
-            return Polynomial._raw(
-                self.ring, {e: v * c % p if p else v * c for e, v in self.terms.items()}
-            )
+            return NotImplemented
         self._check_ring(other)
+        p = self.ring.field.p
         a, b = self.terms, other.terms
         if not a or not b:
             return self.ring.zero()
@@ -410,9 +403,10 @@ def format_poly(p: Polynomial, order: Optional[MonomialOrder] = None) -> str:
     ring = p.ring
     if order is None:
         order = MonomialOrder.identity(ring.nvars)
-    keyf = order.key_func()
+    terms = p.terms
     parts: List[str] = []
-    for exp, c in sorted(p.terms.items(), key=lambda t: keyf(t[0]), reverse=True):
+    for exp in sorted(terms, key=Packing.fitting(order, terms).pack, reverse=True):
+        c = terms[exp]
         negative = not ring.field.p and c < 0
         mag = -c if negative else c
         factors = []

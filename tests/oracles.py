@@ -6,16 +6,36 @@ import functools
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Dict, List, Mapping, Optional
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from commuting_ci import koszul
 from commuting_ci.groebner import GroebnerBasis, IncompleteComputation
 from commuting_ci.koszul import KoszulComplex, homology_slice
-from commuting_ci.ordering import MonomialOrder
-from commuting_ci.polyring import Coeff, Exponent, Field, Polynomial, PrimeField, RingDescriptor
+from commuting_ci.ordering import Coeff, Exponent, MonomialOrder
+from commuting_ci.polyring import Field, Polynomial, PrimeField, RingDescriptor
 from commuting_ci.polyring import _coerce
 
 # -- exponent tuples -----------------------------------------------------------
+
+
+def grevlex_key(order: MonomialOrder) -> Callable[[Exponent], Tuple[int, ...]]:
+    """The order as tuple keys, correct for exponents of any size: the
+    reference that `ordering.Packing` is checked against.
+
+    Larger key means larger monomial.  Ties in total degree are broken by the
+    reverse lexicographic rule: the monomial whose exponent is smaller at the
+    last position where they differ (in permuted order) is larger.
+    """
+    rev = order.permutation[:0:-1]
+
+    def key(exp: Exponent) -> Tuple[int, ...]:
+        return (sum(exp), *[-exp[v] for v in rev])
+
+    return key
+
+
+def leading_exponent(order: MonomialOrder, terms: Iterable[Exponent]) -> Exponent:
+    return max(terms, key=grevlex_key(order))
 
 
 def divides(a: Exponent, b: Exponent) -> bool:
@@ -30,8 +50,8 @@ def spolynomial(f: Polynomial, g: Polynomial, order: Optional[MonomialOrder] = N
     """S-polynomial of f and g, by `Polynomial` arithmetic on exponent tuples."""
     if order is None:
         order = MonomialOrder.identity(f.ring.nvars)
-    lmf = order.leading_exponent(f.terms)
-    lmg = order.leading_exponent(g.terms)
+    lmf = leading_exponent(order, f.terms)
+    lmg = leading_exponent(order, g.terms)
     m = lcm(lmf, lmg)
 
     def cofactor(lm: Exponent, lc: Coeff) -> Polynomial:

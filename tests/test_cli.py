@@ -488,6 +488,45 @@ def test_output_file_round_trip(tmp_path, capsys):
     assert on_disk["verdict"] == "CI"
 
 
+def test_bad_output_path_is_a_usage_error_before_any_work(tmp_path):
+    # U5 g2 computes for minutes before it writes: the path is checked first
+    t0 = time.monotonic()
+    done = _run_fresh(
+        "decide", "--group", "un", "--n", "5", "--genus", "2", "--field", "gf:32003",
+        "--output", str(tmp_path / "missing" / "x.json"),
+    )
+    assert time.monotonic() - t0 < 5
+    assert done.returncode == EXIT_USAGE and done.stdout == ""
+    assert "--output" in done.stderr and "Traceback" not in done.stderr
+    # a directory, and a path below a file, which stays as it was
+    existing = tmp_path / "report.json"
+    existing.write_text("kept\n", encoding="utf-8")
+    for target in (tmp_path, existing / "x.json"):
+        argv = ["decide", "--group", "un", "--n", "3", "--output", str(target)]
+        assert main(argv) == EXIT_USAGE
+    assert existing.read_text(encoding="utf-8") == "kept\n"
+
+
+def test_closed_stdout_is_one_line_and_exit_1():
+    # the reader takes 100 bytes and closes the pipe, which holds at most
+    # 64 KiB: the rest of the 100 KB U9 dump cannot be written
+    src = Path(commuting_ci.__file__).resolve().parent.parent
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "commuting_ci.cli", "dump", "--group", "un", "--n", "9"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    try:
+        assert len(os.read(proc.stdout.fileno(), 100)) > 0
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == EXIT_USAGE
+    finally:
+        proc.kill()
+    assert "Traceback" not in err and len(err.splitlines()) <= 1
+
+
 def test_flag_docs_match_the_parser():
     # the README table and the module docstring list exactly the accepted flags
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
@@ -507,3 +546,9 @@ def test_flag_docs_match_the_parser():
         for action in p._actions:
             for flag in set(action.option_strings) & stated.keys():
                 assert action.default == float(stated[flag]), (p.prog, flag)
+    # `--field auto` is accepted everywhere, and the README says so
+    field_bullet = re.search(r"^\* `--field`.*?(?=^\* )", readme, re.M | re.S).group(0)
+    assert "`auto`" in field_bullet and "`witness-u6`" in field_bullet
+    for p in sub.choices.values():
+        field = next(a for a in p._actions if "--field" in a.option_strings)
+        assert field.type("auto") == "auto" and "auto" in field.help, p.prog

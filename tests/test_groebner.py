@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import re
 import sys
 import time
 import types
@@ -17,7 +18,7 @@ from commuting_ci.groebner import (
     krull_dimension,
     normal_form,
 )
-from commuting_ci.ordering import MonomialOrder
+from commuting_ci.ordering import MonomialOrder, Packing
 from commuting_ci.polyring import (
     Polynomial,
     PrimeField,
@@ -29,6 +30,8 @@ from commuting_ci.polyring import (
 from conftest import system, system_basis
 from oracles import (
     dimension_by_enumeration,
+    grevlex_key,
+    leading_exponent,
     monomials_of_weight,
     reduce_mod,
     spolynomial,
@@ -96,8 +99,8 @@ def test_single_generator_basis(u3ring):
     assert gb.is_complete
     assert len(gb.basis) == 1
     # monic normalization of the same polynomial
-    lead = gb.order.leading_exponent(g.terms)
-    assert gb.basis[0] == g * Fraction(1, g.terms[lead])
+    lead = leading_exponent(gb.order, g.terms)
+    assert gb.basis[0] == g * u3ring.const(Fraction(1, g.terms[lead]))
 
 
 def test_xy_basis_and_dimension(xy):
@@ -184,8 +187,7 @@ def test_all_spairs_reduce_to_zero(kind, n, genus, prime):
 
 def test_basis_is_reduced():
     gb = system_basis("un", 4, 1)
-    lead = gb.order.leading_exponent
-    lms = [lead(g.terms) for g in gb.basis]
+    lms = [leading_exponent(gb.order, g.terms) for g in gb.basis]
     for i, g in enumerate(gb.basis):
         for exp in g.terms:
             for j, lm in enumerate(lms):
@@ -323,8 +325,7 @@ def test_sympy_agrees_on_small_ideals():
     gb = sympy.groebner(gens, *syms, order="grevlex")
     mine = system_basis("un", 4, 1)
     assert len(gb.exprs) == len(mine.basis)
-    lead = mine.order.leading_exponent
-    mine_lts = sorted(lead(g.terms) for g in mine.basis)
+    mine_lts = sorted(leading_exponent(mine.order, g.terms) for g in mine.basis)
     theirs = sorted(tuple(p.LM(order="grevlex").exponents) for p in gb.polys)
     assert mine_lts == theirs
 
@@ -397,7 +398,7 @@ def test_deadline_inside_a_reduction_admits_no_partial_remainder(monkeypatch):
     assert 0 < len(admitted) < len(reference)
     assert admitted == reference[: len(admitted)]
     # with the clock run out the basis is returned as admitted, not inter-reduced
-    packing = groebner._Packing(cut.order, max(6, groebner._max_degree(gens)))
+    packing = Packing.fitting(cut.order, (e for g in gens for e in g.terms), 6)
     assert len(cut.basis) == cut.stats.basis_size
     assert all(packing.pack_terms(g.terms) in admitted for g in cut.basis)
 
@@ -435,7 +436,7 @@ def test_lazy_basis_agrees_with_read_basis(kind, n, genus, prime, seed, monkeypa
     assert not calls  # neither read the basis
     basis = gb.basis
     assert len(calls) == len(basis) == gb.stats.basis_size
-    assert lazy_lts == [order.leading_exponent(g.terms) for g in basis]
+    assert lazy_lts == [leading_exponent(order, g.terms) for g in basis]
     assert krull_dimension(gb) == lazy_dim
     assert gb.basis is basis and len(calls) == len(basis)  # read once
 
@@ -484,9 +485,24 @@ def test_dump_format():
     }
     assert payload["stopped_by"] is None and payload["pairs_pending"] == 0
     assert payload["basis_size"] == len(polys)
-    keyf = gb.order.key_func()
-    lead_keys = [keyf(gb.order.leading_exponent(parse_poly(t, gb.ring).terms)) for t in polys]
+    keyf = grevlex_key(gb.order)
+    lead_keys = [keyf(leading_exponent(gb.order, parse_poly(t, gb.ring).terms)) for t in polys]
     assert lead_keys == sorted(lead_keys)
+
+
+@pytest.mark.parametrize("seed", [3, 7])
+@pytest.mark.parametrize("kind,n", [("un", 4), ("un", 5), ("bn", 3)])
+def test_text_leads_with_the_engine_leading_monomial(kind, n, seed):
+    # the text format and the engine must read one order: the first term
+    # `format_poly` prints is the leading monomial the basis reports
+    s = system(kind, n)
+    gens = [f for _, f in s.generators] + list(s.unit_relations)
+    order = MonomialOrder.seeded(s.ring.nvars, seed)
+    gb = buchberger(gens, order, ring=s.ring)
+    assert gb.is_complete
+    for g, lead in zip(gb.basis, gb.leading_exponents(), strict=True):
+        first = re.split(r" [+-] ", format_poly(g, order))[0].lstrip("-")
+        assert list(parse_poly(first, s.ring).terms) == [lead]
 
 
 def test_standard_monomial_count_matches_quotient():

@@ -18,6 +18,7 @@ from commuting_ci.groupmat import (
     normalize_kind,
     ring_size,
 )
+from commuting_ci.ordering import MonomialOrder
 from commuting_ci.polyring import format_poly, parse_poly
 
 from conftest import system
@@ -266,3 +267,20 @@ _PINNED_DUMPS = {
 def test_generators_are_pinned(kind, n, genus, prime):
     text = dump_generators(system(kind, n, genus, prime))
     assert hashlib.sha256(text.encode()).hexdigest() == _PINNED_DUMPS[kind, n, genus, prime]
+
+
+#: sha256 of `dump_generators` under order seed 7, as printed when
+#: `format_poly` still sorted terms by exponent-tuple keys.
+_PINNED_SEEDED_DUMPS = {
+    ("un", 6, 1, None): "bfe3a660d4cbac743276b4bca64cf24be1a2d90936041d12e427c3dd7cc3773f",
+    ("un", 6, 1, 32003): "d007e87ae5e5dc543a3b630ac2de9b971998d1c73c656f9290118ec90bc81b94",
+    ("bn", 3, 2, None): "b15b511c62ded573efdda5a27729369e777c694d983c4a9e8dbbb3d5d45ee572",
+    ("bn", 3, 2, 32003): "d13aeeb1a5c4e6ea53c298dfa6332dbb8bdb8fcdcb717632509470d67086c3fc",
+}
+
+
+@pytest.mark.parametrize("kind,n,genus,prime", sorted(_PINNED_SEEDED_DUMPS, key=str))
+def test_seeded_generators_are_pinned(kind, n, genus, prime):
+    s = system(kind, n, genus, prime)
+    text = dump_generators(s, MonomialOrder.seeded(s.ring.nvars, 7))
+    assert hashlib.sha256(text.encode()).hexdigest() == _PINNED_SEEDED_DUMPS[kind, n, genus, prime]

@@ -241,7 +241,8 @@ def test_fraction_generators_give_the_slices_of_the_integer_ones():
     # send every row over Q through the clearing of denominators in `linalg`
     K = build_complex(system("un", 4, 1))
     scaled = tuple(
-        f * (Fraction(1, 3) if k % 2 else Fraction(2, 5)) for k, f in enumerate(K.generators)
+        f * K.ring.const(Fraction(1, 3) if k % 2 else Fraction(2, 5))
+        for k, f in enumerate(K.generators)
     )
     assert all(type(c) is Fraction for f in scaled for c in f.terms.values())
     S = KoszulComplex(

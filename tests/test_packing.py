@@ -1,14 +1,14 @@
-"""Packed monomials of the Groebner engine against the exponent-tuple reference."""
+"""Packed monomials of `ordering.Packing` against the exponent-tuple reference."""
 
 import random
 
 import pytest
 
-from commuting_ci.groebner import _Packing, buchberger, normal_form
-from commuting_ci.ordering import MonomialOrder
+from commuting_ci.groebner import buchberger, normal_form
+from commuting_ci.ordering import MonomialOrder, Packing
 from commuting_ci.polyring import Polynomial, RingDescriptor, format_poly, parse_poly
 
-from oracles import divides, lcm, spolynomial
+from oracles import divides, grevlex_key, lcm, spolynomial
 
 
 def random_exponent(rng, n, total):
@@ -26,8 +26,8 @@ def test_packed_operations_agree_with_tuples(seed):
         n = rng.randint(1, 9)
         order = MonomialOrder.seeded(n, rng.randrange(1000))
         bound = rng.choice([1, 2, 3, 7, 8, 30])
-        packing = _Packing(order, bound)
-        key = order.key_func()
+        packing = Packing(order, bound)
+        key = grevlex_key(order)
         one, guards = packing.one, packing.guards
         assert packing.pack((0,) * n) == one
         for _ in range(40):
@@ -51,9 +51,9 @@ def test_packed_operations_agree_with_tuples(seed):
 def test_field_width_boundary(bits):
     fmax = (1 << bits) - 1
     order = MonomialOrder((1, 0, 2))
-    packing = _Packing(order, fmax)
+    packing = Packing(order, fmax)
     assert packing.fmax == fmax and packing.bits == bits
-    key = order.key_func()
+    key = grevlex_key(order)
     top = (fmax, 0, 0)
     assert packing.unpack(packing.pack(top)) == top
     others = [(0, fmax, 0), (0, 0, fmax), (fmax - 1, 1, 0), (0, 0, 0), (1, 0, 0)]

@@ -148,11 +148,19 @@ def test_mul_weight_additivity_random(ring):
 
 def test_arbitrary_precision_coefficients(ring):
     big = 10**30
-    p = ring.gen("x_1_1_2") * big
+    p = ring.gen("x_1_1_2") * ring.const(big)
     q = p * p
     assert q.terms[(2, 0, 0, 0, 0, 0)] == 10**60
     half = Polynomial(ring, {(1, 0, 0, 0, 0, 0): Fraction(1, big)})
-    assert (half * big).terms[(1, 0, 0, 0, 0, 0)] == 1
+    assert (half * ring.const(big)).terms[(1, 0, 0, 0, 0, 0)] == 1
+
+
+def test_mul_by_a_coefficient_is_a_type_error(ring):
+    # `*` takes two polynomials; a coefficient goes through `ring.const`
+    x = ring.gen("x_1_1_2")
+    for c in (2, Fraction(1, 3), 0):
+        with pytest.raises(TypeError):
+            x * c
 
 
 def test_ring_axioms_random(ring):
@@ -268,6 +276,18 @@ def test_format_respects_order(ring):
     flipped = MonomialOrder.seeded(ring.nvars, 3)
     text = format_poly(rel, flipped)
     assert parse_poly(text, ring) == rel
+
+
+@pytest.mark.parametrize("permutation", [(0, 1), (1, 0)])
+def test_format_orders_exponents_beyond_sixteen_bits(permutation):
+    # the packed key is sized from the terms: y^70000 must not wrap below x
+    ring = RingDescriptor([("x", 1), ("y", 1)])
+    order = MonomialOrder(permutation)
+    assert format_poly(parse_poly("x + y^70000", ring), order) == "y^70000 + x"
+    # a degree tie: the smaller exponent of the last variable in the order leads
+    tie = parse_poly("x*y^70000 + x^70000*y", ring)
+    first = "x^70000*y" if permutation == (0, 1) else "x*y^70000"
+    assert format_poly(tie, order).split(" + ")[0] == first
 
 
 def test_parse_rejects_garbage(ring):
