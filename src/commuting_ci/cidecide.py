@@ -11,7 +11,10 @@ two certificates in that ring and order:
    memberships follow from a substitution identity, with no basis.
 2. Otherwise, a reduced Groebner basis of the generators (plus the unit
    relations in the borel case) whose leading-term ideal gives the
-   codimension:
+   codimension.  The unipotent generators are homogeneous for the internal
+   weights deg x_t_i_j = j - i, all at least 1, so their basis is computed
+   in the weighted order (wgrevlex) and degree by degree in that grading;
+   the borel ring has weight-0 variables and keeps grevlex:
 
        CI  <=>  codimension == generator count + unit-relation count.
 
@@ -144,19 +147,22 @@ def decide_ci(
     A word build that stops (`WordStopped`: the timeout, or a word too large
     to build) ends "Incomplete" at once, with the stop's message as `note`.
     The order is drawn after the word build, so a report of a stopped word
-    build has a null `order["permutation"]`.
+    build has a null `order["permutation"]`.  U_n is ordered by wgrevlex on
+    its internal weights, so `degree_cap` and `stats["max_degree"]` count
+    weighted degree there; B_n is ordered by grevlex.
     """
     t0 = time.monotonic()
     deadline = t0 + timeout
     kind = normalize_kind(kind)
     fld = resolve_field(kind, n, field)
     nvars, units = ring_size(kind, n, genus)
+    weighted = kind == UNIPOTENT
     report = CIReport(
         group=kind,
         n=n,
         genus=genus,
         field=fld.label(),
-        order={"kind": "grevlex", "seed": order_seed, "permutation": None},
+        order={"kind": "wgrevlex" if weighted else "grevlex", "seed": order_seed, "permutation": None},
         nvars=nvars,
         generators=None,
         unit_relations=units,
@@ -171,7 +177,8 @@ def decide_ci(
         report.note = str(exc)
         report.wall_seconds = time.monotonic() - t0
         return report
-    order = MonomialOrder.seeded(system.ring.nvars, order_seed)
+    weights = system.ring.weights if weighted else None
+    order = MonomialOrder.seeded(system.ring.nvars, order_seed, weights)
     report.order["permutation"] = list(order.permutation)
     gens = [f for _, f in system.generators]
     r = len(gens)

@@ -129,7 +129,11 @@ def _write(text: str, output: Optional[str]) -> None:
 #: Flags that several subcommands share, added by `_add_shared`.
 _SHARED = {
     "--order-seed": dict(type=int, default=None, help="seed for the variable permutation"),
-    "--degree-cap": dict(type=_int_at_least(1), default=DEFAULT_DEGREE_CAP),
+    "--degree-cap": dict(
+        type=_int_at_least(1),
+        default=DEFAULT_DEGREE_CAP,
+        help="cap on the degree of each basis: weighted by j - i for un, total for bn",
+    ),
     "--timeout": dict(
         type=_checked(_seconds),
         default=DEFAULT_TIMEOUT,

@@ -7,20 +7,21 @@ Bases are monic and sorted by leading monomial ascending, and reduced when
 `.basis` is first read unless the deadline stopped the run.
 
 Inside `buchberger` and `normal_form` every monomial is one packed int, the
-grevlex key itself, in the layout `ordering.Packing` defines; a divisor's
+order key itself, in the layout `ordering.Packing` defines; a divisor's
 tail is stored pre-shifted by -K0, the packing of 1, so each reduction term
 costs one addition.  The packing is sized by the input and, for
-`buchberger`, the degree cap.  The order is graded, so no reduction and no
-S-polynomial that the cap admits ever exceeds that degree.  Public
-signatures and `Polynomial` keep exponent tuples; only a basis, when it is
-read, and remainders are unpacked.
+`buchberger`, the degree cap.  The order is graded, by total degree or by
+the weighted degree of a wgrevlex order, and the cap and `max_degree` count
+that degree; so no reduction and no S-polynomial that the cap admits ever
+exceeds it.  Public signatures and `Polynomial` keep exponent tuples; only
+a basis, when it is read, and remainders are unpacked.
 
 One term loop serves both fields: sums are formed exactly, and
 `_reduce_terms` reduces a GF(p) coefficient mod p once, when it pops its
 monomial, and drops it there if it is 0.  S-polynomials are built as plain
 sums, zeros included, for `_reduce_terms` to reduce and drop the same way.
 
-Resource limits (total-degree cap, wall-clock deadline) never turn into
+Resource limits (degree cap, wall-clock deadline) never turn into
 answers: hitting one names the limit in ``stats.stopped_by``, which makes
 the basis incomplete, and every consumer of an incomplete basis refuses to
 certify anything from it.  The deadline is an absolute `time.monotonic`
@@ -60,7 +61,9 @@ class BuchbergerStats:
 
     `stopped_by` names the limit that ended an incomplete run ("timeout" or
     "degree_cap", else None); `basis_size` and `pairs_pending` are the sizes
-    of the basis and of the pair set when the pair loop ended.
+    of the basis and of the pair set when the pair loop ended.  `max_degree`
+    is the largest leading-monomial degree in the order's grading, weighted
+    for a wgrevlex order.
     """
 
     pairs: int = 0
@@ -244,7 +247,7 @@ def normal_form(
 
 # -- Buchberger -------------------------------------------------------------
 
-#: Default total-degree cap of one basis computation.
+#: Default cap on the degree of one basis computation, in the order's grading.
 DEFAULT_DEGREE_CAP = 30
 
 

@@ -23,14 +23,16 @@ def grevlex_key(order: MonomialOrder) -> Callable[[Exponent], Tuple[int, ...]]:
     """The order as tuple keys, correct for exponents of any size: the
     reference that `ordering.Packing` is checked against.
 
-    Larger key means larger monomial.  Ties in total degree are broken by the
-    reverse lexicographic rule: the monomial whose exponent is smaller at the
-    last position where they differ (in permuted order) is larger.
+    Larger key means larger monomial.  The degree comes first: total, or
+    sum w_v * e_v when the order has weights.  Ties in degree are broken by
+    the reverse lexicographic rule: the monomial whose exponent is smaller at
+    the last position where they differ (in permuted order) is larger.
     """
     rev = order.permutation[:0:-1]
+    weights = order.weights or (1,) * order.nvars
 
     def key(exp: Exponent) -> Tuple[int, ...]:
-        return (sum(exp), *[-exp[v] for v in rev])
+        return (sum(w * e for w, e in zip(weights, exp)), *[-exp[v] for v in rev])
 
     return key
 

@@ -220,3 +220,14 @@ def test_criterion_9_higher_genus():
         9,
         f"U3 genus 2: verdict {r.verdict}, dim {r.dim}, codim {r.codim} (tool-derived label present)",
     )
+
+
+def test_criterion_10_u5_genus_two():
+    # the U_n generators are homogeneous for deg x_t_i_j = j - i, and
+    # decide_ci computes their basis in that weighted order
+    r = decide_ci("un", 5, 2)
+    assert r.order["kind"] == "wgrevlex" and r.field == "gf:32003"
+    assert (r.nvars, r.generators) == (40, 6)
+    assert (r.verdict, r.dim, r.codim) == ("CI", 34, 6)
+    assert r.note is not None and "tool-derived" in r.note
+    _report(10, f"U5 genus 2: CI, dim {r.dim}, codim {r.codim} over {r.field} in wgrevlex")

@@ -14,7 +14,7 @@ from commuting_ci.cidecide import (
     u6_witness,
     window_witness,
 )
-from commuting_ci.groebner import buchberger, normal_form
+from commuting_ci.groebner import buchberger, krull_dimension, normal_form
 from commuting_ci.koszul import build_complex, homology_slice
 from commuting_ci.ordering import MonomialOrder
 from commuting_ci.polyring import QQ, PrimeField, parse_poly
@@ -56,6 +56,20 @@ def test_decide_u5_modular():
     assert r.verdict == "CI" and r.field == "gf:32003"
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("field", ["q", "gf:32003"])
+@pytest.mark.parametrize("n,genus", [(2, 1), (3, 1), (4, 1), (5, 1), (3, 2), (4, 2)])
+def test_weighted_and_plain_orders_agree(n, genus, field, seed):
+    # decide_ci orders U_n by wgrevlex; a grevlex basis in the same
+    # permutation must give the same dimension
+    r = decide_ci("un", n, genus, field=field, order_seed=seed)
+    s = system("un", n, genus, None if field == "q" else 32003)
+    order = MonomialOrder.seeded(s.ring.nvars, seed)
+    assert r.order == {"kind": "wgrevlex", "seed": seed, "permutation": list(order.permutation)}
+    stats = krull_dimension(buchberger([f for _, f in s.generators], order, ring=s.ring))
+    assert (stats.dimension, stats.codimension) == (r.dim, r.codim)
+
+
 def test_decide_b2():
     r = decide_ci("bn", 2, 1)
     assert r.nvars == 10
@@ -93,7 +107,7 @@ def test_incomplete_report_names_its_limit_and_progress():
     assert r.stats["basis_size"] > 0 and r.stats["pairs_pending"] > 0
     # the word takes milliseconds and the basis far longer than a second, so
     # the clock stops the basis
-    r = decide_ci("un", 5, 2, field="gf:32003", timeout=1.0)
+    r = decide_ci("un", 6, 2, field="gf:32003", timeout=1.0)
     assert r.verdict == "Incomplete"
     assert r.stats["stopped_by"] == "timeout"
     assert r.stats["basis_size"] > 0

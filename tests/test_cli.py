@@ -342,7 +342,7 @@ def test_huge_genus_ends_incomplete_under_a_memory_limit():
         assert "Traceback" not in done.stderr, argv[0]
     report = json.loads(_run_fresh("decide", *case, "--timeout", "0.1").stdout)
     assert (report["nvars"], report["unit_relations"]) == (2 * 10**8, 0)
-    assert report["order"] == {"kind": "grevlex", "seed": None, "permutation": None}
+    assert report["order"] == {"kind": "wgrevlex", "seed": None, "permutation": None}
 
 
 def test_oversized_ring_ends_incomplete_under_a_memory_limit():
@@ -489,10 +489,10 @@ def test_output_file_round_trip(tmp_path, capsys):
 
 
 def test_bad_output_path_is_a_usage_error_before_any_work(tmp_path):
-    # U5 g2 computes for minutes before it writes: the path is checked first
+    # U6 g2 computes for minutes before it writes: the path is checked first
     t0 = time.monotonic()
     done = _run_fresh(
-        "decide", "--group", "un", "--n", "5", "--genus", "2", "--field", "gf:32003",
+        "decide", "--group", "un", "--n", "6", "--genus", "2", "--field", "gf:32003",
         "--output", str(tmp_path / "missing" / "x.json"),
     )
     assert time.monotonic() - t0 < 5

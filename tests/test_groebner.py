@@ -185,6 +185,22 @@ def test_all_spairs_reduce_to_zero(kind, n, genus, prime):
             assert normal_form(s, gb.basis, gb.order).is_zero
 
 
+def test_weighted_basis_passes_the_buchberger_criterion():
+    # the wgrevlex basis `decide_ci` computes for U_n, checked with tuple
+    # arithmetic in the same weighted order
+    s = system("un", 4, 1)
+    order = MonomialOrder.identity(s.ring.nvars, s.ring.weights)
+    gens = [f for _, f in s.generators]
+    gb = buchberger(gens, order, ring=s.ring)
+    assert gb.is_complete and gb.order.weights == s.ring.weights
+    basis = gb.basis
+    assert gb.leading_exponents() == [leading_exponent(order, g.terms) for g in basis]
+    for i, f in enumerate(basis):
+        for g in basis[i + 1 :]:
+            assert normal_form(spolynomial(f, g, order), basis, order).is_zero
+    assert all(normal_form(f, basis, order).is_zero for f in gens)
+
+
 def test_basis_is_reduced():
     gb = system_basis("un", 4, 1)
     lms = [leading_exponent(gb.order, g.terms) for g in gb.basis]
@@ -441,13 +457,14 @@ def test_lazy_basis_agrees_with_read_basis(kind, n, genus, prime, seed, monkeypa
     assert gb.basis is basis and len(calls) == len(basis)  # read once
 
 
-#: `stats` of the `frontier` bench cases at degree cap 7 in the default order,
-#: as computed when `buchberger` still inter-reduced before returning:
+#: `stats` of the `frontier` bench cases at degree cap 7 in the default order
 #: (pairs, zero reductions, max degree, basis size, pairs pending, stopped by).
+#: The B_n row was computed when `buchberger` still inter-reduced before
+#: returning; U_n is ordered by wgrevlex, where the cap counts weighted degree.
 @pytest.mark.parametrize(
     "kind,n,genus,field,cap,pinned",
     [
-        ("un", 5, 2, "gf:32003", 7, (95, 61, 7, 40, 68, "degree_cap")),
+        ("un", 5, 2, "gf:32003", 7, (31, 17, 7, 20, 33, "degree_cap")),
         ("bn", 4, 1, "gf:32003", 7, (365, 266, 8, 81, 288, "degree_cap")),
         ("bn", 3, 1, "q", 30, None),
     ],
@@ -464,6 +481,20 @@ def test_decide_never_inter_reduces(kind, n, genus, field, cap, pinned, monkeypa
         assert report.verdict == "Incomplete"
         keys = ("pairs", "zero_reductions", "max_degree", "basis_size", "pairs_pending", "stopped_by")
         assert tuple(stats[k] for k in keys) == pinned
+
+
+def test_grevlex_frontier_stats_without_inter_reduction(monkeypatch):
+    # U5 g2 at degree cap 7 in plain grevlex, the order `decide_ci` used for
+    # U_n before wgrevlex: the stats computed when `buchberger` still
+    # inter-reduced before returning
+    s = system("un", 5, 2, 32003)
+    gens = [f for _, f in s.generators]
+    calls = count_reductions(monkeypatch)
+    gb = buchberger(gens, MonomialOrder.identity(s.ring.nvars), ring=s.ring, degree_cap=7)
+    stats = gb.stats
+    assert len(calls) == len(gens) + stats.pairs
+    pinned = (stats.pairs, stats.zero_reductions, stats.max_degree, stats.basis_size)
+    assert pinned + (stats.pairs_pending, stats.stopped_by) == (95, 61, 7, 40, 68, "degree_cap")
 
 
 # -- dump and standard monomials ------------------------------------------------------------

@@ -12,6 +12,32 @@ def test_rejects_bad_permutation():
         MonomialOrder((0, 0, 1))
 
 
+def test_rejects_bad_weights():
+    with pytest.raises(ValueError):
+        MonomialOrder((0, 1, 2), weights=(1, 0, 2))  # weight 0: no graded order
+    with pytest.raises(ValueError):
+        MonomialOrder((0, 1, 2), weights=(1, 2))
+
+
+def test_weights_keep_the_seeded_permutation():
+    assert MonomialOrder.identity(3).weights is None
+    weighted = MonomialOrder.seeded(3, 5, [1, 2, 3])
+    assert weighted.weights == (1, 2, 3)
+    assert weighted.permutation == MonomialOrder.seeded(3, 5).permutation
+    assert weighted.degree((2, 1, 1)) == 7 and MonomialOrder.identity(3).degree((2, 1, 1)) == 4
+
+
+def test_weighted_degree_dominates():
+    rng = random.Random(4)
+    order = MonomialOrder.seeded(4, 9, (1, 2, 3, 1))
+    key = Packing(order, 40).pack
+    for _ in range(200):
+        a = tuple(rng.randint(0, 4) for _ in range(4))
+        b = tuple(rng.randint(0, 4) for _ in range(4))
+        if order.degree(a) != order.degree(b):
+            assert (key(a) > key(b)) == (order.degree(a) > order.degree(b))
+
+
 def test_known_grevlex_comparisons():
     # three variables x > y > z
     key = Packing(MonomialOrder.identity(3), 4).pack

@@ -47,6 +47,70 @@ def test_packed_operations_agree_with_tuples(seed):
                 assert pa + pb - one == packing.pack(ab)
 
 
+def random_weighted_exponent(rng, weights, total):
+    """An exponent vector of weighted degree at most `total`."""
+    exp = [0] * len(weights)
+    budget = rng.randint(0, total)
+    while True:
+        fits = [v for v, w in enumerate(weights) if w <= budget]
+        if not fits:
+            return tuple(exp)
+        v = rng.choice(fits)
+        exp[v] += 1
+        budget -= weights[v]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_weighted_packed_operations_agree_with_tuples(seed):
+    rng = random.Random(100 + seed)
+    for _ in range(20):
+        n = rng.randint(1, 9)
+        weights = tuple(rng.randint(1, 4) for _ in range(n))
+        order = MonomialOrder.seeded(n, rng.randrange(1000), weights)
+        bound = rng.choice([1, 2, 3, 7, 8, 30])
+        packing = Packing(order, bound)
+        key = grevlex_key(order)
+        one, guards = packing.one, packing.guards
+        assert packing.pack((0,) * n) == one
+        for _ in range(40):
+            a = random_weighted_exponent(rng, weights, bound)
+            b = random_weighted_exponent(rng, weights, bound)
+            pa, pb = packing.pack(a), packing.pack(b)
+            assert packing.unpack(pa) == a
+            assert pa >> packing.shift == order.degree(a)
+            assert (pa < pb) == (key(a) < key(b)) and (pa == pb) == (a == b)
+            t = pb + one - pa
+            assert (not t & guards) == divides(a, b)
+            if divides(a, b):
+                assert packing.unpack(t) == tuple(y - x for x, y in zip(a, b))
+            # the lcm's weighted degree is read back from its complement fields
+            assert packing.lcm(pa, pb) == packing.pack(lcm(a, b))
+            ab = tuple(x + y for x, y in zip(a, b))
+            if order.degree(ab) <= packing.fmax:
+                assert pa + pb - one == packing.pack(ab)
+
+
+@pytest.mark.parametrize("bits", [1, 2, 3, 4, 5, 16])
+def test_weighted_field_width_boundary(bits):
+    fmax = (1 << bits) - 1
+    order = MonomialOrder((2, 0, 1), weights=(1, 3, 2))
+    packing = Packing.fitting(order, [(fmax, 0, 0)])
+    assert packing.fmax == fmax and packing.bits == bits
+    key = grevlex_key(order)
+    # weight 1: exponent fmax has weighted degree fmax, the bound itself
+    top = (fmax, 0, 0)
+    assert packing.unpack(packing.pack(top)) == top
+    others = [(0, fmax // 3, 0), (0, 0, fmax // 2), (fmax - 2, 0, 1), (0, 0, 0), (1, 0, 0)]
+    for other in filter(lambda e: min(e) >= 0 and order.degree(e) <= fmax, others):
+        assert packing.unpack(packing.pack(other)) == other
+        assert (packing.pack(top) < packing.pack(other)) == (key(top) < key(other))
+        assert packing.lcm(packing.pack(top), packing.pack(other)) == packing.pack(lcm(top, other))
+    with pytest.raises(OverflowError):
+        packing.pack((fmax + 1, 0, 0))
+    with pytest.raises(OverflowError):
+        packing.pack((0, fmax + 1, 0))
+
+
 @pytest.mark.parametrize("bits", [1, 2, 3, 4, 5, 16])
 def test_field_width_boundary(bits):
     fmax = (1 << bits) - 1
