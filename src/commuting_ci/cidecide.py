@@ -22,15 +22,14 @@ Hitting a resource limit yields verdict "Incomplete", never a guess, and
 every "NotCI" carries its certificate: the witness or the completed basis.
 The timeout of a case becomes one deadline, which the word build and the
 basis share.
-`classify_table` is `decide_ci` over a range of n; `u6_witness` runs the
-witness alone on the 6x6 system.
+`classify_table` is `decide_ci` over a range of n, one row after another in
+the calling process; `u6_witness` runs the witness alone on the 6x6 system.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .groebner import DEFAULT_DEGREE_CAP, buchberger, krull_dimension
@@ -316,30 +315,18 @@ def classify_table(
     order_seed: Optional[int] = None,
     degree_cap: int = DEFAULT_DEGREE_CAP,
     timeout: float = DEFAULT_TIMEOUT,
-    jobs: Optional[int] = None,
 ) -> List[CIReport]:
-    """`decide_ci` for n = 2..max_n of one family, fanned out to a worker pool.
+    """`decide_ci` for n = 2..max_n of one family, one row after another.
 
     Every row is the report `decide_ci` gives for that case with the same
-    arguments; rows come back in ascending n.
+    arguments, computed in this process in ascending n.  Each row has its
+    own `timeout`, so rows that run to it add up: U6 and U7 at genus 2 both
+    stop at a 10 s timeout, and their table takes about 21 s.
     """
     kind = normalize_kind(family)
     if max_n < 2:
         raise ValueError("max_n must be at least 2")
-    case = partial(
-        decide_ci,
-        kind,
-        genus=genus,
-        field=field,
-        order_seed=order_seed,
-        degree_cap=degree_cap,
-        timeout=timeout,
-    )
-    # Largest n first: its word build is the slowest row and should not start last.
-    sizes = range(max_n, 1, -1)
-    if jobs is None or jobs <= 1 or len(sizes) <= 1:
-        return [case(n) for n in sizes][::-1]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=min(jobs, len(sizes))) as pool:
-        return list(pool.map(case, sizes))[::-1]
+    return [
+        decide_ci(kind, n, genus, field=field, order_seed=order_seed, degree_cap=degree_cap, timeout=timeout)
+        for n in range(2, max_n + 1)
+    ]

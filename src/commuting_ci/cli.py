@@ -10,7 +10,7 @@ Subcommands, and the flags each takes:
                 --group --n --genus --max-weight --degree --slice-cap --field --timeout --output
     dump        the generator polynomials, one per line
                 --group --n --genus --field --order-seed --timeout --output
-    table       the classification across a family, fanned out to workers
+    table       the classification across a family, one row after another
                 --family --max-n --genus --jobs --field --order-seed --degree-cap --timeout --output
 
 Flag values are checked as they are parsed, `--output` too (its directory
@@ -19,9 +19,11 @@ left to the subcommand: the group must be unipotent (B_n slices are never
 finite), refused before any word is built, and the upper end of the degree
 depends on the generators.  `--timeout` bounds the whole case, word build
 included: one deadline, taken when the case starts, that every stage
-shares.  For `table` it bounds each row.  A word build that stops raises
-`WordStopped`: its message is decide's `note` and dump's stderr line, and
-its `stopped_by` is koszul's.
+shares.  For `table` it bounds each row, and the rows run one after another,
+so rows that run to it add up.  `table --jobs` is accepted (at least 1)
+and has no effect.  A word build that stops raises `WordStopped`: its
+message is decide's `note` and dump's stderr line, and its `stopped_by` is
+koszul's.
 
 Exit codes: 0 for a completed verdict, 1 for usage or configuration errors
 and for output that cannot be written, 2 when a resource limit left the
@@ -182,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, type=_checked(normalize_kind), help="un | bn")
     p.add_argument("--max-n", type=_int_at_least(2), required=True)
     p.add_argument("--genus", type=_int_at_least(1), default=1)
-    p.add_argument("--jobs", type=_int_at_least(1), default=os.cpu_count(), help="worker pool size")
+    p.add_argument("--jobs", type=_int_at_least(1), default=1, help="accepted, at least 1; has no effect")
     _add_shared(p, "--order-seed", "--degree-cap", "--timeout")
 
     return parser
@@ -276,7 +278,6 @@ def cmd_table(args: argparse.Namespace) -> int:
         order_seed=args.order_seed,
         degree_cap=args.degree_cap,
         timeout=args.timeout,
-        jobs=args.jobs,
     )
     payload = {"family": args.family, "genus": args.genus, "rows": [r.to_json() for r in reports]}
     _emit(payload, args.output)

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import multiprocessing.process
+import os
 
 import pytest
 
@@ -247,17 +249,45 @@ def test_decide_u7_certified_by_window_witness():
     assert sorted(r.order["permutation"]) == list(range(42))
 
 
-def test_table_rows_are_decide_reports():
-    def strip(r):
-        data = r.to_json()
-        del data["wall_seconds"]
-        if data["stats"] is not None:
-            data["stats"] = {k: v for k, v in data["stats"].items() if k != "seconds"}
-        return data
+def without_seconds(data):
+    """A report's JSON with `wall_seconds` and `stats.seconds` masked."""
+    data = dict(data, wall_seconds=None)
+    if data["stats"] is not None:
+        data["stats"] = dict(data["stats"], seconds=None)
+    return data
 
-    rows = classify_table("un", 8, 1, order_seed=7, jobs=2)
+
+def test_table_rows_are_decide_reports():
+    rows = classify_table("un", 8, 1, order_seed=7)
     assert [r.n for r in rows] == list(range(2, 9))
-    assert [strip(r) for r in rows] == [strip(decide_ci("un", n, 1, order_seed=7)) for n in range(2, 9)]
+    assert [without_seconds(r.to_json()) for r in rows] == [
+        without_seconds(decide_ci("un", n, 1, order_seed=7).to_json()) for n in range(2, 9)
+    ]
+
+
+@pytest.mark.parametrize("family,max_n", [("un", 4), ("bn", 2)])
+def test_table_rows_at_genus_two_are_decide_reports(family, max_n):
+    rows = classify_table(family, max_n, 2)
+    assert [r.n for r in rows] == list(range(2, max_n + 1))
+    assert all(r.genus == 2 and r.verdict == "CI" for r in rows)
+    assert [without_seconds(r.to_json()) for r in rows] == [
+        without_seconds(decide_ci(family, n, 2).to_json()) for n in range(2, max_n + 1)
+    ]
+
+
+def test_table_runs_in_this_process(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("table started a process")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    argv = ["table", "--family", "un", "--max-n", "6"]
+    tables = []
+    for jobs in ("4", "1"):
+        assert cli.main(argv + ["--jobs", jobs]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        tables.append(dict(payload, rows=[without_seconds(row) for row in payload["rows"]]))
+    assert tables[0] == tables[1]
 
 
 def test_u6_verdict_agrees_across_order_seeds():
@@ -297,13 +327,6 @@ def test_codim_below_generator_count_is_not_ci(monkeypatch):
     assert r.structure is None and r.witness is None and r.stats is not None
     assert r.to_json()["structure"] is None
     assert cli.main(["decide", "--group", "un", "--n", "4"]) == 0
-
-
-def test_table_parallel_matches_serial():
-    serial = classify_table("un", 4, 1)
-    parallel = classify_table("un", 4, 1, jobs=2)
-    strip = lambda r: {k: v for k, v in r.to_json().items() if k != "wall_seconds" and k != "stats"}
-    assert [strip(r) for r in serial] == [strip(r) for r in parallel]
 
 
 def test_report_json_round_trip():
