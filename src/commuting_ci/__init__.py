@@ -2,14 +2,15 @@
 
 The pipeline presents the (higher-genus) commuting variety of an upper
 triangular matrix group by the entries of a product of matrix commutators,
-then decides whether those generators cut out a complete intersection, via
-two independent routes: Groebner-based codimension of the generator ideal,
-and vanishing of degree-1 Koszul homology on graded slices.
+then decides whether those generators cut out a complete intersection.
+`decide` certifies its verdict by the window witness (U_n, n >= 6, genus 1)
+or by the Groebner-based codimension of the generator ideal.  The `koszul`
+subcommand is the second, independent route: vanishing of degree-1 Koszul
+homology on graded slices.  The tests cross-check the two routes.
 """
 
 from .ordering import MonomialOrder
 from .polyring import (
-    BOTTOM_WEIGHT,
     DEFAULT_PRIME,
     Polynomial,
     PrimeField,
@@ -33,7 +34,6 @@ from .groupmat import (
 from .groebner import (
     BuchbergerStats,
     GroebnerBasis,
-    IdealStats,
     IncompleteComputation,
     buchberger,
     krull_dimension,
@@ -43,7 +43,6 @@ from .koszul import (
     KoszulComplex,
     KoszulSliceReport,
     build_complex,
-    homology_slice,
     slices,
 )
 from .cidecide import (

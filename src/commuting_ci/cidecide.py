@@ -195,15 +195,15 @@ def decide_ci(
     gb = buchberger(all_gens, order, ring=system.ring, degree_cap=degree_cap, deadline=deadline)
     report.stats = gb.stats.to_json()
     if gb.is_complete:
-        stats = krull_dimension(gb)
-        if stats.codimension > r + u:
+        dim = krull_dimension(gb)
+        codim = nvars - dim
+        if codim > r + u:
             raise RuntimeError(
-                f"{kind} n={n} genus={genus}: codimension {stats.codimension} exceeds "
+                f"{kind} n={n} genus={genus}: codimension {codim} exceeds "
                 f"the {r + u} generators, which Krull's height theorem forbids"
             )
-        report.dim = stats.dimension
-        report.codim = stats.codimension
-        if stats.codimension == r + u:
+        report.dim, report.codim = dim, codim
+        if codim == r + u:
             report.verdict = "CI"
             if kind == UNIPOTENT:
                 report.structure = _structure_statement(report)

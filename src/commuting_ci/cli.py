@@ -233,8 +233,8 @@ def cmd_koszul(args: argparse.Namespace) -> int:
     complex_ = build_complex(system)
     r = len(complex_.generators)
     if args.degree > r:
-        # C_i is zero for i > r: every slice would be a zero slice and the
-        # slice cap could never end the loop
+        # C_i is zero for i > r: the slice cap never stops a run of all-zero
+        # slices, so only --max-weight or the timeout would end the pass
         raise ValueError(f"--degree must be in 0..{r} (the nonzero generators), got {args.degree}")
     rows = []
     stopped_by = None

@@ -78,15 +78,6 @@ class BuchbergerStats:
         return {**jsonable(self), "seconds": round(self.seconds, 3)}
 
 
-@dataclass(frozen=True)
-class IdealStats:
-    """Variable count, quotient Krull dimension, and codimension."""
-
-    nvars: int
-    dimension: int
-    codimension: int
-
-
 @dataclass
 class GroebnerBasis:
     """The basis `buchberger` returns, kept packed until `.basis` is read.
@@ -422,20 +413,17 @@ def _min_hitting_set(supports: List[FrozenSet[int]]) -> int:
     return best
 
 
-def krull_dimension(gb: GroebnerBasis) -> IdealStats:
-    """Dimension of the quotient by the ideal, from its leading-term ideal.
-
-    Returns the largest cardinality of a variable set S such that no leading
-    monomial has support inside S, together with the codimension N - dim.
-    """
+def krull_dimension(gb: GroebnerBasis) -> int:
+    """Dimension of the quotient by the ideal, from its leading-term ideal:
+    the largest cardinality of a variable set S such that no leading monomial
+    has support inside S."""
     if not gb.is_complete:
         raise IncompleteComputation("dimension of an incomplete basis is meaningless")
     n = gb.ring.nvars
     lts = gb.leading_exponents()
     if not lts:
-        return IdealStats(n, n, 0)
+        return n
     supports = _minimal_supports(lts)
     if any(not s for s in supports):
         raise ValueError("unit ideal has no Krull dimension in this setting")
-    codim = _min_hitting_set(supports)
-    return IdealStats(n, n - codim, codim)
+    return n - _min_hitting_set(supports)

@@ -87,9 +87,9 @@ The rank of d_{i+1}, for i >= 1, is found one of two ways in each block:
   map to xy; two rows are skipped, while rank d_2 = 3.
 
 `build_complex` makes the complex of a unipotent commutator system;
-`slices` computes the slices of one homological degree, weight by weight,
-and `homology_slice` one slice.  A slice above the size cap, or one that
-passes its deadline, is reported "incomplete" instead.
+`slices` computes the slices of one homological degree, weight by weight.
+A slice above the size cap, or one that passes its deadline, is reported
+"incomplete" instead.
 """
 
 from __future__ import annotations
@@ -481,18 +481,3 @@ def slices(
     run = _SlicePass(K, i, max_weight)
     for w in range(max_weight + 1):
         yield run.slice(w, size_cap, deadline)
-
-
-def homology_slice(
-    K: KoszulComplex,
-    i: int,
-    w: int,
-    *,
-    size_cap: int = DEFAULT_SLICE_CAP,
-    deadline: Optional[float] = None,
-) -> KoszulSliceReport:
-    """Exact dimension of H_i at internal weight w: the last report of
-    `slices(K, i, w)`, whose lower weights fill the tables it prunes with."""
-    for report in slices(K, i, w, size_cap=size_cap, deadline=deadline):
-        pass
-    return report

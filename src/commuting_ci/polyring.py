@@ -25,16 +25,13 @@ turns a report dataclass into its JSON object.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .ordering import Coeff, Exponent, MonomialOrder, Packing
-
-#: Weight reported for the zero polynomial; compares below every true weight
-#: and absorbs addition, so weight additivity holds for products with zero.
-BOTTOM_WEIGHT = float("-inf")
 
 #: Default modulus for modular runs: a standard CAS word-sized prime.
 DEFAULT_PRIME = 32003
@@ -168,8 +165,7 @@ class RingDescriptor:
         return all(w >= 1 for w in self.weights)
 
     def exp_weight(self, exp: Exponent) -> int:
-        ws = self.weights
-        return sum(e * ws[i] for i, e in enumerate(exp) if e)
+        return sum(map(operator.mul, self.weights, exp))
 
     def zero(self) -> "Polynomial":
         return Polynomial._raw(self, {})
@@ -324,21 +320,11 @@ class Polynomial:
 
     # -- grading ------------------------------------------------------
 
-    def weight_of(self) -> Union[int, float, None]:
-        """Common internal weight of all terms.
-
-        Returns `BOTTOM_WEIGHT` for the zero polynomial and None when the terms
-        carry mixed weights (not weight-homogeneous).
-        """
-        if not self.terms:
-            return BOTTOM_WEIGHT
-        ring = self.ring
-        it = iter(self.terms)
-        w = ring.exp_weight(next(it))
-        for exp in it:
-            if ring.exp_weight(exp) != w:
-                return None
-        return w
+    def weight_of(self) -> Optional[int]:
+        """The internal weight that every term shares, or None when the terms
+        carry mixed weights or there are none (the zero polynomial)."""
+        weights = {self.ring.exp_weight(exp) for exp in self.terms}
+        return weights.pop() if len(weights) == 1 else None
 
     # -- unit-pair rewriting -------------------------------------------
 
@@ -347,31 +333,15 @@ class Polynomial:
         pairs = self.ring.unit_pairs
         if not pairs or not self.terms:
             return self
-        out: Dict[Exponent, Coeff] = {}
-        prime = self.ring.field.p
-        changed = False
+        items = []
         for exp, c in self.terms.items():
-            lst = None
+            lst = list(exp)
             for a, b in pairs:
-                m = exp[a] if exp[a] < exp[b] else exp[b]
-                if m:
-                    if lst is None:
-                        lst = list(exp)
-                    lst[a] -= m
-                    lst[b] -= m
-            if lst is not None:
-                changed = True
-                exp = tuple(lst)
-            v = out.get(exp, 0) + c
-            if prime is not None:
-                v %= prime
-            if v:
-                out[exp] = v
-            else:
-                out.pop(exp, None)
-        if not changed:
-            return self
-        return Polynomial._raw(self.ring, out)
+                m = min(lst[a], lst[b])
+                lst[a] -= m
+                lst[b] -= m
+            items.append((lst, c))
+        return Polynomial(self.ring, items)
 
     # -- comparisons ----------------------------------------------------
 
@@ -388,6 +358,8 @@ class Polynomial:
 
 _COEFF_RE = re.compile(r"^\d+(?:/\d+)?$")
 _VARPOW_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*?)(?:\^(\d+))?$")
+#: A "+" or "-" right after a space starts a new term.
+_TERM_SPLIT_RE = re.compile(r"(?<= )([+-])")
 
 
 def _coeff_str(c: Coeff) -> str:
@@ -435,29 +407,15 @@ def parse_poly(text: str, ring: RingDescriptor) -> Polynomial:
         return ring.zero()
     if not s:
         raise ValueError("empty polynomial text")
-    # normalize " - " to a "+ -" separation, keep a possible leading sign
-    chunks: List[str] = []
     sign = 1
     if s.startswith("-"):
         sign = -1
         s = s[1:].lstrip()
     elif s.startswith("+"):
         s = s[1:].lstrip()
-    token = ""
-    signs: List[int] = []
-    i = 0
-    while i < len(s):
-        if s[i] in "+-" and i > 0 and s[i - 1] == " ":
-            chunks.append(token.strip())
-            signs.append(sign)
-            token = ""
-            sign = 1 if s[i] == "+" else -1
-            i += 1
-            continue
-        token += s[i]
-        i += 1
-    chunks.append(token.strip())
-    signs.append(sign)
+    parts = _TERM_SPLIT_RE.split(s)
+    chunks = [chunk.strip() for chunk in parts[::2]]
+    signs = [sign] + [1 if op == "+" else -1 for op in parts[1::2]]
 
     terms: List[Tuple[Exponent, Coeff]] = []
     for sgn, chunk in zip(signs, chunks):

@@ -11,7 +11,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 
 from commuting_ci import linalg
 from commuting_ci.groebner import GroebnerBasis, IncompleteComputation
-from commuting_ci.koszul import KoszulComplex, KoszulSliceReport, _pack, _slice_dim, homology_slice
+from commuting_ci.koszul import KoszulComplex, KoszulSliceReport, _pack, _slice_dim, slices
 from commuting_ci.ordering import Coeff, Exponent, MonomialOrder
 from commuting_ci.polyring import Field, Polynomial, PrimeField, RingDescriptor
 from commuting_ci.polyring import _coerce
@@ -247,6 +247,12 @@ def block_rows(parts) -> Tuple[List[Dict[int, Coeff]], int]:
         for m in monomials:
             rows.append({claim(m + d, len(index)): c for d, c in moves})
     return rows, len(index)
+
+
+def homology_slice(K: KoszulComplex, i: int, w: int, **limits) -> KoszulSliceReport:
+    """The slice of H_i at weight w: the last report of `slices(K, i, w)`,
+    whose lower weights fill the tables that its row skip reads."""
+    return list(slices(K, i, w, **limits))[-1]
 
 
 def reference_slice(K: KoszulComplex, i: int, w: int) -> KoszulSliceReport:

@@ -19,9 +19,9 @@ CHILD = Path(__file__).resolve().parent.parent / "bench" / "child.py"
 
 #: Wrapped names that no longer exist, each entry waiting for the next change
 #: to the benchmark: the window witness stopped computing normal forms;
-#: `koszul` computes its slices in one pass (`slices`), which the CLI drives
-#: instead of calling `homology_slice` per weight; and `linalg.echelon`, which
-#: returns its pivots, replaced the two rank functions.
+#: `homology_slice` is gone from the package, since the CLI drives the
+#: one-pass `slices`; and `linalg.echelon`, which returns its pivots,
+#: replaced the two rank functions.
 KNOWN_MISSING = {
     ("commuting_ci.cidecide", "normal_form"),
     ("commuting_ci.cli", "homology_slice"),

@@ -9,6 +9,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 import commuting_ci
 from commuting_ci import cli
 from commuting_ci.cli import EXIT_INCOMPLETE, EXIT_OK, EXIT_USAGE, build_parser, main
@@ -139,6 +141,20 @@ def test_witness_u6_seeded(capsys):
     code, out = run(capsys, "witness-u6", "--order-seed", "7")
     assert code == EXIT_OK
     assert json.loads(out)["conclusion"] == "NotCI"
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3, 4, 5])
+@pytest.mark.parametrize("field", ["q", "gf:32003", "gf:2"])
+def test_witness_u6_is_the_witness_of_decide(capsys, field, seed):
+    # witness-u6 orders U6 by grevlex and decide by wgrevlex, under the same
+    # seeded permutation: both must report the same obstruction
+    seeded = [] if seed is None else ["--order-seed", str(seed)]
+    code, out = run(capsys, "witness-u6", "--field", field, *seeded)
+    assert code == EXIT_OK
+    witness = json.loads(out)
+    code, out = run(capsys, "decide", "--group", "un", "--n", "6", "--field", field, *seeded)
+    assert code == EXIT_OK
+    assert json.loads(out)["witness"] == witness
 
 
 def test_koszul_u3(capsys):

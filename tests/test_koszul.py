@@ -14,7 +14,6 @@ from commuting_ci.koszul import (
     PositiveWeightRequired,
     _slice_dim,
     build_complex,
-    homology_slice,
 )
 from commuting_ci.polyring import Polynomial, PrimeField, QQ, RingDescriptor
 
@@ -24,6 +23,7 @@ from oracles import (
     block_columns,
     block_rows,
     extend_with_zero_generators,
+    homology_slice,
     key_torus,
     kunneth_zero_check,
     monomials_of_weight,

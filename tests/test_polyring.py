@@ -7,7 +7,6 @@ import pytest
 
 from commuting_ci.ordering import MonomialOrder
 from commuting_ci.polyring import (
-    BOTTOM_WEIGHT,
     PRIME_BOUND,
     Polynomial,
     PrimeField,
@@ -143,7 +142,7 @@ def test_mul_weight_additivity_random(ring):
             continue
         for exp in prod.terms:
             assert ring.exp_weight(exp) == a + b
-        assert prod.weight_of() in (a + b, BOTTOM_WEIGHT)
+        assert prod.weight_of() in (a + b, None)
 
 
 def test_arbitrary_precision_coefficients(ring):
@@ -202,7 +201,7 @@ def test_reduction_rejects_bad_denominator(ring):
 
 
 def test_weight_of_zero_is_bottom(ring):
-    assert ring.zero().weight_of() == BOTTOM_WEIGHT
+    assert ring.zero().weight_of() is None
 
 
 def test_weight_of_relation(ring):
@@ -217,7 +216,7 @@ def test_weight_of_mixed_is_none(ring):
 
 def test_weight_additivity_with_zero(ring):
     p = _random_poly(ring, random.Random(6))
-    assert (p * ring.zero()).weight_of() == BOTTOM_WEIGHT
+    assert (p * ring.zero()).weight_of() is None
 
 
 # -- unit pairs ------------------------------------------------------------------
@@ -230,6 +229,11 @@ def test_reduce_units_cancels_pairs():
     assert (x * x * d * t).reduce_units() == x * t
     assert (x * d * x * d).reduce_units() == ring.one()
     assert (x * t).reduce_units() == x * t
+    # equal monomials after cancelling merge, and may cancel to zero
+    assert (x * d * t + t).reduce_units() == t + t
+    assert (x * d * t - t).reduce_units().is_zero
+    gf7 = RingDescriptor([("x", 0), ("d", 0)], PrimeField(7), unit_pairs=((1, 0),))
+    assert (gf7.const(3) * gf7.gen("x") * gf7.gen("d") + 4).reduce_units().is_zero
 
 
 # -- textual format ----------------------------------------------------------------
@@ -269,6 +273,18 @@ def test_format_is_canonical_under_reparse(ring):
     rel = parse_poly("x_1_1_2*y_1_2_3 - x_1_2_3*y_1_1_2", ring)
     text = format_poly(rel)
     assert format_poly(parse_poly(text, ring)) == text
+    # a "+" or "-" right after a space starts a term, whatever follows it
+    xy = RingDescriptor([("x", 1), ("y", 1)])
+    for loose, canonical in [
+        ("+ x", "x"),
+        ("-  x", "-x"),
+        ("x +y", "x + y"),
+        ("x -y", "x - y"),
+        ("x  +  y", "x + y"),
+        ("x  -  y", "x - y"),
+        ("x - x", "0"),
+    ]:
+        assert format_poly(parse_poly(loose, xy)) == canonical, loose
 
 
 def test_format_respects_order(ring):
@@ -294,6 +310,18 @@ def test_parse_rejects_garbage(ring):
     for bad in ("x_9_9_9", "1 +", "x_1_1_2 ** 2", "2x_1_1_2", ""):
         with pytest.raises((ValueError, KeyError)):
             parse_poly(bad, ring)
+    xy = RingDescriptor([("x", 1), ("y", 1)])
+    for bad, message in [
+        ("x -", "malformed polynomial text: 'x -'"),
+        ("- ", "malformed polynomial text: '- '"),
+        ("-x - -y", "malformed polynomial text: '-x - -y'"),
+        ("x  +  + y", "malformed polynomial text: 'x  +  + y'"),
+        ("x+ y", "bad factor 'x+ y' in 'x+ y'"),
+        ("x -  -y", "malformed polynomial text: 'x -  -y'"),
+    ]:
+        with pytest.raises(ValueError) as caught:
+            parse_poly(bad, xy)
+        assert str(caught.value) == message, bad
 
 
 def test_monomials_of_weight_counts(ring):
