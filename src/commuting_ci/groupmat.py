@@ -5,7 +5,8 @@ diagonal ("unipotent") and with invertible diagonal ("borel").  Each of the
 2g copies in a genus-g word gets its own block of entry variables, and its
 matrix has those variables as entries; borel copies additionally get one
 inverse variable per diagonal entry, with the unit relation d * x_diag = 1
-registered on the ring.  Matrices are plain row lists of polynomials.
+registered on the ring.  The returned word matrix holds plain row lists of
+polynomials.
 
 No matrix is inverted: as [X, Y] = (X*Y)*(Y*X)^-1, the word W times one
 more commutator is the W' with W'*(Y*X) = W*X*Y, found by forward
@@ -19,6 +20,35 @@ borel copy's inverse variables appended directly after its entry block.
 Entry variables are named ``x_t_i_j`` / ``y_t_i_j`` (t the copy pair index);
 inverse variables are named ``d_s_i`` where s = 1..2g numbers the matrices
 X_1, Y_1, X_2, Y_2, ... in order.
+
+The build multiplies packed monomials (`ordering.Packing`) and makes the
+`Polynomial`s once, at the end, row by row.  Every matrix entry is a dict
+from packed monomial to coefficient under one packing of the identity
+order on the N = nvars variables, whose layout, most significant first, is
+
+    [deg][c_{N-1}] ... [c_1][c_0],    c_v = fmax - e_v,
+
+with a zero guard bit above every c field.  deg is the weighted degree
+sum (j - i) * e_v for U_n and the total degree for B_n.  A product of two
+monomials a and b packs as a + b - one, and no field can carry while
+deg a + deg b <= fmax, as every weight is at least 1; that is checked before
+every product of two entries, and a violation raises `VanishingPatternError`.  fmax comes from a degree
+bound on every entry and every product:
+
+* U_n: entry (i, j) of X, Y, the word and each product or solve is
+  weight-homogeneous of weight j - i, as a term A_ik * B_kj has weight
+  (k - i) + (j - k) and the solve divides by no variable.  The bound is
+  n - 1.
+* B_n: count degrees without the cancellations d * x -> 1, which only
+  lower them.  If D bounds the word before copy pair t, then W*X*Y has
+  degree at most D + 2 and Y*X at most 2.  The solve multiplies by the two
+  inverse variables, so W'_ii has degree at most D + 4, and W'_ij at most
+  max(D + 2, deg W'_i,j-1 + 2) + 2 = D + 4 + 4 * (j - i).  The new word
+  stays within D + 4n, and from D = 0 the bound is 4 * n * genus.
+
+A unit pair cancels by division: with u the packed d * x_diag, m + one - u
+packs m / u exactly when it has no guard bit set, and m is replaced by it
+while it does.
 """
 
 from __future__ import annotations
@@ -27,6 +57,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .ordering import Coeff, MonomialOrder, Packing
 from .polyring import Field, Polynomial, QQ, RingDescriptor, format_poly
 
 UNIPOTENT = "unipotent"
@@ -57,9 +88,11 @@ class VanishingPatternError(RuntimeError):
     """
 
 
-#: Each variable of the word build is a dense exponent tuple of nvars entries,
-#: so the coordinate matrices alone take about 8 * nvars**2 bytes: 2 GiB at
-#: this many variables.  A larger ring is refused before anything is built.
+#: The word build packs each monomial into one field per variable, so its
+#: packing and coordinate matrices take about 2 * nvars**2 bytes: 0.5 GB at
+#: this many variables.  Only the polynomials it returns are still dense
+#: exponent tuples, 8 * nvars bytes a term.  A larger ring is refused before
+#: anything is built.
 MAX_WORD_NVARS = 16_384
 
 
@@ -106,8 +139,8 @@ def commutator_ring(kind: str, n: int, genus: int, field: Field = QQ) -> RingDes
     if nvars > MAX_WORD_NVARS:
         raise _too_large(
             nvars,
-            f"the coordinate matrices alone would take about {8 * nvars**2 / 2**30:.3g} GiB "
-            f"of dense exponent tuples; the word build takes at most {MAX_WORD_NVARS} variables",
+            f"the packing and coordinate matrices alone would take about "
+            f"{2 * nvars**2 / 2**30:.3g} GiB; the word build takes at most {MAX_WORD_NVARS} variables",
         )
     variables: List[Tuple[str, int]] = []
     unit_pairs: List[Tuple[int, int]] = []
@@ -153,53 +186,112 @@ class CommutatorSystem:
         raise KeyError(f"no generator at position ({i}, {j})")
 
 
-def _product(
-    ring: RingDescriptor,
-    A: List[List[Polynomial]],
-    B: List[List[Polynomial]],
-    deadline: Optional[float],
-) -> List[List[Polynomial]]:
-    """A*B for upper-triangular A and B (k runs over i..j only), unit-reduced."""
-    n = len(A)
-    out = [[ring.zero()] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            acc = ring.zero()
-            for k in range(i, j + 1):
-                if not (A[i][k].is_zero or B[k][j].is_zero):
-                    _check_deadline(deadline)
-                    acc = acc + A[i][k] * B[k][j]
-            out[i][j] = acc.reduce_units()
-    return out
+#: An entry of a packed matrix: packed monomial -> coefficient, {} for zero.
+PackedEntry = Dict[int, Coeff]
+PackedMatrix = List[List[PackedEntry]]
 
 
-def _solve(
-    ring: RingDescriptor,
-    A: List[List[Polynomial]],
-    B: List[List[Polynomial]],
-    inv_diag: Optional[Sequence[Polynomial]],
-    deadline: Optional[float],
-) -> List[List[Polynomial]]:
-    """W with W*B = A for upper-triangular A and B, by forward substitution.
+class _PackedArithmetic:
+    """Products and triangular solves of upper-triangular packed matrices.
 
-    `inv_diag[j]` inverts B[j][j] modulo the unit relations; None means B has
-    unit diagonal.
+    Every entry is unit-reduced and reduced mod p once it is formed.  Every
+    product is checked against the packed bound and the deadline first.
     """
-    n = len(A)
-    W = [[ring.zero()] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            acc = ring.zero()
-            for k in range(i, j):
-                if not (W[i][k].is_zero or B[k][j].is_zero):
-                    _check_deadline(deadline)
-                    acc = acc + W[i][k] * B[k][j]
-            acc = A[i][j] - acc
-            if inv_diag is not None:
-                _check_deadline(deadline)
-                acc = (acc * inv_diag[j]).reduce_units()
-            W[i][j] = acc
-    return W
+
+    __slots__ = ("one", "guards", "shift", "fmax", "prime", "unit_quotients", "deadline")
+
+    def __init__(
+        self,
+        packing: Packing,
+        prime: Optional[int],
+        units: Sequence[int],
+        deadline: Optional[float],
+    ) -> None:
+        self.one, self.guards = packing.one, packing.guards
+        self.shift, self.fmax = packing.shift, packing.fmax
+        self.prime = prime
+        # m + (one - u) packs m / u whenever u divides m
+        self.unit_quotients = tuple(packing.one - u for u in units)
+        self.deadline = deadline
+
+    def degree(self, e: PackedEntry) -> int:
+        return max(e) >> self.shift if e else 0
+
+    def multiply_into(self, acc: PackedEntry, a: PackedEntry, b: PackedEntry, degree: int) -> None:
+        """Add a*b to `acc`, unreduced; `degree` is deg a + deg b."""
+        if degree > self.fmax:
+            raise VanishingPatternError(
+                f"a product of degree {degree} exceeds the packed bound {self.fmax}"
+            )
+        _check_deadline(self.deadline)
+        if len(a) < len(b):
+            a, b = b, a
+        one, get = self.one, acc.get
+        for mb, cb in b.items():
+            step = mb - one
+            for ma, ca in a.items():
+                m = ma + step
+                acc[m] = get(m, 0) + ca * cb
+
+    def settle(self, acc: PackedEntry) -> PackedEntry:
+        """`acc` with every unit pair cancelled, reduced mod p, without zeros."""
+        quotients = self.unit_quotients
+        if quotients:
+            guards = self.guards
+            merged: PackedEntry = {}
+            for m, c in acc.items():
+                for q in quotients:
+                    while not (m + q) & guards:
+                        m += q
+                merged[m] = merged.get(m, 0) + c
+            acc = merged
+        p = self.prime
+        if p:
+            return {m: r for m, c in acc.items() if (r := c % p)}
+        return {m: c for m, c in acc.items() if c}
+
+    def product(self, A: PackedMatrix, B: PackedMatrix) -> PackedMatrix:
+        """A*B for upper-triangular A and B (k runs over i..j only)."""
+        n, degree = len(A), self.degree
+        dA = [[degree(e) for e in row] for row in A]
+        dB = [[degree(e) for e in row] for row in B]
+        out: PackedMatrix = [[{} for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                acc: PackedEntry = {}
+                for k in range(i, j + 1):
+                    if A[i][k] and B[k][j]:
+                        self.multiply_into(acc, A[i][k], B[k][j], dA[i][k] + dB[k][j])
+                out[i][j] = self.settle(acc)
+        return out
+
+    def solve(
+        self, A: PackedMatrix, B: PackedMatrix, inv_diag: Optional[Sequence[int]]
+    ) -> PackedMatrix:
+        """W with W*B = A for upper-triangular A and B, by forward substitution.
+
+        `inv_diag[j]` is the packed monomial that inverts B[j][j] modulo the
+        unit relations; None means B has unit diagonal.
+        """
+        n, degree = len(A), self.degree
+        dB = [[degree(e) for e in row] for row in B]
+        negB = [[{m: -c for m, c in e.items()} for e in row] for row in B]
+        W: PackedMatrix = [[{} for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            dW = [0] * n
+            for j in range(i, n):
+                acc = dict(A[i][j])
+                for k in range(i, j):
+                    if W[i][k] and B[k][j]:
+                        self.multiply_into(acc, W[i][k], negB[k][j], dW[k] + dB[k][j])
+                if inv_diag is not None:
+                    scaled: PackedEntry = {}
+                    inv = inv_diag[j]
+                    self.multiply_into(scaled, acc, {inv: 1}, degree(acc) + (inv >> self.shift))
+                    acc = scaled
+                W[i][j] = self.settle(acc)
+                dW[j] = degree(W[i][j])
+        return W
 
 
 def commutator_word(
@@ -213,8 +305,9 @@ def commutator_word(
     is the product minus the identity and the diagonal must vanish.  Any
     violation aborts: it would mean the arithmetic itself is broken.  Every
     stop raises `WordStopped`: past `deadline` (a `time.monotonic` value),
-    checked before every row of the coordinate matrices and before every
-    polynomial product, with `stopped_by` "timeout"; for a ring too large to
+    checked before every row of the coordinate matrices, before every
+    product of two entries and before every entry converted to a
+    `Polynomial`, with `stopped_by` "timeout"; for a ring too large to
     build (see `commutator_ring`) or a build that runs out of memory, with
     "word_size".
     """
@@ -229,44 +322,68 @@ def _build_word(
     kind: str, n: int, genus: int, field: Field, deadline: Optional[float]
 ) -> CommutatorSystem:
     ring = commutator_ring(kind, n, genus, field)
-    zero, one = ring.zero(), ring.one()
-    word = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    unipotent = kind == UNIPOTENT
+    nvars = ring.nvars
+    order = MonomialOrder.identity(nvars, ring.weights if unipotent else None)
+    packing = Packing(order, n - 1 if unipotent else 4 * n * genus)
+    one = packing.one
+
+    def monomial(*variables: int) -> int:
+        exp = [0] * nvars
+        for v in variables:
+            exp[v] = 1
+        return packing.pack(exp)
+
+    var = ring.index
+    units = [monomial(d, x) for d, x in ring.unit_pairs]
+    arith = _PackedArithmetic(packing, field.p, units, deadline)
+    word: PackedMatrix = [[{one: 1} if i == j else {} for j in range(n)] for i in range(n)]
     for t in range(1, genus + 1):
         # the generic X and Y of copy pair t: 0 left of the diagonal, 1 on a
-        # unipotent diagonal, the entry variables elsewhere.  Each generator
-        # is a dense exponent tuple, so the deadline is checked row by row.
-        X: List[List[Polynomial]] = []
-        Y: List[List[Polynomial]] = []
+        # unipotent diagonal, the entry variables elsewhere.  Packing a
+        # variable walks all nvars fields, so the deadline is checked row by row.
+        X: PackedMatrix = []
+        Y: PackedMatrix = []
         for i in range(1, n + 1):
             _check_deadline(deadline)
             for M, role in ((X, "x"), (Y, "y")):
-                row = [zero] * (i - 1) + [one] * (kind == UNIPOTENT)
-                row += [ring.gen(f"{role}_{t}_{i}_{j}") for j in range(len(row) + 1, n + 1)]
+                row: List[PackedEntry] = [{} for _ in range(i - 1)] + [{one: 1}] * unipotent
+                row += [
+                    {monomial(var(f"{role}_{t}_{i}_{j}")): 1} for j in range(len(row) + 1, n + 1)
+                ]
                 M.append(row)
         inv_diag = None
         if kind == BOREL:  # 1/(y_jj * x_jj), by the registered inverse variables
             inv_diag = [
-                ring.gen(f"d_{2 * t}_{j}") * ring.gen(f"d_{2 * t - 1}_{j}") for j in range(1, n + 1)
+                monomial(var(f"d_{2 * t}_{j}"), var(f"d_{2 * t - 1}_{j}")) for j in range(1, n + 1)
             ]
-        WXY = _product(ring, _product(ring, word, X, deadline), Y, deadline)
-        word = _solve(ring, WXY, _product(ring, Y, X, deadline), inv_diag, deadline)
+        word = arith.solve(arith.product(arith.product(word, X), Y), arith.product(Y, X), inv_diag)
     if kind == BOREL:
         for i in range(n):
-            word[i][i] = word[i][i] - 1
+            word[i][i] = arith.settle({**word[i][i], one: word[i][i].get(one, 0) - 1})
 
+    # the polynomials, row by row: each packed row is dropped once converted
+    unpack_terms = packing.unpack_terms
+    diagonal = ring.one() if unipotent else ring.zero()
     zero_positions: List[Tuple[int, int]] = []
     generators: List[Tuple[Tuple[int, int], Polynomial]] = []
-    for i, row in enumerate(word, 1):
-        for j, e in enumerate(row, 1):
+    rows: List[Tuple[Polynomial, ...]] = []
+    for i in range(1, n + 1):
+        packed_row, word[i - 1] = word[i - 1], []
+        row = []
+        for j, packed in enumerate(packed_row, 1):
+            _check_deadline(deadline)
+            e = Polynomial._raw(ring, unpack_terms(packed))
+            row.append(e)
             if j < i:
                 if not e.is_zero:
                     raise VanishingPatternError(f"nonzero below the diagonal at ({i}, {j})")
             elif j == i:
-                if e != (one if kind == UNIPOTENT else zero):
+                if e != diagonal:
                     raise VanishingPatternError(f"diagonal entry at ({i}, {i}) not forced value")
                 if kind == BOREL:
                     zero_positions.append((i, i))
-            elif kind == UNIPOTENT and j == i + 1:
+            elif unipotent and j == i + 1:
                 if not e.is_zero:
                     raise VanishingPatternError(f"subdiagonal entry at ({i}, {j}) is nonzero")
                 zero_positions.append((i, j))
@@ -276,12 +393,13 @@ def _build_word(
                         f"entry at ({i}, {j}) is not weight-homogeneous of weight {j - i}"
                     )
                 generators.append(((i, j), e))
+        rows.append(tuple(row))
 
     # d_s_i * diag - 1 for each registered pair, copy by copy
-    unit_relations = tuple(ring.gen(d) * ring.gen(x) - 1 for d, x in ring.unit_pairs)
-    word_matrix = tuple(tuple(row) for row in word)
+    minus_one = field.p - 1 if field.p else -1
+    unit_relations = tuple(Polynomial._raw(ring, unpack_terms({u: 1, one: minus_one})) for u in units)
     return CommutatorSystem(
-        kind, n, genus, ring, word_matrix, tuple(generators), unit_relations, tuple(zero_positions)
+        kind, n, genus, ring, tuple(rows), tuple(generators), unit_relations, tuple(zero_positions)
     )
 
 

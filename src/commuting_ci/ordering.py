@@ -37,8 +37,8 @@ it will see, or a larger degree the caller names.  Since every weight is at
 least 1, within that degree every exponent stays within fmax and no field
 can carry into its guard; packing an exponent above fmax raises
 `OverflowError` instead of mis-ordering.  `polyring.format_poly` sorts terms
-by the packed key and `groebner` computes on packed terms, so text and
-engine read one order.
+by the packed key, and `groebner` and the commutator word build in
+`groupmat` compute on packed terms, so text and engine read one order.
 """
 
 from __future__ import annotations
@@ -111,7 +111,8 @@ class Packing:
     """
 
     __slots__ = (
-        "bits", "fmax", "shift", "one", "guards", "low", "modulus", "_classes", "_steps", "_offsets",
+        "bits", "fmax", "shift", "one", "guards", "low", "modulus",
+        "_classes", "_steps", "_permutation",
     )
 
     def __init__(self, order: MonomialOrder, bound: int) -> None:
@@ -131,7 +132,7 @@ class Packing:
         offsets = [0] * n  # offsets[v]: bit offset of the field of variable v
         for k, v in enumerate(order.permutation):
             offsets[v] = k * width
-        self._offsets = tuple(offsets)
+        self._permutation = order.permutation  # the variable of each field, lowest first
         # pack(e) = one + sum(e_v * steps[v])
         self._steps = tuple((w << self.shift) - (1 << o) for w, o in zip(weights, offsets))
         # per weight w: (w, mask of the complement fields of weight w, fmax * their count)
@@ -155,8 +156,16 @@ class Packing:
 
     def unpack(self, m: int) -> Exponent:
         exps = self.one - (m & self.low)  # fmax - c_v = e_v in every field
-        fmax = self.fmax
-        return tuple([(exps >> offset) & fmax for offset in self._offsets])
+        width, permutation = self.bits + 1, self._permutation
+        exp = [0] * len(permutation)
+        # walk the nonzero fields only, from the top: the highest set bit
+        # names the field, the field names the variable
+        while exps:
+            offset = (exps.bit_length() - 1) // width * width
+            e = exps >> offset
+            exp[permutation[offset // width]] = e
+            exps -= e << offset
+        return tuple(exp)
 
     def pack_terms(self, terms: Dict[Exponent, Coeff]) -> Dict[int, Coeff]:
         pack = self.pack

@@ -11,9 +11,10 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 
 from commuting_ci import linalg
 from commuting_ci.groebner import GroebnerBasis, IncompleteComputation
+from commuting_ci.groupmat import BOREL, UNIPOTENT, commutator_ring, normalize_kind
 from commuting_ci.koszul import KoszulComplex, KoszulSliceReport, _pack, _slice_dim, slices
 from commuting_ci.ordering import Coeff, Exponent, MonomialOrder
-from commuting_ci.polyring import Field, Polynomial, PrimeField, RingDescriptor
+from commuting_ci.polyring import QQ, Field, Polynomial, PrimeField, RingDescriptor
 from commuting_ci.polyring import _coerce
 
 # -- exponent tuples -----------------------------------------------------------
@@ -94,6 +95,73 @@ def evaluate(p: Polynomial, values: Mapping[str, Coeff]) -> Coeff:
     if isinstance(ring.field, PrimeField):
         total %= ring.field.p
     return total
+
+
+# -- the commutator word --------------------------------------------------------
+
+Matrix = List[List[Polynomial]]
+
+
+def _word_product(ring: RingDescriptor, A: Matrix, B: Matrix) -> Matrix:
+    """A*B for upper-triangular A and B (k runs over i..j only), unit-reduced."""
+    n = len(A)
+    out = [[ring.zero()] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            acc = ring.zero()
+            for k in range(i, j + 1):
+                acc = acc + A[i][k] * B[k][j]
+            out[i][j] = acc.reduce_units()
+    return out
+
+
+def _word_solve(
+    ring: RingDescriptor, A: Matrix, B: Matrix, inv_diag: Optional[Sequence[Polynomial]]
+) -> Matrix:
+    """W with W*B = A for upper-triangular A and B, by forward substitution;
+    `inv_diag[j]` inverts B[j][j] modulo the unit relations, None means B has
+    unit diagonal."""
+    n = len(A)
+    W = [[ring.zero()] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            acc = ring.zero()
+            for k in range(i, j):
+                acc = acc + W[i][k] * B[k][j]
+            acc = A[i][j] - acc
+            if inv_diag is not None:
+                acc = (acc * inv_diag[j]).reduce_units()
+            W[i][j] = acc
+    return W
+
+
+def reference_word(kind: str, n: int, genus: int, field: Field = QQ) -> Matrix:
+    """The word matrix of `commutator_word`, by `Polynomial` arithmetic on
+    exponent tuples: the product of the genus commutators [X_t, Y_t], each
+    as W' with W'*(Y*X) = W*X*Y, minus the identity for B_n."""
+    kind = normalize_kind(kind)
+    ring = commutator_ring(kind, n, genus, field)
+    zero, one = ring.zero(), ring.one()
+    word = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    for t in range(1, genus + 1):
+        X: Matrix = []
+        Y: Matrix = []
+        for i in range(1, n + 1):
+            for M, role in ((X, "x"), (Y, "y")):
+                row = [zero] * (i - 1) + [one] * (kind == UNIPOTENT)
+                row += [ring.gen(f"{role}_{t}_{i}_{j}") for j in range(len(row) + 1, n + 1)]
+                M.append(row)
+        inv_diag = None
+        if kind == BOREL:
+            inv_diag = [
+                ring.gen(f"d_{2 * t}_{j}") * ring.gen(f"d_{2 * t - 1}_{j}") for j in range(1, n + 1)
+            ]
+        WXY = _word_product(ring, _word_product(ring, word, X), Y)
+        word = _word_solve(ring, WXY, _word_product(ring, Y, X), inv_diag)
+    if kind == BOREL:
+        for i in range(n):
+            word[i][i] = word[i][i] - 1
+    return word
 
 
 def monomials_of_weight(ring: RingDescriptor, w: int) -> List[Exponent]:

@@ -297,15 +297,16 @@ def _run_fresh(*argv, preexec_fn=None):
 
 
 def test_decide_timeout_bounds_the_word_build():
-    # building the whole U14 word takes about 13 s on a 2-vCPU machine
+    # building the whole U16 word takes about 13 s on a 2-vCPU machine (U14
+    # about 2 s); with --timeout 1 this run exits after about 1.1 s
     t0 = time.monotonic()
-    done = _run_fresh("decide", "--group", "un", "--n", "14", "--timeout", "1")
+    done = _run_fresh("decide", "--group", "un", "--n", "16", "--timeout", "1")
     assert time.monotonic() - t0 < 10
     assert done.returncode == EXIT_INCOMPLETE
     report = json.loads(done.stdout)
     assert report["verdict"] == "Incomplete"
     assert report["note"] == "stopped by the timeout while building the commutator word"
-    assert (report["nvars"], report["unit_relations"]) == (182, 0)
+    assert (report["nvars"], report["unit_relations"]) == (240, 0)
     for key in ("generators", "exterior_factors", "stats", "witness"):
         assert report[key] is None
     # U110: the coordinate matrices alone take seconds and over a GB
@@ -317,7 +318,8 @@ def test_decide_timeout_bounds_the_word_build():
 
 
 def test_koszul_timeout_bounds_the_word_build():
-    for n, timeout, limit in (("14", "1", 10), ("110", "0.5", 3)):
+    # the U16 word takes about 13 s; each run exits after about 1.1 s and 0.6 s
+    for n, timeout, limit in (("16", "1", 10), ("110", "0.5", 3)):
         t0 = time.monotonic()
         done = _run_fresh("koszul", "--group", "un", "--n", n, "--max-weight", "2", "--timeout", timeout)
         assert time.monotonic() - t0 < limit, n
@@ -327,9 +329,10 @@ def test_koszul_timeout_bounds_the_word_build():
 
 
 def test_dump_honours_the_timeout():
-    # the whole U14 dump takes about 20 s and 340 MB on a 2-vCPU machine
+    # the whole U16 word takes about 13 s and 1.5 GB on a 2-vCPU machine;
+    # with --timeout 1 this run exits after about 1.1 s
     t0 = time.monotonic()
-    done = _run_fresh("dump", "--group", "un", "--n", "14", "--timeout", "1")
+    done = _run_fresh("dump", "--group", "un", "--n", "16", "--timeout", "1")
     assert time.monotonic() - t0 < 10
     assert done.returncode == EXIT_INCOMPLETE
     assert done.stdout == ""
@@ -362,8 +365,8 @@ def test_huge_genus_ends_incomplete_under_a_memory_limit():
 
 
 def test_oversized_ring_ends_incomplete_under_a_memory_limit():
-    # U150 has 22,350 variables: its dense coordinate matrices alone would take
-    # about 3.7 GiB, so the word build is refused before it starts
+    # U150 has 22,350 variables, more than the word build takes, so it is
+    # refused before it starts
     import resource
 
     def limit_memory():  # runs in the child only
@@ -393,9 +396,9 @@ def test_oversized_ring_ends_incomplete_under_a_memory_limit():
 
 
 def test_word_build_out_of_memory_ends_incomplete():
-    # U80 has 6,320 variables, under the size bound, but its dense coordinate
-    # matrices alone take about 300 MB: under a 400 MB address space the word
-    # build runs out of memory within seconds, long before the timeout
+    # U80 has 6,320 variables, under the size bound, but each packed monomial
+    # takes about 6 KB: the word build passes 400 MB after about 2 s, so under
+    # a 400 MB address space it runs out of memory long before the timeout
     import resource
 
     def limit_memory():  # runs in the child only

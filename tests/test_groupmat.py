@@ -2,15 +2,19 @@
 
 import hashlib
 import random
+import sys
+import types
 from fractions import Fraction
 
 import pytest
 
+from commuting_ci import groupmat
 from commuting_ci.cidecide import set_to_zero
 from commuting_ci.groupmat import (
     BOREL,
     MAX_WORD_NVARS,
     UNIPOTENT,
+    VanishingPatternError,
     WordStopped,
     commutator_ring,
     commutator_word,
@@ -18,11 +22,11 @@ from commuting_ci.groupmat import (
     normalize_kind,
     ring_size,
 )
-from commuting_ci.ordering import MonomialOrder
-from commuting_ci.polyring import format_poly, parse_poly
+from commuting_ci.ordering import MonomialOrder, Packing
+from commuting_ci.polyring import QQ, Polynomial, PrimeField, format_poly, parse_poly
 
 from conftest import system
-from oracles import evaluate
+from oracles import evaluate, reference_word
 
 
 def test_normalize_kind_aliases():
@@ -145,6 +149,75 @@ def test_borel_vanishing_pattern(n, genus):
     assert len(s.unit_relations) == 2 * genus * n
     for (i, j), f in s.generators:
         assert j > i and f.weight_of() == j - i
+
+
+# -- the packed build against the tuple reference -----------------------------------
+
+_REFERENCE_CASES = (
+    [("un", n, 1) for n in range(2, 8)]
+    + [("un", n, 2) for n in (3, 4, 5)]
+    + [("un", 4, 3)]
+    + [("bn", 2, genus) for genus in (1, 2, 3)]
+    + [("bn", 3, 1), ("bn", 3, 2), ("bn", 4, 1)]
+)
+
+
+@pytest.mark.parametrize("prime", [None, 2, 32003, 2**61 - 1])
+@pytest.mark.parametrize("kind,n,genus", _REFERENCE_CASES)
+def test_packed_word_matches_the_tuple_reference(kind, n, genus, prime):
+    field = PrimeField(prime) if prime else QQ
+    s = commutator_word(kind, n, genus, field)
+    expected = reference_word(kind, n, genus, field)
+    for i in range(n):
+        for j in range(n):
+            assert s.word_matrix[i][j] == expected[i][j], (i + 1, j + 1)
+    ring = s.ring
+    assert s.unit_relations == tuple(ring.gen(d) * ring.gen(x) - 1 for d, x in ring.unit_pairs)
+
+
+def test_word_build_multiplies_no_polynomials(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the word build did Polynomial arithmetic")
+
+    for name in ("__mul__", "__add__", "__sub__"):
+        monkeypatch.setattr(Polynomial, name, refuse)
+    assert len(commutator_word("un", 6, 1).generators) == 10
+    b32 = commutator_word("bn", 3, 2)
+    assert len(b32.generators) == 3 and len(b32.unit_relations) == 12
+
+
+def test_a_product_past_the_packed_bound_is_refused(monkeypatch):
+    # with one-bit fields a product of weighted degree 3 could carry
+    monkeypatch.setattr(groupmat, "Packing", lambda order, bound: Packing(order, 1))
+    with pytest.raises(VanishingPatternError, match="exceeds the packed bound"):
+        commutator_word("un", 4, 1)
+
+
+def test_deadline_covers_the_checks_after_the_last_product(monkeypatch):
+    # the clock passes the deadline right after the last product: converting
+    # the entries and checking their pattern must still stop on it
+    class Clock:
+        def __init__(self, passes_after=None):
+            self.callers = []
+            self.passes_after = passes_after
+
+        def monotonic(self):
+            # frame 1 is `_check_deadline`, frame 2 the step that asked it
+            self.callers.append(sys._getframe(2).f_code.co_name)
+            late = self.passes_after is not None and len(self.callers) > self.passes_after
+            return 2.0 if late else 0.0
+
+    for kind, n, genus in (("un", 6, 1), ("un", 4, 2), ("bn", 3, 1)):
+        clock = Clock()
+        monkeypatch.setattr(groupmat, "time", types.SimpleNamespace(monotonic=clock.monotonic))
+        commutator_word(kind, n, genus, deadline=1.0)
+        # the build's own checks (rows, entries converted) name `_build_word`
+        last_product = max(k for k, name in enumerate(clock.callers) if name != "_build_word")
+        clock = Clock(passes_after=last_product + 1)
+        monkeypatch.setattr(groupmat, "time", types.SimpleNamespace(monotonic=clock.monotonic))
+        with pytest.raises(WordStopped) as stop:
+            commutator_word(kind, n, genus, deadline=1.0)
+        assert stop.value.stopped_by == "timeout"
 
 
 # -- evaluation consistency -------------------------------------------------------

@@ -105,6 +105,11 @@ def test_weighted_field_width_boundary(bits):
         assert packing.unpack(packing.pack(other)) == other
         assert (packing.pack(top) < packing.pack(other)) == (key(top) < key(other))
         assert packing.lcm(packing.pack(top), packing.pack(other)) == packing.pack(lcm(top, other))
+    # unpack walks only the nonzero fields: every field at fmax, only field 0
+    # (variable 2) and only the top complement field (variable 1)
+    for e in (1, fmax):
+        for exp in ((fmax, fmax, fmax), (0, 0, e), (0, e, 0)):
+            assert packing.unpack(packing.pack(exp)) == exp
     with pytest.raises(OverflowError):
         packing.pack((fmax + 1, 0, 0))
     with pytest.raises(OverflowError):
