@@ -17,7 +17,6 @@ from .polyring import (
     QQ,
     Rationals,
     RingDescriptor,
-    RingMismatchError,
     format_poly,
     parse_field_label,
     parse_poly,

@@ -4,15 +4,15 @@ A `RingDescriptor` fixes an ordered tuple of named variables, one nonnegative
 integer weight per variable, and a coefficient field: the rationals, or a
 prime field GF(p) with p below `PRIME_BOUND` (about 3.3e24), where the
 primality test is exact.  Each field reports its modulus as `p` (None for
-the rationals), which only decides whether sums are reduced mod p.
-`Polynomial` values are immutable; `terms` maps dense exponent tuples to
-nonzero coefficients and is never mutated after construction, so
-polynomials are safe to share between threads.
+the rationals), which only decides whether coefficients are reduced mod p.
 
-`Polynomial` carries only the algebra the commutator word build and its
-consumers run: `+` and `-` (with a polynomial or a coefficient on the
-right), `*` of two polynomials, unit-pair reduction and the weight grading.
-Polynomials are not hashable.
+`Polynomial` is the record the layers exchange, not an arithmetic type: the
+word build and Buchberger compute on `ordering.Packing` keys, the Koszul
+slices on packed keys of their own, and each hands its results over as
+`Polynomial`s.  Its `terms` map dense exponent tuples to nonzero
+coefficients and are never mutated after construction, so polynomials are
+safe to share between threads.  A `Polynomial` offers equality, the weight
+grading and the text format; it has no `+`, `-` or `*` and is not hashable.
 
 Coefficients over the rationals are Python ints or `fractions.Fraction`
 values in lowest terms (arbitrary precision, no rounding anywhere); over
@@ -35,10 +35,6 @@ from .ordering import Coeff, Exponent, MonomialOrder, Packing
 
 #: Default modulus for modular runs: a standard CAS word-sized prime.
 DEFAULT_PRIME = 32003
-
-
-class RingMismatchError(ValueError):
-    """Operands live in different rings."""
 
 
 #: psi_13, the least strong pseudoprime to all of the bases 2..41 (Sorenson &
@@ -124,8 +120,8 @@ class RingDescriptor:
     """Ordered named variables with weights, a field, and optional unit pairs.
 
     `unit_pairs` lists variable index pairs (a, b) whose product is declared
-    to be a unit relation a*b = 1.  They drive `Polynomial.reduce_units` and
-    never affect plain ring arithmetic.
+    to be a unit relation a*b = 1.  They drive the cancellation of the word
+    build on packed monomials (`groupmat`); a `Polynomial` never applies them.
     """
 
     __slots__ = ("variables", "weights", "field", "unit_pairs", "_index")
@@ -171,19 +167,7 @@ class RingDescriptor:
         return Polynomial._raw(self, {})
 
     def one(self) -> "Polynomial":
-        return self.const(1)
-
-    def const(self, c: Coeff) -> "Polynomial":
-        c = _coerce(self.field, c)
-        if not c:
-            return Polynomial._raw(self, {})
-        return Polynomial._raw(self, {(0,) * self.nvars: c})
-
-    def gen(self, name_or_index: Union[str, int]) -> "Polynomial":
-        i = name_or_index if isinstance(name_or_index, int) else self.index(name_or_index)
-        exp = [0] * self.nvars
-        exp[i] = 1
-        return Polynomial._raw(self, {tuple(exp): _coerce(self.field, 1)})
+        return Polynomial._raw(self, {(0,) * self.nvars: 1})
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -219,7 +203,11 @@ def _coerce(field: Field, c: Coeff) -> Coeff:
 
 
 class Polynomial:
-    """Immutable sparse polynomial over a fixed `RingDescriptor`."""
+    """Immutable sparse polynomial over a fixed `RingDescriptor`.
+
+    The constructor normalizes: it merges equal exponents, maps each
+    coefficient into the field and drops zero terms.
+    """
 
     __slots__ = ("ring", "terms")
 
@@ -259,65 +247,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    # -- arithmetic ---------------------------------------------------
-
-    def _check_ring(self, other: "Polynomial") -> None:
-        if self.ring is not other.ring and self.ring != other.ring:
-            raise RingMismatchError("polynomials belong to different rings")
-
-    def __add__(self, other: Union["Polynomial", Coeff]) -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            other = self.ring.const(other)
-        self._check_ring(other)
-        a, b = self.terms, other.terms
-        if not a:
-            return other
-        if not b:
-            return self
-        out = dict(a)
-        p = self.ring.field.p
-        for exp, c in b.items():
-            v = out.get(exp, 0) + c
-            if p:
-                v %= p
-            if v:
-                out[exp] = v
-            else:
-                out.pop(exp, None)
-        return Polynomial._raw(self.ring, out)
-
-    def __neg__(self) -> "Polynomial":
-        p = self.ring.field.p
-        return Polynomial._raw(self.ring, {e: -c % p if p else -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: Union["Polynomial", Coeff]) -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            other = self.ring.const(other)
-        return self.__add__(-other)
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        self._check_ring(other)
-        p = self.ring.field.p
-        a, b = self.terms, other.terms
-        if not a or not b:
-            return self.ring.zero()
-        if len(a) < len(b):
-            a, b = b, a
-        out: Dict[Exponent, Coeff] = {}
-        for eb, cb in b.items():
-            for ea, ca in a.items():
-                e = tuple(map(int.__add__, ea, eb))
-                v = out.get(e, 0) + ca * cb
-                if p:
-                    v %= p
-                if v:
-                    out[e] = v
-                else:
-                    out.pop(e, None)
-        return Polynomial._raw(self.ring, out)
-
     # -- grading ------------------------------------------------------
 
     def weight_of(self) -> Optional[int]:
@@ -325,23 +254,6 @@ class Polynomial:
         carry mixed weights or there are none (the zero polynomial)."""
         weights = {self.ring.exp_weight(exp) for exp in self.terms}
         return weights.pop() if len(weights) == 1 else None
-
-    # -- unit-pair rewriting -------------------------------------------
-
-    def reduce_units(self) -> "Polynomial":
-        """Cancel registered unit pairs inside every monomial (a*b -> 1)."""
-        pairs = self.ring.unit_pairs
-        if not pairs or not self.terms:
-            return self
-        items = []
-        for exp, c in self.terms.items():
-            lst = list(exp)
-            for a, b in pairs:
-                m = min(lst[a], lst[b])
-                lst[a] -= m
-                lst[b] -= m
-            items.append((lst, c))
-        return Polynomial(self.ring, items)
 
     # -- comparisons ----------------------------------------------------
 

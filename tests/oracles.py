@@ -5,7 +5,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -14,7 +14,7 @@ from commuting_ci.groebner import GroebnerBasis, IncompleteComputation
 from commuting_ci.groupmat import BOREL, UNIPOTENT, commutator_ring, normalize_kind
 from commuting_ci.koszul import KoszulComplex, KoszulSliceReport, _pack, _slice_dim, slices
 from commuting_ci.ordering import Coeff, Exponent, MonomialOrder
-from commuting_ci.polyring import QQ, Field, Polynomial, PrimeField, RingDescriptor
+from commuting_ci.polyring import QQ, Field, Polynomial, PrimeField, RingDescriptor, parse_poly
 from commuting_ci.polyring import _coerce
 
 # -- exponent tuples -----------------------------------------------------------
@@ -50,8 +50,42 @@ def lcm(a: Exponent, b: Exponent) -> Exponent:
     return tuple(x if x > y else y for x, y in zip(a, b))
 
 
+# -- arithmetic on exponent tuples, normalized by the `Polynomial` constructor --
+
+
+def add(*polys: Polynomial) -> Polynomial:
+    """The sum of polynomials over one ring."""
+    return Polynomial(polys[0].ring, [t for p in polys for t in p.terms.items()])
+
+
+def scale(p: Polynomial, c: Coeff) -> Polynomial:
+    """c * p, for a coefficient c."""
+    return Polynomial(p.ring, [(e, c * a) for e, a in p.terms.items()])
+
+
+def mul(*polys: Polynomial) -> Polynomial:
+    """The product of polynomials over one ring, term by term."""
+    out = polys[0]
+    for q in polys[1:]:
+        pairs = product(out.terms.items(), q.terms.items())
+        out = Polynomial(out.ring, [(map(int.__add__, a, b), c * d) for (a, c), (b, d) in pairs])
+    return out
+
+
+def reduce_units(p: Polynomial) -> Polynomial:
+    """Cancel the ring's unit pairs (a, b) inside every monomial: x_a * x_b -> 1."""
+    terms = []
+    for exp, c in p.terms.items():
+        exp = list(exp)
+        for a, b in p.ring.unit_pairs:
+            m = min(exp[a], exp[b])
+            exp[a], exp[b] = exp[a] - m, exp[b] - m
+        terms.append((exp, c))
+    return Polynomial(p.ring, terms)
+
+
 def spolynomial(f: Polynomial, g: Polynomial, order: Optional[MonomialOrder] = None) -> Polynomial:
-    """S-polynomial of f and g, by `Polynomial` arithmetic on exponent tuples."""
+    """S-polynomial of f and g, by arithmetic on exponent tuples."""
     if order is None:
         order = MonomialOrder.identity(f.ring.nvars)
     lmf = leading_exponent(order, f.terms)
@@ -62,7 +96,7 @@ def spolynomial(f: Polynomial, g: Polynomial, order: Optional[MonomialOrder] = N
         # m / (lc * x^lm); the constructor maps 1/lc into the field
         return Polynomial(f.ring, {tuple(a - b for a, b in zip(m, lm)): Fraction(1) / lc})
 
-    return f * cofactor(lmf, f.terms[lmf]) - g * cofactor(lmg, g.terms[lmg])
+    return add(mul(f, cofactor(lmf, f.terms[lmf])), mul(g, cofactor(lmg, -g.terms[lmg])))
 
 
 # -- rings and polynomials -----------------------------------------------------
@@ -108,10 +142,7 @@ def _word_product(ring: RingDescriptor, A: Matrix, B: Matrix) -> Matrix:
     out = [[ring.zero()] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            acc = ring.zero()
-            for k in range(i, j + 1):
-                acc = acc + A[i][k] * B[k][j]
-            out[i][j] = acc.reduce_units()
+            out[i][j] = reduce_units(add(*(mul(A[i][k], B[k][j]) for k in range(i, j + 1))))
     return out
 
 
@@ -125,19 +156,15 @@ def _word_solve(
     W = [[ring.zero()] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            acc = ring.zero()
-            for k in range(i, j):
-                acc = acc + W[i][k] * B[k][j]
-            acc = A[i][j] - acc
+            W[i][j] = add(A[i][j], *(scale(mul(W[i][k], B[k][j]), -1) for k in range(i, j)))
             if inv_diag is not None:
-                acc = (acc * inv_diag[j]).reduce_units()
-            W[i][j] = acc
+                W[i][j] = reduce_units(mul(W[i][j], inv_diag[j]))
     return W
 
 
 def reference_word(kind: str, n: int, genus: int, field: Field = QQ) -> Matrix:
-    """The word matrix of `commutator_word`, by `Polynomial` arithmetic on
-    exponent tuples: the product of the genus commutators [X_t, Y_t], each
+    """The word matrix of `commutator_word`, by arithmetic on exponent
+    tuples: the product of the genus commutators [X_t, Y_t], each
     as W' with W'*(Y*X) = W*X*Y, minus the identity for B_n."""
     kind = normalize_kind(kind)
     ring = commutator_ring(kind, n, genus, field)
@@ -149,18 +176,18 @@ def reference_word(kind: str, n: int, genus: int, field: Field = QQ) -> Matrix:
         for i in range(1, n + 1):
             for M, role in ((X, "x"), (Y, "y")):
                 row = [zero] * (i - 1) + [one] * (kind == UNIPOTENT)
-                row += [ring.gen(f"{role}_{t}_{i}_{j}") for j in range(len(row) + 1, n + 1)]
+                row += [parse_poly(f"{role}_{t}_{i}_{j}", ring) for j in range(len(row) + 1, n + 1)]
                 M.append(row)
         inv_diag = None
         if kind == BOREL:
             inv_diag = [
-                ring.gen(f"d_{2 * t}_{j}") * ring.gen(f"d_{2 * t - 1}_{j}") for j in range(1, n + 1)
+                parse_poly(f"d_{2 * t}_{j}*d_{2 * t - 1}_{j}", ring) for j in range(1, n + 1)
             ]
         WXY = _word_product(ring, _word_product(ring, word, X), Y)
         word = _word_solve(ring, WXY, _word_product(ring, Y, X), inv_diag)
     if kind == BOREL:
         for i in range(n):
-            word[i][i] = word[i][i] - 1
+            word[i][i] = add(word[i][i], scale(one, -1))
     return word
 
 

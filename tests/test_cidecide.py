@@ -22,7 +22,7 @@ from commuting_ci.ordering import MonomialOrder
 from commuting_ci.polyring import QQ, PrimeField, parse_poly
 
 from conftest import system
-from oracles import homology_slice
+from oracles import add, homology_slice
 
 
 def test_resolve_field_policy():
@@ -170,7 +170,7 @@ def test_window_generators_lie_in_the_bounding_ideal(n, prime):
     # a Groebner basis of the six bounding polynomials checks them directly
     sys_n = system("un", n, 1, prime)
     ring = sys_n.ring
-    bounding = [ring.gen(v) for v in ("x_1_2_3", "x_1_4_5", "y_1_2_3", "y_1_4_5")]
+    bounding = [parse_poly(v, ring) for v in ("x_1_2_3", "x_1_4_5", "y_1_2_3", "y_1_4_5")]
     bounding += [parse_poly(_SURVIVOR_14, ring), parse_poly(_SURVIVOR_36, ring)]
     gb = buchberger(bounding, ring=ring)
     assert gb.is_complete
@@ -183,7 +183,7 @@ def test_a_failed_pattern_leaves_the_witness_inconclusive(pos, monkeypatch):
     # add a term with no killed variable in it to one window generator
     sys6 = system("un", 6, 1)
     extra = parse_poly("x_1_2_4*y_1_1_2", sys6.ring)
-    gens = tuple((p, f + extra if p == pos else f) for p, f in sys6.generators)
+    gens = tuple((p, add(f, extra) if p == pos else f) for p, f in sys6.generators)
     tampered = dataclasses.replace(sys6, generators=gens)
     w = window_witness(tampered, MonomialOrder.identity(tampered.ring.nvars))
     assert (w.pattern_ok, w.conclusion, w.failed_position) == (False, "Inconclusive", pos)

@@ -530,19 +530,19 @@ def test_closed_stdout_is_one_line_and_exit_1():
     # the reader takes 100 bytes and closes the pipe, which holds at most
     # 64 KiB: the rest of the 100 KB U9 dump cannot be written
     src = Path(commuting_ci.__file__).resolve().parent.parent
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "commuting_ci.cli", "dump", "--group", "un", "--n", "9"],
         env=dict(os.environ, PYTHONPATH=str(src)),
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-    )
-    try:
-        assert len(os.read(proc.stdout.fileno(), 100)) > 0
-        proc.stdout.close()
-        err = proc.stderr.read().decode()
-        assert proc.wait(timeout=60) == EXIT_USAGE
-    finally:
-        proc.kill()
+    ) as proc:  # leaving the block closes both pipes
+        try:
+            assert len(os.read(proc.stdout.fileno(), 100)) > 0
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=60) == EXIT_USAGE
+        finally:
+            proc.kill()
     assert "Traceback" not in err and len(err.splitlines()) <= 1
 
 

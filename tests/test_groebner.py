@@ -29,11 +29,14 @@ from commuting_ci.polyring import (
 
 from conftest import system, system_basis
 from oracles import (
+    add,
     dimension_by_enumeration,
     grevlex_key,
     leading_exponent,
     monomials_of_weight,
+    mul,
     reduce_mod,
+    scale,
     spolynomial,
     standard_monomial_dimension,
     with_field,
@@ -63,24 +66,19 @@ def test_normal_form_self_reduction(u3ring):
 
 
 def test_normal_form_power(xy):
-    x = xy.gen("x")
-    assert normal_form(x * x, [x]).is_zero
+    assert normal_form(parse_poly("x^2", xy), [parse_poly("x", xy)]).is_zero
 
 
 def test_normal_form_no_divisible_terms(xy):
-    x, y = xy.gen("x"), xy.gen("y")
-    rem = normal_form(x * x + y, [x * x - y])
-    assert rem == y + y
+    rem = normal_form(parse_poly("x^2 + y", xy), [parse_poly("x^2 - y", xy)])
+    assert rem == parse_poly("2*y", xy)
     # remainder terms are never divisible by the divisor's leading monomial
     for exp in rem.terms:
         assert not all(e >= l for l, e in zip((2, 0), exp))
 
 
 def test_normal_form_is_deterministic_in_list_order(xy):
-    x, y = xy.gen("x"), xy.gen("y")
-    f = x * x * y
-    g1 = x * x - y
-    g2 = x * y - x
+    f, g1, g2 = (parse_poly(t, xy) for t in ("x^2*y", "x^2 - y", "x*y - x"))
     assert normal_form(f, [g1, g2]) == normal_form(f, [g1, g2])
     # different list order may reduce differently but both are valid remainders
     r21 = normal_form(f, [g2, g1])
@@ -100,12 +98,11 @@ def test_single_generator_basis(u3ring):
     assert len(gb.basis) == 1
     # monic normalization of the same polynomial
     lead = leading_exponent(gb.order, g.terms)
-    assert gb.basis[0] == g * u3ring.const(Fraction(1, g.terms[lead]))
+    assert gb.basis[0] == scale(g, Fraction(1, g.terms[lead]))
 
 
 def test_xy_basis_and_dimension(xy):
-    x, y = xy.gen("x"), xy.gen("y")
-    gb = buchberger([x, y])
+    gb = buchberger([parse_poly("x", xy), parse_poly("y", xy)])
     assert sorted(format_poly(b) for b in gb.basis) == ["x", "y"]
     assert krull_dimension(gb) == 0
 
@@ -148,7 +145,7 @@ def test_membership_zero(u3ring):
 def test_membership_constructed_member(u3ring):
     rng = random.Random(11)
     g1 = u3_relation(u3ring)
-    g2 = u3ring.gen("x_1_1_3") * u3ring.gen("y_1_1_2") - u3ring.gen("y_1_1_3")
+    g2 = parse_poly("x_1_1_3*y_1_1_2 - y_1_1_3", u3ring)
     for _ in range(5):
         q = Polynomial(
             u3ring,
@@ -157,11 +154,11 @@ def test_membership_constructed_member(u3ring):
                 for _ in range(3)
             },
         )
-        assert is_member(g1 * q + g2, [g1, g2])
+        assert is_member(add(mul(g1, q), g2), [g1, g2])
 
 
 def test_membership_rejects_low_weight(u3ring):
-    assert not is_member(u3ring.gen("x_1_1_2"), [u3_relation(u3ring)])
+    assert not is_member(parse_poly("x_1_1_2", u3ring), [u3_relation(u3ring)])
 
 
 # -- S-pair postcondition -----------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Polynomial arithmetic, grading, and the textual format."""
+"""Polynomials: construction, the reference arithmetic, grading, and the textual format."""
 
 import random
 from fractions import Fraction
@@ -8,15 +8,15 @@ import pytest
 from commuting_ci.ordering import MonomialOrder
 from commuting_ci.polyring import (
     PRIME_BOUND,
+    QQ,
     Polynomial,
     PrimeField,
     RingDescriptor,
-    RingMismatchError,
     format_poly,
     parse_poly,
 )
 
-from oracles import monomials_of_weight, reduce_mod
+from oracles import add, monomials_of_weight, mul, reduce_mod, reduce_units, scale
 
 U3_VARS = [
     ("x_1_1_2", 1),
@@ -100,21 +100,15 @@ def test_canonical_form_is_fixed_point(ring):
 
 def test_add_identity_and_inverse(ring):
     p = _random_poly(ring, random.Random(1))
-    assert p + ring.zero() == p
-    assert (p + (-p)).is_zero
+    assert add(p, ring.zero()) == p
+    assert add(p, scale(p, -1)).is_zero
 
 
 def test_add_builds_u3_relation(ring):
-    lhs = ring.gen("x_1_1_2") * ring.gen("y_1_2_3")
-    rhs = ring.gen("y_1_1_2") * ring.gen("x_1_2_3")
-    rel = lhs + (-rhs)
+    lhs = mul(parse_poly("x_1_1_2", ring), parse_poly("y_1_2_3", ring))
+    rhs = mul(parse_poly("y_1_1_2", ring), parse_poly("x_1_2_3", ring))
+    rel = add(lhs, scale(rhs, -1))
     assert rel == parse_poly("x_1_1_2*y_1_2_3 - x_1_2_3*y_1_1_2", ring)
-
-
-def test_add_ring_mismatch(ring):
-    other = RingDescriptor([("z", 1)])
-    with pytest.raises(RingMismatchError):
-        ring.gen(0) + other.gen(0)
 
 
 # -- mul ---------------------------------------------------------------------
@@ -122,11 +116,11 @@ def test_add_ring_mismatch(ring):
 
 def test_mul_identity(ring):
     p = _random_poly(ring, random.Random(2))
-    assert p * ring.one() == p
+    assert mul(p, ring.one()) == p
 
 
 def test_mul_weight_of_product_monomial(ring):
-    prod = ring.gen("x_1_1_2") * ring.gen("y_1_2_3")
+    prod = mul(parse_poly("x_1_1_2", ring), parse_poly("y_1_2_3", ring))
     assert prod.weight_of() == 2
 
 
@@ -137,7 +131,7 @@ def test_mul_weight_additivity_random(ring):
         a, b = rng.randint(1, 4), rng.randint(1, 4)
         p = _random_homogeneous(ring, rng, a)
         q = _random_homogeneous(ring, rng, b)
-        prod = p * q
+        prod = mul(p, q)
         if p.is_zero or q.is_zero:
             continue
         for exp in prod.terms:
@@ -147,30 +141,22 @@ def test_mul_weight_additivity_random(ring):
 
 def test_arbitrary_precision_coefficients(ring):
     big = 10**30
-    p = ring.gen("x_1_1_2") * ring.const(big)
-    q = p * p
+    p = scale(parse_poly("x_1_1_2", ring), big)
+    q = mul(p, p)
     assert q.terms[(2, 0, 0, 0, 0, 0)] == 10**60
     half = Polynomial(ring, {(1, 0, 0, 0, 0, 0): Fraction(1, big)})
-    assert (half * ring.const(big)).terms[(1, 0, 0, 0, 0, 0)] == 1
-
-
-def test_mul_by_a_coefficient_is_a_type_error(ring):
-    # `*` takes two polynomials; a coefficient goes through `ring.const`
-    x = ring.gen("x_1_1_2")
-    for c in (2, Fraction(1, 3), 0):
-        with pytest.raises(TypeError):
-            x * c
+    assert scale(half, big).terms[(1, 0, 0, 0, 0, 0)] == 1
 
 
 def test_ring_axioms_random(ring):
     rng = random.Random(4)
     for _ in range(15):
         p, q, r = (_random_poly(ring, rng, terms=4, max_exp=2) for _ in range(3))
-        assert (p + q) + r == p + (q + r)
-        assert p + q == q + p
-        assert p * q == q * p
-        assert (p * q) * r == p * (q * r)
-        assert p * (q + r) == p * q + p * r
+        assert add(add(p, q), r) == add(p, add(q, r))
+        assert add(p, q) == add(q, p)
+        assert mul(p, q) == mul(q, p)
+        assert mul(mul(p, q), r) == mul(p, mul(q, r))
+        assert mul(p, add(q, r)) == add(mul(p, q), mul(p, r))
 
 
 # -- prime fields -------------------------------------------------------------
@@ -181,8 +167,8 @@ def test_reduction_commutes_with_arithmetic(ring):
     for _ in range(15):
         p = _random_poly(ring, rng)
         q = _random_poly(ring, rng)
-        assert reduce_mod(p, 32003) * reduce_mod(q, 32003) == reduce_mod(p * q, 32003)
-        assert reduce_mod(p, 32003) + reduce_mod(q, 32003) == reduce_mod(p + q, 32003)
+        assert mul(reduce_mod(p, 32003), reduce_mod(q, 32003)) == reduce_mod(mul(p, q), 32003)
+        assert add(reduce_mod(p, 32003), reduce_mod(q, 32003)) == reduce_mod(add(p, q), 32003)
 
 
 def test_reduction_handles_fractions(ring):
@@ -210,13 +196,13 @@ def test_weight_of_relation(ring):
 
 
 def test_weight_of_mixed_is_none(ring):
-    p = ring.gen("x_1_1_2") + ring.gen("x_1_1_3")
+    p = add(parse_poly("x_1_1_2", ring), parse_poly("x_1_1_3", ring))
     assert p.weight_of() is None
 
 
 def test_weight_additivity_with_zero(ring):
     p = _random_poly(ring, random.Random(6))
-    assert (p * ring.zero()).weight_of() is None
+    assert mul(p, ring.zero()).weight_of() is None
 
 
 # -- unit pairs ------------------------------------------------------------------
@@ -224,16 +210,47 @@ def test_weight_additivity_with_zero(ring):
 
 def test_reduce_units_cancels_pairs():
     ring = RingDescriptor([("x", 0), ("d", 0), ("t", 1)], unit_pairs=((1, 0),))
-    x, d, t = ring.gen("x"), ring.gen("d"), ring.gen("t")
-    assert (x * d * t).reduce_units() == t
-    assert (x * x * d * t).reduce_units() == x * t
-    assert (x * d * x * d).reduce_units() == ring.one()
-    assert (x * t).reduce_units() == x * t
+    x, d, t = (parse_poly(name, ring) for name in ("x", "d", "t"))
+    assert reduce_units(mul(x, d, t)) == t
+    assert reduce_units(mul(x, x, d, t)) == mul(x, t)
+    assert reduce_units(mul(x, d, x, d)) == ring.one()
+    assert reduce_units(mul(x, t)) == mul(x, t)
     # equal monomials after cancelling merge, and may cancel to zero
-    assert (x * d * t + t).reduce_units() == t + t
-    assert (x * d * t - t).reduce_units().is_zero
+    assert reduce_units(add(mul(x, d, t), t)) == add(t, t)
+    assert reduce_units(add(mul(x, d, t), scale(t, -1))).is_zero
     gf7 = RingDescriptor([("x", 0), ("d", 0)], PrimeField(7), unit_pairs=((1, 0),))
-    assert (gf7.const(3) * gf7.gen("x") * gf7.gen("d") + 4).reduce_units().is_zero
+    assert reduce_units(parse_poly("3*x*d + 4", gf7)).is_zero
+
+
+# -- the reference arithmetic against sympy ---------------------------------------
+
+
+@pytest.mark.parametrize("prime", [None, 32003])
+def test_reference_arithmetic_agrees_with_sympy(prime):
+    sympy = pytest.importorskip("sympy")
+    variables = [("x", 0), ("d", 0), ("y", 0), ("e", 0), ("t", 1)]  # d = 1/x, e = 1/y
+    ring = RingDescriptor(variables, PrimeField(prime) if prime else QQ, ((1, 0), (3, 2)))
+    domain = sympy.GF(prime) if prime else sympy.QQ
+    x, d, y, e, t = syms = sympy.symbols(ring.variables)
+    rng = random.Random(12)
+
+    def poly(p):
+        coeffs = {m: sympy.Rational(str(c)) for m, c in p.terms.items()}
+        return sympy.Poly.from_dict(coeffs, *syms, domain=domain)
+
+    def inverted(p):
+        # p with d = 1/x and e = 1/y, times (x*y)^4 to clear the denominators
+        laurent = poly(p).as_expr().subs({d: 1 / x, e: 1 / y}) * (x * y) ** 4
+        return sympy.Poly(sympy.expand(laurent), x, y, t, domain=domain)
+
+    for _ in range(20):
+        p, q = (scale(_random_poly(ring, rng), Fraction(1, k)) for k in (2, 3))
+        assert poly(add(p, q)) == poly(p) + poly(q)
+        assert poly(mul(p, q)) == poly(p) * poly(q)
+        for f in (p, mul(p, q)):
+            reduced = reduce_units(f)
+            assert all(not (m[0] and m[1] or m[2] and m[3]) for m in reduced.terms)
+            assert inverted(reduced) == inverted(f)
 
 
 # -- textual format ----------------------------------------------------------------
