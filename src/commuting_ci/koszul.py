@@ -25,8 +25,11 @@ handled in four steps:
   monomial table is indexed by packed torus weight, one field per torus
   coordinate, and grows by one weight at a time as the pass needs it; d_i
   is built, ranked and dropped one block at a time, and the rank of d_i is
-  the sum of the block ranks.  A complex given no torus uses its scalar
-  weights as a one-field torus, which makes one block per slice.
+  the sum of the block ranks.  The monomial counts are kept by packed torus
+  weight too, grown one weight at a time up to the slice's weight and never
+  above it, so dim C_{i-1} of each block is counted without its basis.  A
+  complex given no torus uses its scalar weights as a one-field torus, which
+  makes one block per slice.
 * Packed keys.  One packing serves the whole pass: a basis element t_S * m
   is one int, the exponent of variable v in a field of
   max_weight.bit_length() bits at bit v * width, and S as a bitmask above all
@@ -39,7 +42,9 @@ handled in four steps:
   precomputed pack(e) - bit(s); the sign is (-1)^(elements of S below s).
 * Rows.  A row of d_i is a dict from the packed keys of the C_{i-1} elements
   it hits to its entries, so C_{i-1} (for i = 1, all monomials of weight w)
-  is never built; the keys a block's rows hit are counted for the report.
+  is never built; the report gives each block dim C_{i-1} of its torus
+  weight as its columns, from the counts.  A slice that builds no
+  differential tables no monomial: its blocks are counted too.
   Entries are the signed generator coefficients, with each generator's
   denominators cleared once (a unit multiple of f_s changes no rank), and
   `linalg.echelon` ranks the rows in the order they are built.
@@ -61,15 +66,12 @@ d(sum_j a_j t_j t_S) = g t_S - sum_j a_j t_j d(t_S), and d d = 0 then gives
 The first term is a combination of rows t_{S'} m' with min S' = j < s, the
 second one of rows t_S m' with m' < m.  Order the rows by (min S, S, m):
 every skipped row is a combination of smaller rows, so by induction the kept
-rows span the image of d.  The keys a set of rows hits are those of its
-span, so a skipped row hits no key that the kept rows miss, and neither do
-the pivot rows they leave: the shapes are counted from those.  A table that
-misses some leading monomials only skips fewer rows; in degree i >= 2 no d_1
-is built, nothing is tabled and every row is kept.  A pivot that generator s
-makes at weight u is looked up only by rows t_S * m with min S after s and
-u + w_S <= max_weight, so it is tabled only if some generator after s is
-that light: the table never holds a weight above max_weight minus the least
-generator weight.
+rows span the image of d.  A table that misses some leading monomials only
+skips fewer rows; in degree i >= 2 no d_1 is built, nothing is tabled and
+every row is kept.  A pivot that generator s makes at weight u is looked up
+only by rows t_S * m with min S after s and u + w_S <= max_weight, so it is
+tabled only if some generator after s is that light: the table never holds a
+weight above max_weight minus the least generator weight.
 
 The rank of d_{i+1}, for i >= 1, is found one of two ways in each block:
 
@@ -78,8 +80,8 @@ The rank of d_{i+1}, for i >= 1, is found one of two ways in each block:
   gives z = d(sum_j a_j t_j t_S) in the image of d_{i+1}; in the order above
   its largest term is t_S m, so the z are independent and rank d_{i+1} is at
   least the number of skipped rows.  d_i d_{i+1} = 0 bounds it by dim ker
-  d_i, so the two are equal and d_{i+1} is never built; only the keys its
-  kept rows hit are counted.
+  d_i, so the two are equal and d_{i+1} is never built; only its rows are
+  counted.
 * Otherwise d_{i+1} is built, its rows skipped the same way, and ranked.
   This fallback is needed: the kept rows can depend on each other through a
   syzygy that is not principal, and then rank d_{i+1} exceeds the number of
@@ -96,6 +98,7 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, islice
 from math import lcm
@@ -194,8 +197,9 @@ class KoszulSliceReport:
     h_dim: Optional[int]
     status: str  # "ok" | "incomplete"
     ranks: Optional[Tuple[int, int]] = None  # rank d_i, rank d_{i+1}; None if incomplete
-    # (rows, cols) of d_i and d_{i+1} as built, summed over the blocks: cols
-    # counts the columns hit, (0, 0) for a map that is zero because one end is empty
+    # (rows, cols) of d_i and d_{i+1}, summed over the blocks of their source:
+    # a block of C_j at torus weight t has dim C_j(t) rows and dim C_{j-1}(t)
+    # cols, and (0, 0) is a map that is zero because one end is empty
     shapes: Optional[Tuple[Tuple[int, int], Tuple[int, int]]] = None
     # number of nonempty torus blocks of C_i, and (rows, cols) of the d_i
     # block with the most rows ((0, 0) when d_i is not built); None if incomplete
@@ -279,10 +283,11 @@ class _SlicePass:
     pass over the weights 0..max_weight of K in homological degree i.
 
     Generators are numbered by position, sparsest first, and t_S has the bits
-    base + position.  `table` maps a packed torus weight to its packed
-    monomials in increasing order, and `layers[u]` lists the packed torus
-    weights of scalar weight u.  `lead` maps a tabled pivot monomial of d_1
-    to the position of the generator whose row made it.
+    base + position.  `layers[u]` lists the packed torus weights of scalar
+    weight u, and `counts` maps each to its number of monomials.  `table`
+    maps a packed torus weight to its packed monomials in increasing order,
+    up to the weight `tabled`.  `lead` maps a tabled pivot monomial of d_1 to
+    the position of the generator whose row made it.
     """
 
     def __init__(self, K: KoszulComplex, i: int, max_weight: int) -> None:
@@ -310,8 +315,12 @@ class _SlicePass:
             (wv, 1 << (v * width), _pack(tv, width))
             for v, (wv, tv) in enumerate(zip(K.ring.weights, K.variable_torus))
         ]
-        self.table: Dict[int, List[int]] = {0: [0]}
+        # variables that share a weight and a torus weight count alike
+        self.classes = Counter((wv, tstep) for wv, _, tstep in self.steps)
+        self.counts: Dict[int, int] = {0: 1}
         self.layers: List[List[int]] = [[0]]
+        self.table: Dict[int, List[int]] = {0: [0]}
+        self.tabled = 0  # the heaviest weight in `table`
         self.lead: Dict[int, int] = {}
         # a pivot that generator s makes at weight u is looked up only by rows
         # t_S * m with min S after s, so only if u + w_S <= max_weight
@@ -321,6 +330,26 @@ class _SlicePass:
         ]
         self.lightest = sum(sorted(K.weights)[:i])  # weight of the lightest t_S in C_i
 
+    def _count(self, top: int) -> None:
+        """Count the monomials of every torus weight up to scalar weight `top`.
+
+        A monomial of weight u, taken u times, is taken once for each unit of
+        weight of each of its variables, so the counts c satisfy
+        u * c(t) = sum over the variables v and k >= 1 of w_v * c(t - k t_v)
+        (the Euler operator on the generating function prod 1 / (1 - z^t_v)),
+        and each weight's counts come from lighter ones."""
+        counts, layers = self.counts, self.layers
+        for u in range(len(layers), top + 1):
+            total: Dict[int, int] = {}
+            for (wv, tstep), copies in self.classes.items():
+                for k in range(1, u // wv + 1):
+                    shift = k * tstep
+                    for t in layers[u - k * wv]:
+                        total[t + shift] = total.get(t + shift, 0) + copies * wv * counts[t]
+            for t, c in total.items():
+                counts[t] = c // u
+            layers.append(list(total))
+
     def _grow(self, top: int) -> None:
         """Table the monomials of every weight up to `top`.
 
@@ -328,23 +357,32 @@ class _SlicePass:
         weight u - w_v with no variable after v; those have the smallest
         keys, so they are a prefix of each sorted list, and appending them
         for v = 0, 1, ... keeps the new lists sorted."""
+        self._count(top)
         table, layers, width = self.table, self.layers, self.width
-        for u in range(len(layers), top + 1):
-            layer: List[int] = []
+        for u in range(self.tabled + 1, top + 1):
             for v, (wv, step, tstep) in enumerate(self.steps):
                 if wv > u:
                     continue
                 below = 1 << ((v + 1) * width)  # the keys with no variable after v
                 for t in layers[u - wv]:
                     src = table[t]
-                    grown = list(map(step.__add__, islice(src, bisect_left(src, below))))
-                    target = t + tstep
-                    if target in table:
-                        table[target] += grown
-                    else:
-                        table[target] = grown
-                        layer.append(target)
-            layers.append(layer)
+                    grown = map(step.__add__, islice(src, bisect_left(src, below)))
+                    table.setdefault(t + tstep, []).extend(grown)
+            self.tabled = u
+
+    def _dims(self, j: int, w: int) -> Dict[int, int]:
+        """dim C_j(w) by torus block, from the monomial counts: packed torus
+        weight -> the number of basis elements t_S * m of that weight."""
+        self._count(w)
+        ws, counts, out = self.weights, self.counts, {}
+        for S in combinations(range(self.r), j):
+            rem = w - sum(ws[s] for s in S)
+            if rem < 0:
+                continue
+            torus_S = sum(self.generator_torus[s] for s in S)
+            for t in self.layers[rem]:
+                out[torus_S + t] = out.get(torus_S + t, 0) + counts[t]
+        return out
 
     def _blocks(self, j: int, w: int) -> Dict[int, List[Part]]:
         """C_j(w) by torus block: packed torus weight -> one `Part` per S, in
@@ -366,29 +404,21 @@ class _SlicePass:
 
     def _block(
         self, parts: List[Part], rank: bool, record: Optional[int], seconds: Dict[str, float]
-    ) -> Tuple[int, int, int, int]:
-        """d on one torus block: its rows, the keys it hits, its kept rows and
-        its rank (0 when not `rank`, which builds no row).  A `record` weight
-        means d is d_1 at that weight: each new pivot monomial that a later
-        row can look up is tabled with its generator.
-
-        The kept rows span the rows, and so do the pivots they leave, so the
-        keys hit are those of the pivot rows (which hold no zero entry); when
-        no row is built they are those of the kept rows."""
+    ) -> Tuple[int, int, int]:
+        """d on one torus block: its rows, its kept rows and its rank (kept
+        rows and rank are 0 when not `rank`, which builds no row).  A `record`
+        weight means d is d_1 at that weight: each new pivot monomial that a
+        later row can look up is tabled with its generator."""
         lead, get, r = self.lead, self.lead.get, self.r
         pivots: linalg.Pivots = {}
-        hit: set = set()
         nrows = nkept = 0
         for first, moves, monomials in parts:
-            t0 = time.perf_counter()
             nrows += len(monomials)
+            if not rank:
+                continue
+            t0 = time.perf_counter()
             kept = [m for m in monomials if get(m, r) >= first] if first else monomials
             nkept += len(kept)
-            if not rank:
-                for d, _ in moves:
-                    hit.update(map(d.__add__, kept))
-                seconds["assembly"] += time.perf_counter() - t0
-                continue
             rows = [{m + d: c for d, c in moves} for m in kept]
             t1 = time.perf_counter()
             before = len(pivots)
@@ -399,12 +429,7 @@ class _SlicePass:
                     lead[col] = first
             seconds["assembly"] += t1 - t0
             seconds["rank"] += time.perf_counter() - t1
-        t0 = time.perf_counter()
-        rank_ = len(pivots)
-        while pivots:  # each pivot row is dropped once its keys are in
-            hit.update(pivots.popitem()[1][1])
-        seconds["assembly"] += time.perf_counter() - t0
-        return nrows, len(hit), nkept, rank_
+        return nrows, nkept, len(pivots)
 
     def slice(self, w: int, size_cap: int, deadline: Optional[float]) -> KoszulSliceReport:
         K, i = self.K, self.i
@@ -416,16 +441,21 @@ class _SlicePass:
         blocks = 0
         largest = (0, 0)
         seconds = {"assembly": 0.0, "rank": 0.0}
-        if dims[1]:
+        # d_j: C_j -> C_{j-1} is zero unless both ends are nonzero
+        build_down, build_up = i >= 1 and dims[0] > 0, dims[2] > 0
+        if dims[1] and not (build_down or build_up):
+            t0 = time.perf_counter()
+            blocks = len(self._dims(i, w))
+            seconds["assembly"] += time.perf_counter() - t0
+        elif dims[1]:
             t0 = time.perf_counter()
             # C_i(w) holds the heaviest monomials of the chain groups built
             self._grow(w - self.lightest)
             down = self._blocks(i, w)
-            up = self._blocks(i + 1, w) if dims[2] else {}
+            up = self._blocks(i + 1, w) if build_up else {}
+            below = self._dims(i - 1, w) if build_down else {}
             seconds["assembly"] += time.perf_counter() - t0
             blocks = len(down)
-            # d_j: C_j -> C_{j-1} is zero unless both ends are nonzero
-            build_down, build_up = i >= 1 and dims[0] > 0, dims[2] > 0
             # the pivots of d_1, whichever end of the slice it is, are tabled
             tabled_down, tabled_up = (w if i == 1 else None), (w if i == 0 else None)
             for t in list(down) + [t for t in up if t not in down]:
@@ -433,16 +463,18 @@ class _SlicePass:
                     return KoszulSliceReport(i, w, dims, None, "incomplete")
                 independent, skipped = False, 0
                 if build_down and t in down:
-                    rows, cols, kept, rank = self._block(down[t], True, tabled_down, seconds)
+                    rows, kept, rank = self._block(down[t], True, tabled_down, seconds)
                     ranks[0] += rank
+                    cols = below.get(t, 0)  # dim C_{i-1}(t)
                     shapes[0] = (shapes[0][0] + rows, shapes[0][1] + cols)
                     largest = max(largest, (rows, cols))
                     independent, skipped = rank == kept, rows - kept
                 if build_up and t in up:
                     # kept rows of d_i independent: rank d_{i+1} is the number
-                    # of rows skipped, and d_{i+1} only has its keys counted
-                    rows, cols, _, rank = self._block(up[t], not independent, tabled_up, seconds)
+                    # of rows skipped, and d_{i+1} only has its rows counted
+                    rows, _, rank = self._block(up[t], not independent, tabled_up, seconds)
                     ranks[1] += skipped if independent else rank
+                    cols = sum(len(monomials) for _, _, monomials in down.get(t, ()))  # dim C_i(t)
                     shapes[1] = (shapes[1][0] + rows, shapes[1][1] + cols)
         rank_down, rank_up = ranks
 

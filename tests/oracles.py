@@ -352,24 +352,27 @@ def homology_slice(K: KoszulComplex, i: int, w: int, **limits) -> KoszulSliceRep
 
 def reference_slice(K: KoszulComplex, i: int, w: int) -> KoszulSliceReport:
     """One slice with no row skipped: every row of d_i and d_{i+1} built
-    from its own layout, block by block, and ranked ("seconds" is None)."""
+    from its own layout, block by block, and ranked ("seconds" is None).
+    The shape of d on a block is (the block's basis in C_j, the basis of the
+    block of the same torus weight in C_{j-1}), enumerated."""
     dims = (_slice_dim(K, i - 1, w), _slice_dim(K, i, w), _slice_dim(K, i + 1, w))
     prime = K.ring.field.p
     ranks, shapes, blocks, largest = [0, 0], [(0, 0), (0, 0)], 0, (0, 0)
     if dims[1]:
-        layout = SliceLayout(K, w, w - sum(sorted(K.weights)[:i]))
-        grouped = (layout.blocks(i), layout.blocks(i + 1) if dims[2] else {})
-        blocks = len(grouped[0])
+        layout = SliceLayout(K, w, w - sum(sorted(K.weights)[: max(i - 1, 0)]))
+        grouped = [layout.blocks(j) if dims[k] else {} for k, j in enumerate((i - 1, i, i + 1))]
+        blocks = len(grouped[1])
         for k, deg in enumerate((i, i + 1)):
             if not (deg >= 1 and dims[k] and dims[k + 1]):
                 continue
             nrows = ncols = 0
-            for parts in grouped[k].values():
+            for t, parts in grouped[k + 1].items():
                 rows, cols = block_rows(parts)
                 ranks[k] += rank_rational(rows, cols) if prime is None else rank_mod_p(rows, cols, prime)
-                nrows, ncols = nrows + len(rows), ncols + cols
+                shape = (len(block_basis(parts)), len(block_basis(grouped[k].get(t, []))))
+                nrows, ncols = nrows + shape[0], ncols + shape[1]
                 if k == 0:
-                    largest = max(largest, (len(rows), cols))
+                    largest = max(largest, shape)
             shapes[k] = (nrows, ncols)
     h = dims[1] - sum(ranks)
     return KoszulSliceReport(i, w, dims, h, "ok", tuple(ranks), tuple(shapes), blocks, largest)

@@ -171,17 +171,18 @@ def test_koszul_u3(capsys):
 
 
 #: Every slice of `koszul --group un --n 5 --max-weight 8 --field q`, by w:
-#: chain_dims, ranks, shapes, blocks, largest_block and h_dim.
+#: chain_dims, ranks, shapes, blocks, largest_block and h_dim.  Each cols
+#: figure sums the target blocks as `oracles.reference_slice` enumerates them.
 U5_Q_SLICES = [
     ([1, 0, 0], [0, 0], [[0, 0], [0, 0]], 0, [0, 0], 0),
     ([8, 0, 0], [0, 0], [[0, 0], [0, 0]], 0, [0, 0], 0),
-    ([42, 3, 0], [3, 0], [[3, 6], [0, 0]], 3, [1, 2], 0),
-    ([172, 26, 0], [26, 0], [[26, 52], [0, 0]], 10, [5, 10], 0),
-    ([601, 143, 3], [140, 3], [[143, 267], [3, 12]], 22, [21, 38], 0),
-    ([1864, 608, 30], [578, 30], [[608, 1048], [30, 132]], 40, [52, 80], 0),
-    ([5274, 2189, 178], [2012, 177], [[2189, 3462], [178, 762]], 65, [168, 216], 0),
-    ([13844, 6966, 802], [6178, 788], [[6966, 10116], [802, 3254]], 98, [372, 460], 0),
-    ([34144, 20151, 3019], [17228, 2923], [[20151, 26925], [3019, 11435]], 140, [816, 959], 0),
+    ([42, 3, 0], [3, 0], [[3, 18], [0, 0]], 3, [1, 6], 0),
+    ([172, 26, 0], [26, 0], [[26, 120], [0, 0]], 10, [5, 18], 0),
+    ([601, 143, 3], [140, 3], [[143, 506], [3, 49]], 22, [21, 54], 0),
+    ([1864, 608, 30], [578, 30], [[608, 1708], [30, 360]], 40, [52, 108], 0),
+    ([5274, 2189, 178], [2012, 177], [[2189, 5036], [178, 1629]], 65, [168, 264], 0),
+    ([13844, 6966, 802], [6178, 788], [[6966, 13500], [802, 5824]], 98, [372, 528], 0),
+    ([34144, 20151, 3019], [17228, 2923], [[20151, 33667], [3019, 17981]], 140, [816, 1056], 0),
 ]
 
 
@@ -442,8 +443,36 @@ def test_koszul_u6_genus_two_weight_seven_fits_a_small_address_space():
     assert [row["h_dim"] for row in payload["slices"]] == [0] * 8
     last = payload["slices"][-1]
     assert last["ranks"] == [318651, 14076]
-    assert last["shapes"] == [[332727, 1057076], [14174, 113016]]
-    assert last["blocks"] == 274 and last["largest_block"] == [7800, 21984]
+    assert last["shapes"] == [[332727, 1687636], [14174, 280931]]
+    assert last["blocks"] == 274 and last["largest_block"] == [7800, 28800]
+
+
+def test_koszul_slices_with_no_differential_fit_a_small_address_space():
+    # U2 has no generators, so no degree-0 slice builds a differential: its
+    # blocks come from the monomial counts, and no monomial is tabled.  At
+    # genus 1 the run ends on the timeout, at genus 2 on the slice cap at
+    # w 105; tabling every monomial ran out of 300 MB in either
+    import resource
+
+    def limit_memory():  # runs in the child only
+        cap = 300 * 2**20
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    for genus, stop in (("1", "timeout"), ("2", "slice_cap")):
+        done = _run_fresh(
+            "koszul", "--group", "un", "--n", "2", "--genus", genus, "--degree", "0",
+            "--max-weight", "100000", "--timeout", "3", preexec_fn=limit_memory,
+        )
+        assert done.returncode == EXIT_INCOMPLETE, (genus, done.stderr)
+        payload = json.loads(done.stdout)
+        assert payload["stopped_by"] == stop
+        *ok, last = payload["slices"]
+        assert last["status"] == "incomplete" and len(ok) > 100
+        for row in ok:
+            size = row["chain_dims"][1]
+            assert row["chain_dims"] == [0, size, 0] and row["h_dim"] == size
+            assert row["ranks"] == [0, 0] and row["blocks"] == 1
+    assert len(ok) == 105 and last["chain_dims"] == [0, 204156, 0]
 
 
 def test_koszul_timeout_cuts_a_slice_off_between_blocks():

@@ -175,6 +175,29 @@ def test_dp_dims_match_enumeration(n, genus):
             assert dim == len(slice_basis(K, i, w)) == enumerated_dim(K, i, w), (i, w)
 
 
+@pytest.mark.parametrize("n, genus", [(3, 1), (4, 1), (5, 1), (6, 1), (4, 2)])
+def test_torus_counts_match_the_enumerated_blocks(n, genus):
+    # a pass whose max_weight is w packs like the layout of the weight-w slice
+    K = build_complex(system("un", n, genus))
+    for w in range(8):
+        run = koszul._SlicePass(K, 0, w)
+        for j in range(3):
+            dims = run._dims(j, w)
+            assert sum(dims.values()) == _slice_dim(K, j, w), (j, w)
+            enumerated = {t: len(block_basis(parts)) for t, parts in slice_blocks(K, j, w).items()}
+            assert dims == enumerated, (j, w)
+        assert len(run.layers) == w + 1  # no weight above the slice is counted
+
+
+def test_a_pass_counts_no_weight_above_its_slices():
+    K = build_complex(system("un", 4, 1))
+    run = koszul._SlicePass(K, 1, 10**8)
+    for w in range(6):
+        run.slice(w, koszul.DEFAULT_SLICE_CAP, None)
+        assert len(run.layers) <= w + 1
+    assert len(run.layers) == 6  # d_1 at weight 5 reads the counts of C_0(5)
+
+
 @pytest.mark.parametrize("prime", [None, 32003])
 @pytest.mark.parametrize("w", [7, 8, 15, 16])
 def test_packed_keys_at_field_width_boundaries(prime, w):
@@ -224,7 +247,8 @@ def test_u6_h1_weight_seven_slice_is_pinned(prime):
     # eliminator, whatever its pivot order, must reproduce them
     rep = homology_slice(build_complex(system("un", 6, 1, prime)), 1, 7).to_json()
     assert rep["ranks"] == [19953, 2654]
-    assert rep["shapes"] == [[22608, 32962], [2712, 10614]]
+    # cols are the dimensions of the target blocks, C_0 and C_1 at weight 7
+    assert rep["shapes"] == [[22608, 44162], [2712, 19361]]
     assert rep["h_dim"] == 1
 
 
@@ -235,8 +259,13 @@ def test_block_ranks_sum_to_the_whole_slice_rank(prime):
     K = build_complex(system("un", 6, 1, prime))
     whole = KoszulComplex(K.ring, K.generators, K.weights, K.exterior_zero_count)
     by_block, at_once = homology_slice(K, 1, 7), homology_slice(whole, 1, 7)
-    assert (by_block.ranks, by_block.shapes, by_block.h_dim) == (at_once.ranks, at_once.shapes, 1)
-    assert (by_block.blocks, by_block.largest_block) == (274, (576, 696))
+    assert (by_block.ranks, by_block.h_dim) == (at_once.ranks, 1)
+    assert [rows for rows, _ in by_block.shapes] == [rows for rows, _ in at_once.shapes]
+    # one block's cols are the whole of C_0(7) and C_1(7); the torus blocks
+    # leave out the C_0 and C_1 blocks whose torus weight C_1 and C_2 lack
+    assert at_once.shapes == ((22608, 45282), (2712, 22608))
+    assert by_block.shapes == ((22608, 44162), (2712, 19361))
+    assert (by_block.blocks, by_block.largest_block) == (274, (576, 792))
     assert (at_once.blocks, at_once.largest_block) == (1, at_once.shapes[0])
 
 
@@ -524,12 +553,11 @@ def test_slice_report_names_ranks_and_shapes():
     assert got["chain_dims"] == [586, 189, 8]
     rank_down, rank_up = got["ranks"]
     assert got["h_dim"] == 189 - rank_down - rank_up == 0
-    (rows_down, cols_down), (rows_up, cols_up) = got["shapes"]
-    # rows are the full C_1 and C_2; columns only those some row hits
-    assert (rows_down, rows_up) == (189, 8)
-    assert 0 < cols_down <= 586 and 0 < cols_up <= 189
-    # C_1(5) splits into 14 torus blocks; the one with the most rows is 34 x 52
-    assert got["blocks"] == 14 and got["largest_block"] == [34, 52]
+    # rows are the full C_1 and C_2; cols the C_0 and C_1 blocks of the
+    # same torus weights, at most all of C_0 and C_1
+    assert got["shapes"] == [[189, 524], [8, 91]]
+    # C_1(5) splits into 14 torus blocks; the one with the most rows is 34 x 72
+    assert got["blocks"] == 14 and got["largest_block"] == [34, 72]
     # H_0 has no d_0 to build, but C_0 still has its blocks
     h0 = homology_slice(K, 0, 2).to_json()
     assert h0["shapes"][0] == [0, 0] and h0["largest_block"] == [0, 0]
