@@ -2,9 +2,18 @@
 
 The engine is a plain Buchberger loop with the normal selection strategy
 (smallest lcm first, hence smallest lcm degree first) and the Gebauer-Moeller
-pair update, which implements both the product and the chain criterion.
-Bases are monic and sorted by leading monomial ascending, and reduced when
-`.basis` is first read unless the deadline stopped the run.
+pair update, which implements both the product and the chain criterion.  The
+update takes the lcms of the new leading monomial with the whole basis in
+one pass and walks them in ascending order, so a candidate is tested only
+against the lcms already kept.
+
+Only leading terms steer the pair loop, so each S-polynomial is top-reduced:
+reduced until its leading term is irreducible, its tail left as it stands.
+That leading term is the one full reduction of the same polynomial would
+give, and full reduction of the result gives the same normal form.  The
+tails are reduced once, when `.basis` is first read, by inter-reducing the
+basis; the reduced basis of a complete run is unique, so it does not depend
+on them.  Bases are monic and sorted by leading monomial ascending.
 
 Inside `buchberger` and `normal_form` every monomial is one packed int, the
 order key itself, in the layout `ordering.Packing` defines; a divisor's
@@ -21,14 +30,16 @@ One term loop serves both fields: sums are formed exactly, and
 monomial, and drops it there if it is 0.  S-polynomials are built as plain
 sums, zeros included, for `_reduce_terms` to reduce and drop the same way.
 
-Resource limits (degree cap, wall-clock deadline) never turn into
+Resource limits (degree cap, wall-clock deadline, memory) never turn into
 answers: hitting one names the limit in ``stats.stopped_by``, which makes
 the basis incomplete, and every consumer of an incomplete basis refuses to
 certify anything from it.  The deadline is an absolute `time.monotonic`
 value, as everywhere in the package, so a caller hands one budget to every
 stage of a run; it is also checked inside a reduction, every few thousand
-heap pops.  A reduction cut short is never admitted, and the basis of a run
-the clock stopped is read as it stands, without inter-reducing it.
+heap pops.  A `MemoryError` inside the pair loop ends the run the same way.
+A reduction cut short is never admitted, and the basis of a run the clock
+or the memory stopped is read as it stands, tails unreduced, without
+inter-reducing it.
 
 Dimension of the quotient is read off the leading-term ideal: the maximal
 number of variables avoiding the support of every leading monomial.  The
@@ -59,11 +70,11 @@ class IncompleteComputation(RuntimeError):
 class BuchbergerStats:
     """Counters for one basis computation.
 
-    `stopped_by` names the limit that ended an incomplete run ("timeout" or
-    "degree_cap", else None); `basis_size` and `pairs_pending` are the sizes
-    of the basis and of the pair set when the pair loop ended.  `max_degree`
-    is the largest leading-monomial degree in the order's grading, weighted
-    for a wgrevlex order.
+    `stopped_by` names the limit that ended an incomplete run ("timeout",
+    "degree_cap" or "memory", else None); `basis_size` and `pairs_pending`
+    are the sizes of the basis and of the pair set when the pair loop ended.
+    `max_degree` is the largest leading-monomial degree in the order's
+    grading, weighted for a wgrevlex order.
     """
 
     pairs: int = 0
@@ -83,10 +94,11 @@ class GroebnerBasis:
     """The basis `buchberger` returns, kept packed until `.basis` is read.
 
     `_elems` are the basis elements as the pair loop left them, monic, packed
-    by `_packing` and sorted by leading monomial ascending.  No element's
-    leading monomial divides another's, so inter-reduction keeps every
-    leading monomial: `leading_exponents` unpacks just those, and the basis
-    is reduced when `.basis` is first read.
+    by `_packing`, sorted by leading monomial ascending, and with the tails
+    of top-reduced S-polynomials.  No element's leading monomial divides
+    another's, so inter-reduction keeps every leading monomial:
+    `leading_exponents` unpacks just those, and the tails are reduced when
+    `.basis` is first read.
     """
 
     ring: RingDescriptor
@@ -102,17 +114,16 @@ class GroebnerBasis:
     @cached_property
     def basis(self) -> Tuple[Polynomial, ...]:
         """Monic, sorted by leading monomial ascending, and reduced unless
-        the deadline stopped the run; computed on the first read."""
-        elems, guards, prime = self._elems, self._packing.guards, self.ring.field.p
-        if self.stats.stopped_by == "timeout":
-            # the clock has run out: the basis as it stands, not inter-reduced
-            reduced = [e.poly for e in elems]
-        else:
+        the deadline or the memory stopped the run; computed on the first read."""
+        elems, packing, prime = self._elems, self._packing, self.ring.field.p
+        reduced = [e.terms(packing.one) for e in elems]
+        # a run the clock or the memory stopped is read as it stands
+        if self.stats.stopped_by not in ("timeout", "memory"):
             reduced = [
-                _reduce_terms(e.poly, elems[:pos] + elems[pos + 1 :], guards, prime)
-                for pos, e in enumerate(elems)
+                _reduce_terms(terms, elems[:pos] + elems[pos + 1 :], packing.guards, prime)
+                for pos, terms in enumerate(reduced)
             ]
-        unpack_terms = self._packing.unpack_terms
+        unpack_terms = packing.unpack_terms
         return tuple(Polynomial._raw(self.ring, unpack_terms(r)) for r in reduced)
 
     def leading_exponents(self) -> List[Exponent]:
@@ -133,7 +144,7 @@ class GroebnerBasis:
 class _Elem:
     """Preprocessed basis element: monic and packed, tail pre-shifted by -K0."""
 
-    __slots__ = ("lm", "neg", "tail", "poly")
+    __slots__ = ("lm", "neg", "tail")
 
     def __init__(self, terms: Dict[int, Coeff], one: int, prime: Optional[int]) -> None:
         lm = max(terms)
@@ -142,14 +153,19 @@ class _Elem:
             inv = pow(lc, prime - 2, prime)
             monic = {e: c * inv % prime for e, c in terms.items()}
         elif lc == 1:
-            monic = dict(terms)
+            monic = terms
         else:
             monic = {e: Fraction(c, 1) / lc for e, c in terms.items()}
             monic = {e: int(c) if c.denominator == 1 else c for e, c in monic.items()}
         self.lm = lm
         self.neg = one - lm  # m + neg packs m / lm whenever lm divides m
         self.tail = [(e - one, c) for e, c in monic.items() if e != lm]
-        self.poly = monic
+
+    def terms(self, one: int) -> Dict[int, Coeff]:
+        """The monic element as a packed term dict, leading term first."""
+        terms: Dict[int, Coeff] = {self.lm: 1}
+        terms.update((e + one, c) for e, c in self.tail)
+        return terms
 
 
 class _DeadlinePassed(Exception):
@@ -166,11 +182,18 @@ def _reduce_terms(
     guards: int,
     prime: Optional[int],
     deadline: Optional[float] = None,
+    *,
+    top: bool = False,
 ) -> Dict[int, Coeff]:
-    """Full normal form of a packed term dict against monic divisors, tried in order.
+    """Normal form of a packed term dict against monic divisors, tried in order.
 
-    Raises `_DeadlinePassed` once `deadline` (a `time.monotonic` value) has
-    passed; the clock is read every `_CLOCK_EVERY` heap pops.
+    The full normal form, or with `top` the top-reduced form: the terms are
+    reduced only until the leading one is irreducible, and the rest is
+    returned as it stands, reduced mod p and without zeros.  Both have the
+    same leading term, and the full normal form of the top-reduced form is
+    that of `terms`.  Raises `_DeadlinePassed` once `deadline` (a
+    `time.monotonic` value) has passed; the clock is read every
+    `_CLOCK_EVERY` heap pops.
     """
     h = dict(terms)
     if not h:
@@ -198,6 +221,13 @@ def _reduce_terms(
                 break
         else:
             remainder[m] = c
+            if top:
+                for e, v in h.items():
+                    if prime is not None:
+                        v %= prime
+                    if v:
+                        remainder[e] = v
+                return remainder
             continue
         neg_c = -c
         for et, ct in g.tail:
@@ -252,12 +282,14 @@ def buchberger(
 ) -> GroebnerBasis:
     """Groebner basis of the ideal generated by `gens`, reduced when `.basis` is first read.
 
-    Zero generators are dropped.  When the degree cap is hit or `deadline`
-    (a `time.monotonic` value; None for no limit) passes, the partial basis
-    is returned with the limit in `stats.stopped_by` ("timeout": its
-    `.basis` is not inter-reduced), so `is_complete` is False; callers must
-    not derive verdicts from it.  `stats.seconds` covers admission and the
-    pair loop.
+    Zero generators are dropped, and each generator is admitted fully
+    reduced against those before it.  Each S-polynomial is top-reduced; its
+    tail waits for `.basis`.  When the degree cap is hit, `deadline` (a
+    `time.monotonic` value; None for no limit) passes or the memory runs
+    out, the partial basis is returned with the limit in `stats.stopped_by`
+    ("timeout" and "memory": its `.basis` is not inter-reduced), so
+    `is_complete` is False; callers must not derive verdicts from it.
+    `stats.seconds` covers admission and the pair loop.
     """
     t0 = time.monotonic()
     gens = [g for g in gens if not g.is_zero]
@@ -274,59 +306,24 @@ def buchberger(
     stats = BuchbergerStats()
 
     packing = Packing.fitting(order, (e for g in gens for e in g.terms), degree_cap)
-    one, guards, shift, lcm = packing.one, packing.guards, packing.shift, packing.lcm
+    one, guards, shift = packing.one, packing.guards, packing.shift
     polys: List[_Elem] = []  # all elements ever admitted, never removed
+    lms: List[int] = []  # their leading monomials
     G: Set[int] = set()  # indices of the current (pruned) basis
     P: Dict[Tuple[int, int], int] = {}  # pending pairs and their lcms
     heap: List[Tuple[int, int, int]] = []  # (lcm, i, j): smallest lcm first
     # the elements of G in ascending index order: remainders depend on it
     reducers: List[_Elem] = []
 
-    def update(ih: int) -> None:
-        """Gebauer-Moeller pair update after admitting element `ih`."""
-        nonlocal G, P, reducers
-        mh = polys[ih].lm
-        negh = one - mh  # x + negh has a guard bit set unless mh divides x
-        # candidate new pairs, filtered by the chain criterion among themselves
-        C = sorted(G)
-        D: List[int] = []
-        lcms = {ig: lcm(mh, polys[ig].lm) for ig in C}
-        while C:
-            ig = C.pop()
-            lhg = lcms[ig]
-            if mh + polys[ig].lm - one == lhg:
-                D.append(ig)  # product criterion pairs are kept only to prune others
-                continue
-            base = lhg + one
-            if not any(not (base - lcms[ix]) & guards for ix in C) and not any(
-                not (base - lcms[ix]) & guards for ix in D
-            ):
-                D.append(ig)
-        E = [ig for ig in D if mh + polys[ig].lm - one != lcms[ig]]
-        # prune old pairs whose lcm the new leading monomial strictly improves
-        newP: Dict[Tuple[int, int], int] = {}
-        for pair, lij in P.items():
-            if (
-                (lij + negh) & guards
-                or lcm(polys[pair[0]].lm, mh) == lij
-                or lcm(polys[pair[1]].lm, mh) == lij
-            ):
-                newP[pair] = lij
-        for ig in E:
-            pair = (ig, ih) if ig < ih else (ih, ig)
-            l = lcms[ig]
-            newP[pair] = l
-            heapq.heappush(heap, (l, pair[0], pair[1]))
-        P = newP
-        G = {ig for ig in G if (polys[ig].lm + negh) & guards}
-        G.add(ih)
-        reducers = [polys[k] for k in sorted(G)]
-
     def admit(terms: Dict[int, Coeff]) -> None:
+        nonlocal reducers
         elem = _Elem(terms, one, prime)
         polys.append(elem)
+        lms.append(elem.lm)
         stats.max_degree = max(stats.max_degree, elem.lm >> shift)
-        update(len(polys) - 1)
+        for entry in _update_pairs(lms, G, P, packing):
+            heapq.heappush(heap, entry)
+        reducers = [polys[k] for k in sorted(G)]
 
     try:
         # admit the input, reducing each generator against what is already there
@@ -352,8 +349,10 @@ def buchberger(
             for e, c in fj.tail:
                 ee = qj + e
                 s[ee] = s.get(ee, 0) - c
-            rem = _reduce_terms(s, reducers, guards, prime, deadline)
-            del P[(i, j)]  # only now: a pair cut short by the clock stays pending
+            # only the leading term decides the pair loop: tails are reduced
+            # once, when `.basis` is read
+            rem = _reduce_terms(s, reducers, guards, prime, deadline, top=True)
+            del P[(i, j)]  # only now: a pair cut short by a limit stays pending
             stats.pairs += 1
             if not rem:
                 stats.zero_reductions += 1
@@ -361,14 +360,65 @@ def buchberger(
             admit(rem)
     except _DeadlinePassed:
         stats.stopped_by = "timeout"
+    except MemoryError:
+        heap.clear()  # room to finish the report; P still counts the pending pairs
+        stats.stopped_by = "memory"
     stats.basis_size = len(G)
     stats.pairs_pending = len(P)
-    # each admitted remainder is reduced against G, and the update drops
-    # every element whose leading monomial the new one divides, so no
-    # leading monomial in G divides another: G is already a minimal basis
+    # each admitted remainder has a leading monomial irreducible by G, and
+    # the update drops every element whose leading monomial the new one
+    # divides, so no leading monomial in G divides another: G is minimal
     elems = sorted((polys[k] for k in G), key=operator.attrgetter("lm"))
     stats.seconds = time.monotonic() - t0
     return GroebnerBasis(ring, order, stats, packing, elems)
+
+
+def _update_pairs(
+    lms: Sequence[int], G: Set[int], P: Dict[Tuple[int, int], int], packing: Packing
+) -> List[Tuple[int, int, int]]:
+    """Gebauer-Moeller update after admitting element ih = len(lms) - 1.
+
+    `lms` are the packed leading monomials of every element admitted, `G`
+    the indices of the current basis and `P` the pending pairs with their
+    lcms.  Prunes `P` and `G` in place, adds ih to `G` and the new pairs to
+    `P`, and returns the new pairs as (lcm, i, ih).
+    """
+    one, guards = packing.one, packing.guards
+    ih = len(lms) - 1
+    mh = lms[ih]
+    negh = one - mh  # x + negh has a guard bit set unless mh divides x
+    idx = list(G)
+    lcms = packing.lcms(mh, [lms[k] for k in idx])
+    # the chain criterion among the candidates: walked by (lcm, not coprime,
+    # index), an lcm is kept when no kept lcm divides it, and its first
+    # candidate becomes a new pair unless the product criterion drops it
+    prod = mh - one  # prod + m packs mh * m
+    kept: List[int] = []
+    new: List[Tuple[int, int, int]] = []
+    flags = [prod + lms[k] != l for k, l in zip(idx, lcms)]  # True unless coprime
+    for l, not_coprime, ig in sorted(zip(lcms, flags, idx)):
+        t = l + one
+        for k in kept:
+            if not (t - k) & guards:
+                break
+        else:
+            kept.append(l)
+            if not_coprime:
+                new.append((l, ig, ih))
+    # prune the old pairs whose lcm the new leading monomial strictly improves:
+    # it divides lcm(i, j), which differs from lcm(i, h) and from lcm(j, h)
+    lcm_of = dict(zip(idx, lcms))
+    divided = [(pair, l) for pair, l in P.items() if not (l + negh) & guards]
+    missing = list({k for pair, _ in divided for k in pair if k not in lcm_of})
+    lcm_of.update(zip(missing, packing.lcms(mh, [lms[k] for k in missing])))
+    for (i, j), l in divided:
+        if lcm_of[i] != l and lcm_of[j] != l:
+            del P[i, j]
+    for l, i, j in new:
+        P[i, j] = l
+    G.difference_update([k for k in idx if not (lms[k] + negh) & guards])
+    G.add(ih)
+    return new
 
 
 # -- dimension of the leading-term ideal ------------------------------------

@@ -48,7 +48,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 Exponent = Tuple[int, ...]
 Coeff = Union[int, Fraction]
@@ -112,7 +112,7 @@ class Packing:
 
     __slots__ = (
         "bits", "fmax", "shift", "one", "guards", "low", "modulus",
-        "_classes", "_steps", "_permutation",
+        "_classes", "_weights", "_offsets", "_permutation",
     )
 
     def __init__(self, order: MonomialOrder, bound: int) -> None:
@@ -124,8 +124,9 @@ class Packing:
         self.fmax = fmax = (1 << bits) - 1
         self.shift = n * width  # offset of the degree field
         self.low = (1 << self.shift) - 1  # the complement fields
-        self.one = sum(fmax << (k * width) for k in range(n))
-        self.guards = sum(1 << (k * width + bits) for k in range(n))
+        ones = self.low // ((1 << width) - 1)  # 1 in every field
+        self.one = fmax * ones
+        self.guards = ones << bits
         # 2**width is 1 modulo 2**width - 1, so a packed int is congruent to
         # the sum of its fields
         self.modulus = (1 << width) - 1
@@ -133,8 +134,9 @@ class Packing:
         for k, v in enumerate(order.permutation):
             offsets[v] = k * width
         self._permutation = order.permutation  # the variable of each field, lowest first
-        # pack(e) = one + sum(e_v * steps[v])
-        self._steps = tuple((w << self.shift) - (1 << o) for w, o in zip(weights, offsets))
+        # pack(e) = one + (deg(e) << shift) - sum(e_v << offsets[v])
+        self._weights = weights
+        self._offsets = tuple(offsets)
         # per weight w: (w, mask of the complement fields of weight w, fmax * their count)
         self._classes = tuple(
             (w, sum(fmax << o for wv, o in zip(weights, offsets) if wv == w), weights.count(w) * fmax)
@@ -152,7 +154,9 @@ class Packing:
             raise OverflowError(
                 f"exponent {max(nonzero)} does not fit a {self.bits}-bit packed field"
             )
-        return self.one + sum(map(operator.mul, nonzero, compress(self._steps, exp)))
+        deg = sum(map(operator.mul, nonzero, compress(self._weights, exp)))
+        fields = sum(map(operator.lshift, nonzero, compress(self._offsets, exp)))
+        return self.one + (deg << self.shift) - fields
 
     def unpack(self, m: int) -> Exponent:
         exps = self.one - (m & self.low)  # fmax - c_v = e_v in every field
@@ -175,18 +179,22 @@ class Packing:
         unpack = self.unpack
         return {unpack(m): c for m, c in terms.items()}
 
-    def lcm(self, a: int, b: int) -> int:
-        """lcm of two monomials of degree at most fmax each."""
-        low, guards = self.low, self.guards
+    def lcms(self, a: int, others: Iterable[int]) -> List[int]:
+        """lcm(a, b) for each b of `others`, all of degree at most fmax."""
+        low, guards, bits, shift = self.low, self.guards, self.bits, self.shift
+        modulus, classes = self.modulus, self._classes
         a &= low
-        b &= low
-        # guard bit k is set where field k of a >= field k of b
-        ge = ((a | guards) - b) & guards
-        mask = ge - (ge >> self.bits)  # fmax in those fields
-        c = a ^ ((a ^ b) & mask)  # fieldwise min of complements = max of exponents
-        # each class's exponent sum is at most 2 * fmax < modulus, so its residue is it
-        modulus = self.modulus
-        deg = 0
-        for w, fields, nfmax in self._classes:
-            deg += w * ((nfmax - (c & fields)) % modulus)
-        return (deg << self.shift) | c
+        above = a | guards
+        out = []
+        for b in others:
+            b &= low
+            # guard bit k is set where field k of a >= field k of b
+            ge = (above - b) & guards
+            # fieldwise min of complements = max of exponents
+            c = a ^ ((a ^ b) & (ge - (ge >> bits)))
+            # each class's exponent sum is at most 2 * fmax < modulus, so its residue is it
+            deg = 0
+            for w, fields, nfmax in classes:
+                deg += w * ((nfmax - (c & fields)) % modulus)
+            out.append((deg << shift) | c)
+        return out

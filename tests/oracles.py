@@ -7,13 +7,13 @@ import math
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from commuting_ci import linalg
 from commuting_ci.groebner import GroebnerBasis, IncompleteComputation
 from commuting_ci.groupmat import BOREL, UNIPOTENT, commutator_ring, normalize_kind
 from commuting_ci.koszul import KoszulComplex, KoszulSliceReport, _pack, _slice_dim, slices
-from commuting_ci.ordering import Coeff, Exponent, MonomialOrder
+from commuting_ci.ordering import Coeff, Exponent, MonomialOrder, Packing
 from commuting_ci.polyring import QQ, Field, Polynomial, PrimeField, RingDescriptor, parse_poly
 from commuting_ci.polyring import _coerce
 
@@ -214,6 +214,58 @@ def monomials_of_weight(ring: RingDescriptor, w: int) -> List[Exponent]:
     if w >= 0:
         rec(0, w)
     return out
+
+
+# -- the Gebauer-Moeller pair update -------------------------------------------
+
+
+def gebauer_moeller(
+    lms: Sequence[int], G: Set[int], P: Dict[Tuple[int, int], int], packing: Packing
+) -> Tuple[List[Tuple[int, int, int]], Set[int], Dict[Tuple[int, int], int]]:
+    """The update `groebner._update_pairs` makes, by the candidate loop it replaced.
+
+    The candidates C are popped from the largest index down; each goes to D
+    when it is coprime or when no lcm left in C or kept in D divides its
+    own.  Returns the new pairs (lcm, i, ih), the new G and the new P, and
+    changes none of its arguments.
+    """
+    one, guards = packing.one, packing.guards
+
+    def lcm_of(a: int, b: int) -> int:
+        return packing.lcms(a, [b])[0]
+
+    ih = len(lms) - 1
+    mh = lms[ih]
+    negh = one - mh  # x + negh has a guard bit set unless mh divides x
+    C = sorted(G)
+    D: List[int] = []
+    lcms = {ig: lcm_of(mh, lms[ig]) for ig in C}
+    while C:
+        ig = C.pop()
+        lhg = lcms[ig]
+        if mh + lms[ig] - one == lhg:
+            D.append(ig)  # product criterion pairs are kept only to prune others
+            continue
+        base = lhg + one
+        if not any(not (base - lcms[ix]) & guards for ix in C) and not any(
+            not (base - lcms[ix]) & guards for ix in D
+        ):
+            D.append(ig)
+    E = [ig for ig in D if mh + lms[ig] - one != lcms[ig]]
+    newP: Dict[Tuple[int, int], int] = {}
+    for pair, lij in P.items():
+        if (
+            (lij + negh) & guards
+            or lcm_of(lms[pair[0]], mh) == lij
+            or lcm_of(lms[pair[1]], mh) == lij
+        ):
+            newP[pair] = lij
+    new = []
+    for ig in E:
+        newP[ig, ih] = lcms[ig]
+        new.append((lcms[ig], ig, ih))
+    newG = {ig for ig in G if (lms[ig] + negh) & guards} | {ih}
+    return new, newG, newP
 
 
 # -- dimensions of quotients ---------------------------------------------------

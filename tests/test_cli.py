@@ -475,6 +475,55 @@ def test_koszul_slices_with_no_differential_fit_a_small_address_space():
     assert len(ok) == 105 and last["chain_dims"] == [0, 204156, 0]
 
 
+def test_u5_genus_three_is_ci_in_a_small_address_space():
+    # with every S-polynomial reduced only until its leading term is
+    # irreducible, this run peaks near 38 MB RSS; reducing each remainder
+    # fully, it peaked near 136 MB, and under this cap it died with a
+    # MemoryError
+    import resource
+
+    def limit_memory():  # runs in the child only
+        cap = 100 * 2**20
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    done = _run_fresh("decide", "--group", "un", "--n", "5", "--genus", "3", preexec_fn=limit_memory)
+    assert done.returncode == EXIT_OK, done.stderr
+    report = json.loads(done.stdout)
+    assert (report["verdict"], report["dim"], report["codim"]) == ("CI", 54, 6)
+    assert (report["stats"]["pairs"], report["stats"]["zero_reductions"]) == (133, 106)
+
+
+def test_buchberger_out_of_memory_ends_incomplete():
+    # U6 g2 grows inside Buchberger by a few MB a second (about 28 MB RSS
+    # after 5 s and 48 MB after 15 s on a 2-vCPU machine).  The child caps
+    # its address space 16 MB above what it maps with the package imported,
+    # so the run runs out of memory after a few seconds, before its timeout
+    code = (
+        "import resource, sys\n"
+        "from commuting_ci import cli\n"
+        "status = open('/proc/self/status').read()\n"
+        "cap = int(status.split('VmSize:')[1].split()[0]) * 1024 + 16 * 2**20\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    argv = ["decide", "--group", "un", "--n", "6", "--genus", "2", "--timeout", "40"]
+    src = Path(commuting_ci.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == EXIT_INCOMPLETE, done.stderr
+    assert "Traceback" not in done.stderr
+    report = json.loads(done.stdout)
+    assert (report["verdict"], report["generators"]) == ("Incomplete", 10)
+    stats = report["stats"]
+    assert stats["stopped_by"] == "memory"
+    assert stats["pairs"] > 0 and stats["pairs_pending"] > 0 and stats["basis_size"] > 0
+
+
 def test_koszul_timeout_cuts_a_slice_off_between_blocks():
     # weights 0-6 take well under a second and weights 7 and 8 many seconds,
     # so the deadline falls inside a slice, which must stop at its next block

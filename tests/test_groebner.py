@@ -31,6 +31,7 @@ from conftest import system, system_basis
 from oracles import (
     add,
     dimension_by_enumeration,
+    gebauer_moeller,
     grevlex_key,
     leading_exponent,
     monomials_of_weight,
@@ -376,7 +377,7 @@ def test_deadline_inside_a_reduction_admits_no_partial_remainder(monkeypatch):
 
         def __init__(self, terms, one, prime):
             super().__init__(terms, one, prime)
-            admitted.append(dict(self.poly))
+            admitted.append(self.terms(one))
 
     calls = []
     trip = [None]
@@ -487,6 +488,110 @@ def test_grevlex_frontier_stats_without_inter_reduction(monkeypatch):
     assert len(calls) == len(gens) + stats.pairs
     pinned = (stats.pairs, stats.zero_reductions, stats.max_degree, stats.basis_size)
     assert pinned + (stats.pairs_pending, stats.stopped_by) == (95, 61, 7, 40, 68, "degree_cap")
+
+
+# -- the pair update and top reduction ----------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pair_update_agrees_with_the_reference_loop_on_random_leading_monomials(seed):
+    # few variables and low degrees, so that lcms often coincide or divide each other
+    rng = random.Random(seed)
+    n = rng.randint(4, 6)
+    weights = tuple(rng.randint(1, 3) for _ in range(n)) if seed % 2 else None
+    order = MonomialOrder.seeded(n, seed, weights)
+    packing = Packing(order, 14)
+    one, guards = packing.one, packing.guards
+    lms, G, P = [], set(), {}
+    for _ in range(150):
+        exp = [0] * n
+        budget = rng.randint(4, 7)
+        while fits := [v for v in range(n) if order.degree(exp) + (weights or (1,) * n)[v] <= budget]:
+            exp[rng.choice(fits)] += 1
+        m = packing.pack(exp)
+        if any(not (m + one - lms[k]) & guards for k in G):
+            continue  # an admitted leading monomial is irreducible by G
+        for pair in rng.sample(sorted(P), len(P) // 3):
+            del P[pair]  # the pair loop treats some pairs between two admissions
+        lms.append(m)
+        new_ref, G_ref, P_ref = gebauer_moeller(lms, G, P, packing)
+        new = groebner._update_pairs(lms, G, P, packing)
+        assert sorted(new) == sorted(new_ref)
+        assert G == G_ref and P == P_ref
+    assert len(lms) > 8
+
+
+@pytest.mark.parametrize(
+    "kind,n,genus,cap",
+    [("un", 3, 1, 30), ("un", 4, 1, 30), ("un", 5, 1, 30), ("un", 3, 2, 30), ("un", 4, 2, 30),
+     ("un", 5, 2, 30), ("bn", 2, 1, 30), ("bn", 3, 1, 30), ("bn", 4, 1, 7)],
+)
+def test_pair_update_agrees_with_the_reference_loop_in_runs(kind, n, genus, cap, monkeypatch):
+    s = system(kind, n, genus, 32003)
+    gens = [f for _, f in s.generators] + list(s.unit_relations)
+    order = MonomialOrder.identity(s.ring.nvars, s.ring.weights if kind == "un" else None)
+    update = groebner._update_pairs
+    made = []
+
+    def spy(lms, G, P, packing):
+        new_ref, G_ref, P_ref = gebauer_moeller(lms, G, P, packing)
+        new = update(lms, G, P, packing)
+        assert sorted(new) == sorted(new_ref)
+        assert G == G_ref and P == P_ref
+        made.append(len(new))
+        return new
+
+    monkeypatch.setattr(groebner, "_update_pairs", spy)
+    gb = buchberger(gens, order, ring=s.ring, degree_cap=cap)
+    assert gb.stats.stopped_by == (None if cap == 30 else "degree_cap")
+    assert sum(made) >= gb.stats.pairs + gb.stats.pairs_pending
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("prime", [None, 32003])
+def test_top_reduction_keeps_the_leading_term_and_the_normal_form(prime, seed):
+    # the reducers are a basis stopped by its degree cap, so not a Groebner
+    # basis of everything the inputs reach
+    s = system("un", 5, 2, prime)
+    gens = [f for _, f in s.generators]
+    order = MonomialOrder.identity(s.ring.nvars, s.ring.weights)
+    gb = buchberger(gens, order, ring=s.ring, degree_cap=6)
+    elems, packing = gb._elems, gb._packing
+    one, guards = packing.one, packing.guards
+    rng = random.Random(seed)
+    weights = s.ring.weights
+    light = [v for v in range(s.ring.nvars) if weights[v] <= 2]
+
+    def monomial(degree):
+        exp = [0] * s.ring.nvars
+        while degree > 0:
+            v = rng.choice([v for v in light if weights[v] <= degree])
+            exp[v] += 1
+            degree -= weights[v]
+        return packing.pack(exp)
+
+    packed = [packing.pack_terms(g.terms) for g in gens]
+    nonzero = unreduced = 0
+    for _ in range(30):
+        f = {}
+        for g in rng.sample(packed, 3):
+            m = monomial(rng.randint(0, packing.fmax - (max(g) >> packing.shift)))
+            c = rng.randint(1, 50)
+            for e, a in g.items():
+                f[m + e - one] = f.get(m + e - one, 0) + c * a
+        for _ in range(rng.randint(0, 3)):
+            f[monomial(rng.randint(1, packing.fmax))] = rng.randint(1, 50)
+        full = groebner._reduce_terms(f, elems, guards, prime)
+        top = groebner._reduce_terms(f, elems, guards, prime, top=True)
+        if full:
+            nonzero += 1
+            unreduced += top != full
+            assert max(top) == max(full) and top[max(top)] == full[max(full)]
+        else:
+            assert not top
+        assert all(c and (prime is None or 0 < c < prime) for c in top.values())
+        assert groebner._reduce_terms(top, elems, guards, prime) == full
+    assert nonzero > 10 and unreduced > 5
 
 
 # -- dump and standard monomials ------------------------------------------------------------

@@ -1,8 +1,14 @@
 """Packed monomials of `ordering.Packing` against the exponent-tuple reference."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import commuting_ci
 
 from commuting_ci.groebner import buchberger, normal_form
 from commuting_ci.ordering import MonomialOrder, Packing
@@ -41,10 +47,14 @@ def test_packed_operations_agree_with_tuples(seed):
             assert (not t & guards) == divides(a, b)
             if divides(a, b):
                 assert packing.unpack(t) == tuple(y - x for x, y in zip(a, b))
-            assert packing.lcm(pa, pb) == packing.pack(lcm(a, b))
+            assert packing.lcms(pa, [pb]) == [packing.pack(lcm(a, b))]
             ab = tuple(x + y for x, y in zip(a, b))
             if sum(ab) <= packing.fmax:
                 assert pa + pb - one == packing.pack(ab)
+        # one pass over many monomials gives each lcm
+        a = random_exponent(rng, n, bound)
+        bs = [random_exponent(rng, n, bound) for _ in range(10)]
+        assert packing.lcms(packing.pack(a), map(packing.pack, bs)) == [packing.pack(lcm(a, b)) for b in bs]
 
 
 def random_weighted_exponent(rng, weights, total):
@@ -84,10 +94,13 @@ def test_weighted_packed_operations_agree_with_tuples(seed):
             if divides(a, b):
                 assert packing.unpack(t) == tuple(y - x for x, y in zip(a, b))
             # the lcm's weighted degree is read back from its complement fields
-            assert packing.lcm(pa, pb) == packing.pack(lcm(a, b))
+            assert packing.lcms(pa, [pb]) == [packing.pack(lcm(a, b))]
             ab = tuple(x + y for x, y in zip(a, b))
             if order.degree(ab) <= packing.fmax:
                 assert pa + pb - one == packing.pack(ab)
+        a = random_weighted_exponent(rng, weights, bound)
+        bs = [random_weighted_exponent(rng, weights, bound) for _ in range(10)]
+        assert packing.lcms(packing.pack(a), map(packing.pack, bs)) == [packing.pack(lcm(a, b)) for b in bs]
 
 
 @pytest.mark.parametrize("bits", [1, 2, 3, 4, 5, 16])
@@ -104,7 +117,7 @@ def test_weighted_field_width_boundary(bits):
     for other in filter(lambda e: min(e) >= 0 and order.degree(e) <= fmax, others):
         assert packing.unpack(packing.pack(other)) == other
         assert (packing.pack(top) < packing.pack(other)) == (key(top) < key(other))
-        assert packing.lcm(packing.pack(top), packing.pack(other)) == packing.pack(lcm(top, other))
+        assert packing.lcms(packing.pack(top), [packing.pack(other)]) == [packing.pack(lcm(top, other))]
     # unpack walks only the nonzero fields: every field at fmax, only field 0
     # (variable 2) and only the top complement field (variable 1)
     for e in (1, fmax):
@@ -161,3 +174,31 @@ def test_basis_degree_far_above_the_input_degree(n):
     for i, f in enumerate(gb.basis):
         for g in gb.basis[i + 1 :]:
             assert normal_form(spolynomial(f, g), gb.basis).is_zero
+
+
+def test_packing_of_many_variables_fits_a_small_address_space():
+    # U128 has 16,256 variables: one precomputed step per variable, each an
+    # int of 16,256 fields, took 287 MB; per-variable offsets take a few MB
+    import resource
+
+    def limit_memory():  # runs in the child only
+        cap = 100 * 2**20
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    code = (
+        "from commuting_ci.ordering import MonomialOrder, Packing\n"
+        "p = Packing(MonomialOrder.identity(16256), 127)\n"
+        "x = p.pack((0,) * 16255 + (127,))\n"
+        "print(p.unpack(x)[-1], p.lcms(x, [p.one])[0] == x)\n"
+    )
+    src = Path(commuting_ci.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=limit_memory,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["127", "True"]
