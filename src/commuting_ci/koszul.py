@@ -12,10 +12,17 @@ field.  Nothing is ever computed as a module presentation.  `slices` makes
 one pass over the weights w = 0, 1, ..., max_weight, and each slice is
 handled in four steps:
 
-* Counting.  dim C_i(w) comes from generating functions: the number of
-  monomials of each weight (c[u] += c[u - w_v] over the variables) times the
-  number of i-subsets of generators of each weight.  No basis is built to be
-  counted, and the size cap is tested on these counts.
+* Counting.  dim C_j(w), for j = i - 1, i and i + 1, is counted by torus
+  block (below) and never from a basis: the number of monomials of each
+  packed torus weight, grown one weight at a time by a recurrence, summed
+  over the j-subsets S of generators with w_S <= w.  One walk over the
+  generators yields exactly those S, trying a generator only while the
+  lightest subset it can start still fits; when some variable has weight 1,
+  as in every unipotent system, each S it yields adds at least one basis
+  element, so the walk costs no more than the slice.  Monomials are counted
+  up to w minus the weight of the lightest j-subset and no further.  The
+  size cap is tested on the sums of these counts, and the report's blocks,
+  rows and columns come from them too.
 * Torus blocks.  Each variable and each generator also has a torus weight:
   a vector of nonnegative fields that sum to its weight.  For a unipotent
   system it is e_i - e_j in simple-root coordinates, the weight of entry
@@ -25,11 +32,8 @@ handled in four steps:
   monomial table is indexed by packed torus weight, one field per torus
   coordinate, and grows by one weight at a time as the pass needs it; d_i
   is built, ranked and dropped one block at a time, and the rank of d_i is
-  the sum of the block ranks.  The monomial counts are kept by packed torus
-  weight too, grown one weight at a time up to the slice's weight and never
-  above it, so dim C_{i-1} of each block is counted without its basis.  A
-  complex given no torus uses its scalar weights as a one-field torus, which
-  makes one block per slice.
+  the sum of the block ranks.  The scalar weights, given as a one-field
+  torus, make one block per slice.
 * Packed keys.  One packing serves the whole pass: a basis element t_S * m
   is one int, the exponent of variable v in a field of
   max_weight.bit_length() bits at bit v * width, and S as a bitmask above all
@@ -44,7 +48,7 @@ handled in four steps:
   it hits to its entries, so C_{i-1} (for i = 1, all monomials of weight w)
   is never built; the report gives each block dim C_{i-1} of its torus
   weight as its columns, from the counts.  A slice that builds no
-  differential tables no monomial: its blocks are counted too.
+  differential tables no monomial.
   Entries are the signed generator coefficients, with each generator's
   denominators cleared once (a unit multiple of f_s changes no rank), and
   `linalg.echelon` ranks the rows in the order they are built.
@@ -80,8 +84,7 @@ The rank of d_{i+1}, for i >= 1, is found one of two ways in each block:
   gives z = d(sum_j a_j t_j t_S) in the image of d_{i+1}; in the order above
   its largest term is t_S m, so the z are independent and rank d_{i+1} is at
   least the number of skipped rows.  d_i d_{i+1} = 0 bounds it by dim ker
-  d_i, so the two are equal and d_{i+1} is never built; only its rows are
-  counted.
+  d_i, so the two are equal and d_{i+1} is never built.
 * Otherwise d_{i+1} is built, its rows skipped the same way, and ranked.
   This fallback is needed: the kept rows can depend on each other through a
   syzygy that is not principal, and then rank d_{i+1} exceeds the number of
@@ -100,7 +103,7 @@ import time
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import accumulate, islice
 from math import lcm
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -134,16 +137,15 @@ class KoszulComplex:
 
     `variable_torus` and `generator_torus` give the torus weight of each
     variable and generator: equally long vectors of nonnegative ints that sum
-    to the scalar weight.  Given neither, the scalar weights serve as a
-    one-field torus.
+    to the scalar weight.
     """
 
     ring: RingDescriptor
     generators: Tuple[Polynomial, ...]
     weights: Tuple[int, ...]
+    variable_torus: Tuple[Torus, ...]
+    generator_torus: Tuple[Torus, ...]
     exterior_zero_count: int = 0
-    variable_torus: Optional[Tuple[Torus, ...]] = None
-    generator_torus: Optional[Tuple[Torus, ...]] = None
 
     def __post_init__(self) -> None:
         if not self.ring.positively_weighted():
@@ -159,11 +161,6 @@ class KoszulComplex:
                 fw = f.weight_of()
                 if fw != w:
                     raise ValueError(f"generator not weight-homogeneous of weight {w}")
-        if (self.variable_torus is None) != (self.generator_torus is None):
-            raise ValueError("give the torus weights of the variables and the generators, or neither")
-        if self.variable_torus is None:
-            object.__setattr__(self, "variable_torus", tuple((w,) for w in self.ring.weights))
-            object.__setattr__(self, "generator_torus", tuple((w,) for w in self.weights))
         vt, gt = self.variable_torus, self.generator_torus
         if len(vt) != self.ring.nvars or len(gt) != len(self.generators):
             raise ValueError("one torus weight per variable and per generator required")
@@ -246,28 +243,10 @@ def build_complex(system) -> KoszulComplex:
         system.ring,
         tuple(gens),
         tuple(weights),
-        len(system.zero_positions),
         variable_torus,
         tuple(generator_torus),
+        len(system.zero_positions),
     )
-
-
-def _slice_dim(K: KoszulComplex, i: int, w: int) -> int:
-    """dim C_i(w) from generating functions; no basis is built to be counted."""
-    if i < 0 or w < 0 or i > len(K.generators):
-        return 0
-    monomials = [1] + [0] * w  # monomials[u]: number of monomials of weight u
-    for wv in K.ring.weights:
-        for u in range(wv, w + 1):
-            monomials[u] += monomials[u - wv]
-    # subsets[k][u]: number of k-subsets of the generators of total weight u
-    subsets = [[1] + [0] * w] + [[0] * (w + 1) for _ in range(i)]
-    for ws in K.weights:
-        for k in range(i, 0, -1):
-            prev, cur = subsets[k - 1], subsets[k]
-            for u in range(ws, w + 1):
-                cur[u] += prev[u - ws]
-    return sum(count * monomials[w - u] for u, count in enumerate(subsets[i]))
 
 
 def _pack(fields: Sequence[int], width: int) -> int:
@@ -284,14 +263,15 @@ class _SlicePass:
 
     Generators are numbered by position, sparsest first, and t_S has the bits
     base + position.  `layers[u]` lists the packed torus weights of scalar
-    weight u, and `counts` maps each to its number of monomials.  `table`
-    maps a packed torus weight to its packed monomials in increasing order,
-    up to the weight `tabled`.  `lead` maps a tabled pivot monomial of d_1 to
-    the position of the generator whose row made it.
+    weight u, and `counts` maps each to its number of monomials; `_dims`
+    sums them into every chain dimension, block, row and column count of a
+    slice.  `table` maps a packed torus weight to its packed monomials in
+    increasing order, up to the weight `tabled`.  `lead` maps a tabled pivot
+    monomial of d_1 to the position of the generator whose row made it.
     """
 
     def __init__(self, K: KoszulComplex, i: int, max_weight: int) -> None:
-        self.K, self.i, self.p = K, i, K.ring.field.p
+        self.i, self.p = i, K.ring.field.p
         self.width = width = max(max_weight.bit_length(), 1)
         base = K.ring.nvars * width
         order = sorted(range(len(K.generators)), key=lambda s: len(K.generators[s].terms))
@@ -328,7 +308,10 @@ class _SlicePass:
             max_weight - min(self.weights[pos + 1 :], default=max_weight + 1)
             for pos in range(self.r)
         ]
-        self.lightest = sum(sorted(K.weights)[:i])  # weight of the lightest t_S in C_i
+        # lightest[p][k]: the weight of the lightest k positions from p on
+        self.lightest = [
+            list(accumulate(sorted(self.weights[pos:]), initial=0)) for pos in range(self.r + 1)
+        ]
 
     def _count(self, top: int) -> None:
         """Count the monomials of every torus weight up to scalar weight `top`.
@@ -370,17 +353,35 @@ class _SlicePass:
                     table.setdefault(t + tstep, []).extend(grown)
             self.tabled = u
 
+    def _subsets(
+        self, j: int, w: int, start: int = 0, S: Tuple[int, ...] = (), torus_S: int = 0
+    ) -> Iterator[Tuple[Tuple[int, ...], int, int]]:
+        """The j-subsets S of the positions from `start` on with w_S <= w, in
+        lexicographic order, each with w - w_S and its packed torus weight.
+        A position is taken only if the lightest j - 1 after it still fit,
+        and the walk stops at the first p whose lightest j from p on do not."""
+        ws, lightest = self.weights, self.lightest
+        if not j:
+            yield S, w, torus_S
+            return
+        for p in range(start, self.r - j + 1):
+            if lightest[p][j] > w:
+                return
+            if ws[p] + lightest[p + 1][j - 1] <= w:
+                yield from self._subsets(
+                    j - 1, w - ws[p], p + 1, S + (p,), torus_S + self.generator_torus[p]
+                )
+
     def _dims(self, j: int, w: int) -> Dict[int, int]:
         """dim C_j(w) by torus block, from the monomial counts: packed torus
-        weight -> the number of basis elements t_S * m of that weight."""
-        self._count(w)
-        ws, counts, out = self.weights, self.counts, {}
-        for S in combinations(range(self.r), j):
-            rem = w - sum(ws[s] for s in S)
-            if rem < 0:
-                continue
-            torus_S = sum(self.generator_torus[s] for s in S)
-            for t in self.layers[rem]:
+        weight -> the number of basis elements t_S * m of that weight.  The
+        monomials are counted up to w minus the weight of the lightest t_S."""
+        if not 0 <= j <= self.r or self.lightest[0][j] > w:
+            return {}
+        self._count(w - self.lightest[0][j])
+        counts, layers, out = self.counts, self.layers, {}
+        for _, rem, torus_S in self._subsets(j, w):
+            for t in layers[rem]:
                 out[torus_S + t] = out.get(torus_S + t, 0) + counts[t]
         return out
 
@@ -388,34 +389,26 @@ class _SlicePass:
         """C_j(w) by torus block: packed torus weight -> one `Part` per S, in
         the order of the positions, so that the block's basis is the keys
         t_S + m."""
-        ws, out = self.weights, {}
-        for S in combinations(range(self.r), j):
-            rem = w - sum(ws[s] for s in S)
-            if rem < 0:
-                continue
+        out: Dict[int, List[Part]] = {}
+        for S, rem, torus_S in self._subsets(j, w):
             key_S = sum(self.bits[s] for s in S)
             moves = [
                 (key_S + d, -c if k & 1 else c) for k, s in enumerate(S) for d, c in self.deltas[s]
             ]
-            torus_S = sum(self.generator_torus[s] for s in S)
             for t in self.layers[rem]:
                 out.setdefault(torus_S + t, []).append((S[0] if S else 0, moves, self.table[t]))
         return out
 
     def _block(
-        self, parts: List[Part], rank: bool, record: Optional[int], seconds: Dict[str, float]
-    ) -> Tuple[int, int, int]:
-        """d on one torus block: its rows, its kept rows and its rank (kept
-        rows and rank are 0 when not `rank`, which builds no row).  A `record`
+        self, parts: List[Part], record: Optional[int], seconds: Dict[str, float]
+    ) -> Tuple[int, int]:
+        """d on one torus block: its kept rows and its rank.  A `record`
         weight means d is d_1 at that weight: each new pivot monomial that a
         later row can look up is tabled with its generator."""
         lead, get, r = self.lead, self.lead.get, self.r
         pivots: linalg.Pivots = {}
-        nrows = nkept = 0
+        nkept = 0
         for first, moves, monomials in parts:
-            nrows += len(monomials)
-            if not rank:
-                continue
             t0 = time.perf_counter()
             kept = [m for m in monomials if get(m, r) >= first] if first else monomials
             nkept += len(kept)
@@ -429,53 +422,47 @@ class _SlicePass:
                     lead[col] = first
             seconds["assembly"] += t1 - t0
             seconds["rank"] += time.perf_counter() - t1
-        return nrows, nkept, len(pivots)
+        return nkept, len(pivots)
 
     def slice(self, w: int, size_cap: int, deadline: Optional[float]) -> KoszulSliceReport:
-        K, i = self.K, self.i
-        dims = (_slice_dim(K, i - 1, w), _slice_dim(K, i, w), _slice_dim(K, i + 1, w))
+        i = self.i
+        t0 = time.perf_counter()
+        # below, here, above: dim C_{i-1}, C_i and C_{i+1} at w by torus block
+        below, here, above = (self._dims(j, w) for j in (i - 1, i, i + 1))
+        dims = (sum(below.values()), sum(here.values()), sum(above.values()))
         if max(dims) > size_cap or _past(deadline):
             return KoszulSliceReport(i, w, dims, None, "incomplete")
         ranks = [0, 0]
         shapes = [(0, 0), (0, 0)]
-        blocks = 0
         largest = (0, 0)
-        seconds = {"assembly": 0.0, "rank": 0.0}
-        # d_j: C_j -> C_{j-1} is zero unless both ends are nonzero
-        build_down, build_up = i >= 1 and dims[0] > 0, dims[2] > 0
-        if dims[1] and not (build_down or build_up):
-            t0 = time.perf_counter()
-            blocks = len(self._dims(i, w))
-            seconds["assembly"] += time.perf_counter() - t0
-        elif dims[1]:
-            t0 = time.perf_counter()
+        # d_j: C_j -> C_{j-1} is zero unless both ends are nonzero; on block t
+        # it has dim C_j(t) rows and dim C_{j-1}(t) cols
+        build_down, build_up = dims[0] > 0 and dims[1] > 0, dims[1] > 0 and dims[2] > 0
+        if build_down:
+            shapes[0] = (dims[1], sum(below.get(t, 0) for t in here))
+            largest = max((rows, below.get(t, 0)) for t, rows in here.items())
+        if build_up:
+            shapes[1] = (dims[2], sum(here.get(t, 0) for t in above))
+        if build_down or build_up:
             # C_i(w) holds the heaviest monomials of the chain groups built
-            self._grow(w - self.lightest)
-            down = self._blocks(i, w)
-            up = self._blocks(i + 1, w) if build_up else {}
-            below = self._dims(i - 1, w) if build_down else {}
-            seconds["assembly"] += time.perf_counter() - t0
-            blocks = len(down)
-            # the pivots of d_1, whichever end of the slice it is, are tabled
-            tabled_down, tabled_up = (w if i == 1 else None), (w if i == 0 else None)
-            for t in list(down) + [t for t in up if t not in down]:
-                if _past(deadline):
-                    return KoszulSliceReport(i, w, dims, None, "incomplete")
-                independent, skipped = False, 0
-                if build_down and t in down:
-                    rows, kept, rank = self._block(down[t], True, tabled_down, seconds)
-                    ranks[0] += rank
-                    cols = below.get(t, 0)  # dim C_{i-1}(t)
-                    shapes[0] = (shapes[0][0] + rows, shapes[0][1] + cols)
-                    largest = max(largest, (rows, cols))
-                    independent, skipped = rank == kept, rows - kept
-                if build_up and t in up:
-                    # kept rows of d_i independent: rank d_{i+1} is the number
-                    # of rows skipped, and d_{i+1} only has its rows counted
-                    rows, _, rank = self._block(up[t], not independent, tabled_up, seconds)
-                    ranks[1] += skipped if independent else rank
-                    cols = sum(len(monomials) for _, _, monomials in down.get(t, ()))  # dim C_i(t)
-                    shapes[1] = (shapes[1][0] + rows, shapes[1][1] + cols)
+            self._grow(w - self.lightest[0][i])
+        down = self._blocks(i, w) if build_down else {}
+        up = self._blocks(i + 1, w) if build_up else {}
+        seconds = {"assembly": time.perf_counter() - t0, "rank": 0.0}
+        # the pivots of d_1, whichever end of the slice it is, are tabled
+        tabled_down, tabled_up = (w if i == 1 else None), (w if i == 0 else None)
+        for t in list(down) + [t for t in up if t not in down]:
+            if _past(deadline):
+                return KoszulSliceReport(i, w, dims, None, "incomplete")
+            independent, skipped = False, 0
+            if t in down:
+                kept, rank = self._block(down[t], tabled_down, seconds)
+                ranks[0] += rank
+                independent, skipped = rank == kept, here[t] - kept
+            if t in up:
+                # kept rows of d_i independent: rank d_{i+1} is the number
+                # of rows skipped, and d_{i+1} is not built
+                ranks[1] += skipped if independent else self._block(up[t], tabled_up, seconds)[1]
         rank_down, rank_up = ranks
 
         # d_i d_{i+1} = 0, so rank_down + rank_up <= dim C_i; a violation means
@@ -487,7 +474,7 @@ class _SlicePass:
             )
         h = dims[1] - rank_down - rank_up
         return KoszulSliceReport(
-            i, w, dims, h, "ok", tuple(ranks), tuple(shapes), blocks, largest, seconds
+            i, w, dims, h, "ok", tuple(ranks), tuple(shapes), len(here), largest, seconds
         )
 
 

@@ -12,7 +12,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 from commuting_ci import linalg
 from commuting_ci.groebner import GroebnerBasis, IncompleteComputation
 from commuting_ci.groupmat import BOREL, UNIPOTENT, commutator_ring, normalize_kind
-from commuting_ci.koszul import KoszulComplex, KoszulSliceReport, _pack, _slice_dim, slices
+from commuting_ci.koszul import KoszulComplex, KoszulSliceReport, _pack, slices
 from commuting_ci.ordering import Coeff, Exponent, MonomialOrder, Packing
 from commuting_ci.polyring import QQ, Field, Polynomial, PrimeField, RingDescriptor, parse_poly
 from commuting_ci.polyring import _coerce
@@ -405,29 +405,29 @@ def homology_slice(K: KoszulComplex, i: int, w: int, **limits) -> KoszulSliceRep
 def reference_slice(K: KoszulComplex, i: int, w: int) -> KoszulSliceReport:
     """One slice with no row skipped: every row of d_i and d_{i+1} built
     from its own layout, block by block, and ranked ("seconds" is None).
-    The shape of d on a block is (the block's basis in C_j, the basis of the
-    block of the same torus weight in C_{j-1}), enumerated."""
-    dims = (_slice_dim(K, i - 1, w), _slice_dim(K, i, w), _slice_dim(K, i + 1, w))
+    The chain dimensions and the shape of d on a block, (the block's basis
+    in C_j, the basis of the block of the same torus weight in C_{j-1}), are
+    enumerated from the same layout."""
     prime = K.ring.field.p
-    ranks, shapes, blocks, largest = [0, 0], [(0, 0), (0, 0)], 0, (0, 0)
-    if dims[1]:
-        layout = SliceLayout(K, w, w - sum(sorted(K.weights)[: max(i - 1, 0)]))
-        grouped = [layout.blocks(j) if dims[k] else {} for k, j in enumerate((i - 1, i, i + 1))]
-        blocks = len(grouped[1])
-        for k, deg in enumerate((i, i + 1)):
-            if not (deg >= 1 and dims[k] and dims[k + 1]):
-                continue
-            nrows = ncols = 0
-            for t, parts in grouped[k + 1].items():
-                rows, cols = block_rows(parts)
-                ranks[k] += rank_rational(rows, cols) if prime is None else rank_mod_p(rows, cols, prime)
-                shape = (len(block_basis(parts)), len(block_basis(grouped[k].get(t, []))))
-                nrows, ncols = nrows + shape[0], ncols + shape[1]
-                if k == 0:
-                    largest = max(largest, shape)
-            shapes[k] = (nrows, ncols)
+    layout = SliceLayout(K, w, w - sum(sorted(K.weights)[: max(i - 1, 0)]))
+    grouped = [layout.blocks(j) if j >= 0 else {} for j in (i - 1, i, i + 1)]
+    sizes = [{t: len(block_basis(parts)) for t, parts in g.items()} for g in grouped]
+    dims = tuple(sum(size.values()) for size in sizes)
+    ranks, shapes, largest = [0, 0], [(0, 0), (0, 0)], (0, 0)
+    for k, deg in enumerate((i, i + 1)):
+        if not (deg >= 1 and dims[k] and dims[k + 1]):
+            continue
+        nrows = ncols = 0
+        for t, parts in grouped[k + 1].items():
+            rows, cols = block_rows(parts)
+            ranks[k] += rank_rational(rows, cols) if prime is None else rank_mod_p(rows, cols, prime)
+            shape = (sizes[k + 1][t], sizes[k].get(t, 0))
+            nrows, ncols = nrows + shape[0], ncols + shape[1]
+            if k == 0:
+                largest = max(largest, shape)
+        shapes[k] = (nrows, ncols)
     h = dims[1] - sum(ranks)
-    return KoszulSliceReport(i, w, dims, h, "ok", tuple(ranks), tuple(shapes), blocks, largest)
+    return KoszulSliceReport(i, w, dims, h, "ok", tuple(ranks), tuple(shapes), len(grouped[1]), largest)
 
 
 def slice_blocks(K: KoszulComplex, i: int, w: int) -> dict:
@@ -471,10 +471,29 @@ def key_torus(K: KoszulComplex, key: int, w: int) -> tuple:
     return tuple(map(sum, zip(*parts))) if parts else (0,) * len(K.variable_torus[0])
 
 
+def one_field_complex(
+    ring: RingDescriptor,
+    generators: Sequence[Polynomial],
+    weights: Sequence[int],
+    exterior_zero_count: int = 0,
+) -> KoszulComplex:
+    """The Koszul complex graded by its scalar weights as a one-field torus,
+    which makes one block per slice."""
+    return KoszulComplex(
+        ring,
+        tuple(generators),
+        tuple(weights),
+        tuple((w,) for w in ring.weights),
+        tuple((w,) for w in weights),
+        exterior_zero_count,
+    )
+
+
 def extend_with_zero_generators(K: KoszulComplex, count: int) -> KoszulComplex:
-    """Append `count` identically-zero generators of weight 1."""
+    """Append `count` identically-zero generators of weight 1, on the
+    one-field torus."""
     zeros = (K.ring.zero(),) * count
-    return KoszulComplex(K.ring, K.generators + zeros, K.weights + (1,) * count, K.exterior_zero_count)
+    return one_field_complex(K.ring, K.generators + zeros, K.weights + (1,) * count, K.exterior_zero_count)
 
 
 def kunneth_zero_check(K: KoszulComplex, zeros: int, max_weight: int) -> bool:

@@ -283,16 +283,16 @@ def test_koszul_honours_the_timeout(capsys):
     assert json.loads(out)["stopped_by"] == "timeout"
 
 
-def _run_fresh(*argv, preexec_fn=None):
+def _run_fresh(*argv, preexec_fn=None, timeout=60):
     """The CLI in a fresh interpreter, so that an unbounded run fails the test
-    by its 60 s timeout instead of hanging the suite."""
+    by its `timeout` (60 s) instead of hanging the suite."""
     src = Path(commuting_ci.__file__).resolve().parent.parent
     return subprocess.run(
         [sys.executable, "-m", "commuting_ci.cli", *argv],
         env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True,
         text=True,
-        timeout=60,
+        timeout=timeout,
         preexec_fn=preexec_fn,
     )
 
@@ -540,6 +540,27 @@ def test_koszul_timeout_cuts_a_slice_off_between_blocks():
     assert all(row["status"] == "ok" for row in ok)
     assert (last["status"], last["h_dim"], last["ranks"]) == ("incomplete", None, None)
     assert max(last["chain_dims"]) <= 20000000
+
+
+def test_koszul_high_degree_slices_end_within_the_bound():
+    # U9 has 28 nonzero generators, and no 14-subset of them weighs less than
+    # 36 (no 13-subset less than 32).  Counting a slice by scanning all
+    # C(28, 14) = 4.0e7 subsets ran for minutes past --timeout 2; walking only
+    # the subsets that fit the slice weight, each run takes well under a second
+    argv = ["koszul", "--group", "un", "--n", "9", "--degree", "14", "--timeout", "2"]
+    argv += ["--field", "gf:32003"]
+    done = _run_fresh(*argv, "--max-weight", "36", timeout=30)
+    assert done.returncode == EXIT_OK, done.stderr
+    payload = json.loads(done.stdout)
+    assert payload["stopped_by"] is None and len(payload["slices"]) == 37
+    last = payload["slices"][-1]
+    assert (last["chain_dims"], last["ranks"], last["h_dim"]) == ([87776, 5, 0], [5, 0], 0)
+    done = _run_fresh(*argv, "--max-weight", "60", timeout=30)
+    assert done.returncode == EXIT_INCOMPLETE, done.stderr
+    payload = json.loads(done.stdout)
+    assert payload["stopped_by"] == "slice_cap"
+    last = payload["slices"][-1]
+    assert (last["w"], last["status"], last["chain_dims"]) == (37, "incomplete", [640740, 144, 0])
 
 
 def test_dump_u3(capsys):

@@ -9,12 +9,7 @@ from itertools import combinations
 import pytest
 
 from commuting_ci import koszul, linalg
-from commuting_ci.koszul import (
-    KoszulComplex,
-    PositiveWeightRequired,
-    _slice_dim,
-    build_complex,
-)
+from commuting_ci.koszul import KoszulComplex, PositiveWeightRequired, build_complex
 from commuting_ci.polyring import Polynomial, PrimeField, QQ, RingDescriptor, parse_poly
 
 from conftest import system, system_basis
@@ -28,6 +23,7 @@ from oracles import (
     kunneth_zero_check,
     monomials_of_weight,
     mul,
+    one_field_complex,
     reference_slice,
     scale,
     slice_basis,
@@ -42,7 +38,7 @@ def one_var():
 
 
 def kos_x(one_var):
-    return KoszulComplex(one_var, (parse_poly("x", one_var),), (1,))
+    return one_field_complex(one_var, (parse_poly("x", one_var),), (1,))
 
 
 # -- construction ----------------------------------------------------------
@@ -51,7 +47,7 @@ def kos_x(one_var):
 def test_complex_rejects_weight_zero_ring():
     ring = RingDescriptor([("a", 0), ("b", 1)])
     with pytest.raises(PositiveWeightRequired):
-        KoszulComplex(ring, (parse_poly("b", ring),), (1,))
+        one_field_complex(ring, (parse_poly("b", ring),), (1,))
 
 
 def test_build_complex_rejects_borel():
@@ -62,21 +58,19 @@ def test_build_complex_rejects_borel():
 def test_complex_rejects_inhomogeneous_generator(one_var):
     p = parse_poly("x + 1", one_var)
     with pytest.raises(ValueError):
-        KoszulComplex(one_var, (p,), (1,))
+        one_field_complex(one_var, (p,), (1,))
 
 
 def test_complex_rejects_a_generator_that_is_not_torus_homogeneous():
     # x_{1,3} + x_{2,4} in U4 has weight 2, but torus weights e1 - e3 and e2 - e4
     K = build_complex(system("un", 4, 1))
     f = parse_poly("x_1_1_3 + x_1_2_4", K.ring)
-    KoszulComplex(K.ring, (f,), (2,))  # weight-homogeneous, so fine on the one-field torus
+    one_field_complex(K.ring, (f,), (2,))  # weight-homogeneous, so fine on the one-field torus
     for torus in ((1, 1, 0), (0, 1, 1)):
         with pytest.raises(ValueError, match="torus-homogeneous"):
-            KoszulComplex(K.ring, (f,), (2,), 0, K.variable_torus, (torus,))
+            KoszulComplex(K.ring, (f,), (2,), K.variable_torus, (torus,))
     with pytest.raises(ValueError, match="sum 2"):
-        KoszulComplex(K.ring, (parse_poly("x_1_1_3", K.ring),), (2,), 0, K.variable_torus, ((1, 0, 0),))
-    with pytest.raises(ValueError, match="or neither"):
-        KoszulComplex(K.ring, (), (), 0, K.variable_torus, None)
+        KoszulComplex(K.ring, (parse_poly("x_1_1_3", K.ring),), (2,), K.variable_torus, ((1, 0, 0),))
 
 
 def test_build_complex_grades_by_the_diagonal_torus():
@@ -109,7 +103,7 @@ def test_regular_element_has_no_h1(one_var):
 
 
 def test_zero_generator_contributes_h1(one_var):
-    K = KoszulComplex(one_var, (one_var.zero(),), (1,))
+    K = one_field_complex(one_var, (one_var.zero(),), (1,))
     assert homology_slice(K, 1, 0).h_dim == 0
     for w in range(1, 6):
         rep = homology_slice(K, 1, w)
@@ -152,7 +146,7 @@ def test_differential_squares_to_zero(w):
                 for col0, u in d1_of[cols1[col1]].items():
                     composed[col0] = composed.get(col0, 0) + v * u
             assert all(val == 0 for val in composed.values())
-    assert sum(len(block_basis(parts)) for parts in blocks2.values()) == _slice_dim(K, 2, w)
+    assert sum(len(block_basis(parts)) for parts in blocks2.values()) == enumerated_dim(K, 2, w)
 
 
 # -- counting and packing ----------------------------------------------------------
@@ -169,9 +163,10 @@ def enumerated_dim(K, i, w):
 @pytest.mark.parametrize("n, genus", [(3, 1), (4, 1), (5, 1), (4, 2)])
 def test_dp_dims_match_enumeration(n, genus):
     K = build_complex(system("un", n, genus))
-    for i in range(4):
-        for w in range(8):
-            dim = _slice_dim(K, i, w)
+    run = koszul._SlicePass(K, 0, 7)
+    for w in range(8):
+        for i in range(4):
+            dim = sum(run._dims(i, w).values())
             assert dim == len(slice_basis(K, i, w)) == enumerated_dim(K, i, w), (i, w)
 
 
@@ -183,10 +178,36 @@ def test_torus_counts_match_the_enumerated_blocks(n, genus):
         run = koszul._SlicePass(K, 0, w)
         for j in range(3):
             dims = run._dims(j, w)
-            assert sum(dims.values()) == _slice_dim(K, j, w), (j, w)
             enumerated = {t: len(block_basis(parts)) for t, parts in slice_blocks(K, j, w).items()}
             assert dims == enumerated, (j, w)
         assert len(run.layers) == w + 1  # no weight above the slice is counted
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_subset_walk_yields_the_subsets_that_fit(seed):
+    # zero generators of random weights and tori: the walk yields what
+    # combinations filtered by weight gives, in the same order, also for
+    # j = 0, j > r and w below the lightest j-subset, and _dims counts the
+    # monomials up to the largest w - w_S and no further
+    rng = random.Random(seed)
+    ring = RingDescriptor([("x", 1), ("y", 1)])
+    weights = [rng.randint(1, 5) for _ in range(rng.randint(0, 7))]
+    tori = tuple((a, w - a) for w in weights for a in [rng.randint(0, w)])
+    K = KoszulComplex(ring, (ring.zero(),) * len(weights), tuple(weights), ((1, 0), (0, 1)), tori)
+    top = sum(weights) + 1
+    run = koszul._SlicePass(K, 0, top)
+    ws, packed = run.weights, run.generator_torus
+    for j in range(len(ws) + 2):
+        for w in range(top + 1):
+            want = [
+                (S, w - sum(ws[s] for s in S), sum(packed[s] for s in S))
+                for S in combinations(range(len(ws)), j)
+                if sum(ws[s] for s in S) <= w
+            ]
+            assert list(run._subsets(j, w)) == want, (j, w)
+            fresh = koszul._SlicePass(K, 0, top)
+            fresh._dims(j, w)
+            assert len(fresh.layers) - 1 == max((rem for _, rem, _ in want), default=0), (j, w)
 
 
 def test_a_pass_counts_no_weight_above_its_slices():
@@ -257,7 +278,7 @@ def test_block_ranks_sum_to_the_whole_slice_rank(prime):
     # the same complex without a torus is one block per slice: the ranks
     # taken block by block must add up to the rank of the whole slice
     K = build_complex(system("un", 6, 1, prime))
-    whole = KoszulComplex(K.ring, K.generators, K.weights, K.exterior_zero_count)
+    whole = one_field_complex(K.ring, K.generators, K.weights, K.exterior_zero_count)
     by_block, at_once = homology_slice(K, 1, 7), homology_slice(whole, 1, 7)
     assert (by_block.ranks, by_block.h_dim) == (at_once.ranks, 1)
     assert [rows for rows, _ in by_block.shapes] == [rows for rows, _ in at_once.shapes]
@@ -279,7 +300,7 @@ def test_fraction_generators_give_the_slices_of_the_integer_ones():
     )
     assert all(type(c) is Fraction for f in scaled for c in f.terms.values())
     S = KoszulComplex(
-        K.ring, scaled, K.weights, K.exterior_zero_count, K.variable_torus, K.generator_torus
+        K.ring, scaled, K.weights, K.variable_torus, K.generator_torus, K.exterior_zero_count
     )
     for w in range(7):
         want, got = homology_slice(K, 1, w), homology_slice(S, 1, w)
@@ -346,7 +367,7 @@ def trap(prime):
     principal, so rank d_2 exceeds the number of skipped rows."""
     ring = RingDescriptor([("x", 1), ("y", 1)], field_of(prime))
     x, y = parse_poly("x", ring), parse_poly("y", ring)
-    return KoszulComplex(ring, (x, x, y), (1, 1, 1))
+    return one_field_complex(ring, (x, x, y), (1, 1, 1))
 
 
 @pytest.mark.parametrize("prime", FIELDS)
@@ -399,7 +420,7 @@ def random_sequence(rng, prime):
         terms = {e: rng.randint(-3, 3) for e in monomials_of_weight(ring, w) if rng.random() < 0.6}
         gens.append(Polynomial(ring, terms))
         weights.append(w)
-    return KoszulComplex(ring, tuple(gens), tuple(weights))
+    return one_field_complex(ring, gens, weights)
 
 
 @pytest.mark.parametrize("prime", FIELDS)
@@ -437,7 +458,7 @@ def test_a_deadline_between_blocks_ends_the_pass_incomplete(monkeypatch):
         return block(self, *args)
 
     monkeypatch.setattr(koszul._SlicePass, "_block", counted)
-    # weights 0-4 rank 38 blocks and weight 5 another 50; the clock passes
+    # weights 0-4 rank 35 blocks and weight 5 another 40; the clock passes
     # the deadline during the 60th block
     monkeypatch.setattr(koszul.time, "monotonic", lambda: 10.0 if len(blocks) >= 60 else 0.0)
     reps = list(koszul.slices(K, 1, 8, deadline=5.0))
