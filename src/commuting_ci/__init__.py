@@ -36,7 +36,6 @@ from .groebner import (
     IncompleteComputation,
     buchberger,
     krull_dimension,
-    normal_form,
 )
 from .koszul import (
     KoszulComplex,

@@ -1,4 +1,4 @@
-"""Buchberger Groebner bases, normal forms, and the Krull dimension of the quotient.
+"""Buchberger Groebner bases and the Krull dimension of the quotient.
 
 The engine is a plain Buchberger loop with the normal selection strategy
 (smallest lcm first, hence smallest lcm degree first) and the Gebauer-Moeller
@@ -11,19 +11,19 @@ Only leading terms steer the pair loop, so each S-polynomial is top-reduced:
 reduced until its leading term is irreducible, its tail left as it stands.
 That leading term is the one full reduction of the same polynomial would
 give, and full reduction of the result gives the same normal form.  The
-tails are reduced once, when `.basis` is first read, by inter-reducing the
-basis; the reduced basis of a complete run is unique, so it does not depend
-on them.  Bases are monic and sorted by leading monomial ascending.
+tails are never reduced further: the codimension reads only the leading
+monomials.  A basis is minimal, monic and sorted by leading monomial
+ascending, with its tails as the pair loop left them.
 
-Inside `buchberger` and `normal_form` every monomial is one packed int, the
-order key itself, in the layout `ordering.Packing` defines; a divisor's
-tail is stored pre-shifted by -K0, the packing of 1, so each reduction term
-costs one addition.  The packing is sized by the input and, for
-`buchberger`, the degree cap.  The order is graded, by total degree or by
-the weighted degree of a wgrevlex order, and the cap and `max_degree` count
-that degree; so no reduction and no S-polynomial that the cap admits ever
-exceeds it.  Public signatures and `Polynomial` keep exponent tuples; only
-a basis, when it is read, and remainders are unpacked.
+Inside `buchberger` every monomial is one packed int, the order key
+itself, in the layout `ordering.Packing` defines; a divisor's tail is
+stored pre-shifted by -K0, the packing of 1, so each reduction term costs
+one addition.  The packing is sized by the input and the degree cap.  The
+order is graded, by total degree or by the weighted degree of a wgrevlex
+order, and the cap and `max_degree` count that degree; so no reduction and
+no S-polynomial that the cap admits ever exceeds it.  Public signatures
+and `Polynomial` keep exponent tuples; only the leading monomials and, when
+it is read, the basis are unpacked.
 
 One term loop serves both fields: sums are formed exactly, and
 `_reduce_terms` reduces a GF(p) coefficient mod p once, when it pops its
@@ -37,9 +37,7 @@ certify anything from it.  The deadline is an absolute `time.monotonic`
 value, as everywhere in the package, so a caller hands one budget to every
 stage of a run; it is also checked inside a reduction, every few thousand
 heap pops.  A `MemoryError` inside the pair loop ends the run the same way.
-A reduction cut short is never admitted, and the basis of a run the clock
-or the memory stopped is read as it stands, tails unreduced, without
-inter-reducing it.
+A reduction cut short is never admitted.
 
 Dimension of the quotient is read off the leading-term ideal: the maximal
 number of variables avoiding the support of every leading monomial.  The
@@ -50,7 +48,6 @@ it against exhaustive subset enumeration.
 from __future__ import annotations
 
 import heapq
-import json
 import operator
 import time
 from dataclasses import dataclass, field
@@ -59,7 +56,7 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .ordering import Coeff, Exponent, MonomialOrder, Packing
-from .polyring import Polynomial, RingDescriptor, format_poly, jsonable
+from .polyring import Polynomial, RingDescriptor, jsonable
 
 
 class IncompleteComputation(RuntimeError):
@@ -96,9 +93,9 @@ class GroebnerBasis:
     `_elems` are the basis elements as the pair loop left them, monic, packed
     by `_packing`, sorted by leading monomial ascending, and with the tails
     of top-reduced S-polynomials.  No element's leading monomial divides
-    another's, so inter-reduction keeps every leading monomial:
-    `leading_exponents` unpacks just those, and the tails are reduced when
-    `.basis` is first read.
+    another's, so the basis is minimal.  `leading_exponents` unpacks just
+    the leading monomials; `.basis` unpacks the elements once, when it is
+    first read.
     """
 
     ring: RingDescriptor
@@ -113,29 +110,14 @@ class GroebnerBasis:
 
     @cached_property
     def basis(self) -> Tuple[Polynomial, ...]:
-        """Monic, sorted by leading monomial ascending, and reduced unless
-        the deadline or the memory stopped the run; computed on the first read."""
-        elems, packing, prime = self._elems, self._packing, self.ring.field.p
-        reduced = [e.terms(packing.one) for e in elems]
-        # a run the clock or the memory stopped is read as it stands
-        if self.stats.stopped_by not in ("timeout", "memory"):
-            reduced = [
-                _reduce_terms(terms, elems[:pos] + elems[pos + 1 :], packing.guards, prime)
-                for pos, terms in enumerate(reduced)
-            ]
-        unpack_terms = packing.unpack_terms
-        return tuple(Polynomial._raw(self.ring, unpack_terms(r)) for r in reduced)
+        """The elements as the pair loop left them, unpacked on the first read."""
+        ring, unpack_terms, one = self.ring, self._packing.unpack_terms, self._packing.one
+        return tuple(Polynomial._raw(ring, unpack_terms(e.terms(one))) for e in self._elems)
 
     def leading_exponents(self) -> List[Exponent]:
         """Leading exponents of `.basis`, ascending, without reading it."""
         unpack = self._packing.unpack
         return [unpack(e.lm) for e in self._elems]
-
-    def dump(self) -> str:
-        """One polynomial per line, leading monomials ascending; stats as JSON."""
-        lines = [format_poly(g, self.order) for g in self.basis]
-        lines.append(json.dumps(self.stats.to_json()))
-        return "\n".join(lines)
 
 
 # -- reduction ----------------------------------------------------------------
@@ -187,9 +169,11 @@ def _reduce_terms(
 ) -> Dict[int, Coeff]:
     """Normal form of a packed term dict against monic divisors, tried in order.
 
-    The full normal form, or with `top` the top-reduced form: the terms are
-    reduced only until the leading one is irreducible, and the rest is
-    returned as it stands, reduced mod p and without zeros.  Both have the
+    The full normal form, which admission takes of each generator, or with
+    `top` the top-reduced form, which the pair loop takes of each
+    S-polynomial: the terms are reduced only until the leading one is
+    irreducible, and the rest is returned as it stands, reduced mod p and
+    without zeros.  Both have the
     same leading term, and the full normal form of the top-reduced form is
     that of `terms`.  Raises `_DeadlinePassed` once `deadline` (a
     `time.monotonic` value) has passed; the clock is read every
@@ -245,27 +229,6 @@ def _reduce_terms(
     return remainder
 
 
-def normal_form(
-    p: Polynomial,
-    divisors: Sequence[Polynomial],
-    order: Optional[MonomialOrder] = None,
-) -> Polynomial:
-    """Remainder of multivariate division of p by `divisors`, in list order.
-
-    No remainder term is divisible by any divisor's leading monomial.  The
-    result is deterministic for a fixed order and divisor list.
-    """
-    ring = p.ring
-    if order is None:
-        order = MonomialOrder.identity(ring.nvars)
-    divisors = [g for g in divisors if not g.is_zero]
-    packing = Packing.fitting(order, (e for f in (p, *divisors) for e in f.terms))
-    prime = ring.field.p
-    elems = [_Elem(packing.pack_terms(g.terms), packing.one, prime) for g in divisors]
-    rem = _reduce_terms(packing.pack_terms(p.terms), elems, packing.guards, prime)
-    return Polynomial._raw(ring, packing.unpack_terms(rem))
-
-
 # -- Buchberger -------------------------------------------------------------
 
 #: Default cap on the degree of one basis computation, in the order's grading.
@@ -280,15 +243,14 @@ def buchberger(
     degree_cap: int = DEFAULT_DEGREE_CAP,
     deadline: Optional[float] = None,
 ) -> GroebnerBasis:
-    """Groebner basis of the ideal generated by `gens`, reduced when `.basis` is first read.
+    """Minimal Groebner basis of the ideal generated by `gens`.
 
     Zero generators are dropped, and each generator is admitted fully
-    reduced against those before it.  Each S-polynomial is top-reduced; its
-    tail waits for `.basis`.  When the degree cap is hit, `deadline` (a
-    `time.monotonic` value; None for no limit) passes or the memory runs
-    out, the partial basis is returned with the limit in `stats.stopped_by`
-    ("timeout" and "memory": its `.basis` is not inter-reduced), so
-    `is_complete` is False; callers must not derive verdicts from it.
+    reduced against those before it.  Each S-polynomial is top-reduced, and
+    its tail is kept as it stands.  When the degree cap is hit, `deadline`
+    (a `time.monotonic` value; None for no limit) passes or the memory runs
+    out, the partial basis is returned with the limit in `stats.stopped_by`,
+    so `is_complete` is False; callers must not derive verdicts from it.
     `stats.seconds` covers admission and the pair loop.
     """
     t0 = time.monotonic()
@@ -349,8 +311,7 @@ def buchberger(
             for e, c in fj.tail:
                 ee = qj + e
                 s[ee] = s.get(ee, 0) - c
-            # only the leading term decides the pair loop: tails are reduced
-            # once, when `.basis` is read
+            # only the leading term decides the pair loop: the tail stays as it is
             rem = _reduce_terms(s, reducers, guards, prime, deadline, top=True)
             del P[(i, j)]  # only now: a pair cut short by a limit stays pending
             stats.pairs += 1

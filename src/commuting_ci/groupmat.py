@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .ordering import Coeff, MonomialOrder, Packing
@@ -115,6 +116,10 @@ def _too_large(nvars: int, why: str) -> WordStopped:
 def _check_deadline(deadline: Optional[float]) -> None:
     if deadline is not None and time.monotonic() > deadline:
         raise WordStopped("timeout", "stopped by the timeout while building the commutator word")
+
+
+#: Terms of one entry converted to exponent tuples between two deadline checks.
+_UNPACK_SLICE = 4096
 
 
 def ring_size(kind: str, n: int, genus: int) -> Tuple[int, int]:
@@ -306,7 +311,7 @@ def commutator_word(
     violation aborts: it would mean the arithmetic itself is broken.  Every
     stop raises `WordStopped`: past `deadline` (a `time.monotonic` value),
     checked before every row of the coordinate matrices, before every
-    product of two entries and before every entry converted to a
+    product of two entries and before every 4,096 terms converted to a
     `Polynomial`, with `stopped_by` "timeout"; for a ring too large to
     build (see `commutator_ring`) or a build that runs out of memory, with
     "word_size".
@@ -362,8 +367,10 @@ def _build_word(
         for i in range(n):
             word[i][i] = arith.settle({**word[i][i], one: word[i][i].get(one, 0) - 1})
 
-    # the polynomials, row by row: each packed row is dropped once converted
-    unpack_terms = packing.unpack_terms
+    # the polynomials, row by row: each packed row is dropped once converted,
+    # and an entry is converted and weighed in slices, with the deadline
+    # checked before each
+    unpack, exp_weight = packing.unpack, ring.exp_weight
     diagonal = ring.one() if unipotent else ring.zero()
     zero_positions: List[Tuple[int, int]] = []
     generators: List[Tuple[Tuple[int, int], Polynomial]] = []
@@ -372,8 +379,13 @@ def _build_word(
         packed_row, word[i - 1] = word[i - 1], []
         row = []
         for j, packed in enumerate(packed_row, 1):
-            _check_deadline(deadline)
-            e = Polynomial._raw(ring, unpack_terms(packed))
+            items, terms, weights = iter(packed.items()), {}, set()
+            for _ in range(0, len(packed) or 1, _UNPACK_SLICE):
+                _check_deadline(deadline)
+                part = {unpack(m): c for m, c in islice(items, _UNPACK_SLICE)}
+                weights.update(map(exp_weight, part))
+                terms.update(part)
+            e = Polynomial._raw(ring, terms)
             row.append(e)
             if j < i:
                 if not e.is_zero:
@@ -388,7 +400,7 @@ def _build_word(
                     raise VanishingPatternError(f"subdiagonal entry at ({i}, {j}) is nonzero")
                 zero_positions.append((i, j))
             else:
-                if e.weight_of() != j - i:
+                if weights != {j - i}:
                     raise VanishingPatternError(
                         f"entry at ({i}, {j}) is not weight-homogeneous of weight {j - i}"
                     )
@@ -397,7 +409,7 @@ def _build_word(
 
     # d_s_i * diag - 1 for each registered pair, copy by copy
     minus_one = field.p - 1 if field.p else -1
-    unit_relations = tuple(Polynomial._raw(ring, unpack_terms({u: 1, one: minus_one})) for u in units)
+    unit_relations = tuple(Polynomial._raw(ring, packing.unpack_terms({u: 1, one: minus_one})) for u in units)
     return CommutatorSystem(
         kind, n, genus, ring, tuple(rows), tuple(generators), unit_relations, tuple(zero_positions)
     )

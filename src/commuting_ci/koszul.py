@@ -154,13 +154,8 @@ class KoszulComplex:
             )
         if len(self.generators) != len(self.weights):
             raise ValueError("one weight per generator required")
-        for f, w in zip(self.generators, self.weights):
-            if w < 1:
-                raise ValueError("generator weights must be >= 1")
-            if not f.is_zero:
-                fw = f.weight_of()
-                if fw != w:
-                    raise ValueError(f"generator not weight-homogeneous of weight {w}")
+        if any(w < 1 for w in self.weights):
+            raise ValueError("generator weights must be >= 1")
         vt, gt = self.variable_torus, self.generator_torus
         if len(vt) != self.ring.nvars or len(gt) != len(self.generators):
             raise ValueError("one torus weight per variable and per generator required")
@@ -169,6 +164,8 @@ class KoszulComplex:
         for t, w in zip(vt + gt, self.ring.weights + self.weights):
             if any(x < 0 for x in t) or sum(t) != w:
                 raise ValueError(f"torus weight {t} is not nonnegative with sum {w}")
+        # each torus sums to its scalar weight, so this also makes every
+        # generator weight-homogeneous of its weight
         for f, t in zip(self.generators, gt):
             if any(_torus_of(e, vt) != t for e in f.terms):
                 raise ValueError(f"generator not torus-homogeneous of torus weight {t}")

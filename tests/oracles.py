@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import functools
+import heapq
+import json
 import math
+import operator
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
@@ -14,7 +17,7 @@ from commuting_ci.groebner import GroebnerBasis, IncompleteComputation
 from commuting_ci.groupmat import BOREL, UNIPOTENT, commutator_ring, normalize_kind
 from commuting_ci.koszul import KoszulComplex, KoszulSliceReport, _pack, slices
 from commuting_ci.ordering import Coeff, Exponent, MonomialOrder, Packing
-from commuting_ci.polyring import QQ, Field, Polynomial, PrimeField, RingDescriptor, parse_poly
+from commuting_ci.polyring import QQ, Field, Polynomial, PrimeField, RingDescriptor, format_poly, parse_poly
 from commuting_ci.polyring import _coerce
 
 # -- exponent tuples -----------------------------------------------------------
@@ -33,7 +36,7 @@ def grevlex_key(order: MonomialOrder) -> Callable[[Exponent], Tuple[int, ...]]:
     weights = order.weights or (1,) * order.nvars
 
     def key(exp: Exponent) -> Tuple[int, ...]:
-        return (sum(w * e for w, e in zip(weights, exp)), *[-exp[v] for v in rev])
+        return (sum(map(operator.mul, weights, exp)), *[-exp[v] for v in rev])
 
     return key
 
@@ -43,7 +46,7 @@ def leading_exponent(order: MonomialOrder, terms: Iterable[Exponent]) -> Exponen
 
 
 def divides(a: Exponent, b: Exponent) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 
 def lcm(a: Exponent, b: Exponent) -> Exponent:
@@ -97,6 +100,67 @@ def spolynomial(f: Polynomial, g: Polynomial, order: Optional[MonomialOrder] = N
         return Polynomial(f.ring, {tuple(a - b for a, b in zip(m, lm)): Fraction(1) / lc})
 
     return add(mul(f, cofactor(lmf, f.terms[lmf])), mul(g, cofactor(lmg, -g.terms[lmg])))
+
+
+# -- division and bases on exponent tuples --------------------------------------
+
+
+def normal_form(
+    p: Polynomial, divisors: Sequence[Polynomial], order: Optional[MonomialOrder] = None
+) -> Polynomial:
+    """Remainder of dividing p by `divisors`: the largest term first, from a
+    heap keyed by `grevlex_key`, each reduced by the first divisor in list
+    order whose leading monomial divides it."""
+    ring, prime = p.ring, p.ring.field.p
+    key = grevlex_key(order or MonomialOrder.identity(ring.nvars))
+
+    def rank(e: Exponent) -> Tuple[int, ...]:  # the largest monomial pops first
+        return tuple(map(operator.neg, key(e)))
+
+    divs = []
+    for g in divisors:
+        if not g.is_zero:
+            lm = max(g.terms, key=key)
+            inv = Fraction(1, g.terms[lm]) if prime is None else pow(g.terms[lm], -1, prime)
+            divs.append((lm, [(e, c * inv) for e, c in g.terms.items() if e != lm]))
+    h = dict(p.terms)
+    heap = [(rank(e), e) for e in h]
+    heapq.heapify(heap)
+    remainder = {}
+    while heap:
+        m = heapq.heappop(heap)[1]
+        c = h.pop(m)
+        if prime is not None:
+            c %= prime
+        if not c:
+            continue
+        for lm, tail in divs:
+            if divides(lm, m):
+                break
+        else:
+            remainder[m] = c
+            continue
+        q = tuple(map(operator.sub, m, lm))
+        for e, a in tail:
+            t = tuple(map(operator.add, q, e))  # smaller than m: not popped yet
+            if t not in h:
+                heapq.heappush(heap, (rank(t), t))
+            h[t] = h.get(t, 0) - c * a
+    return Polynomial(ring, remainder)
+
+
+def reduced_basis(gb: GroebnerBasis) -> Tuple[Polynomial, ...]:
+    """`gb.basis` with each element reduced by the others, taken as they
+    stand, in ascending order: the reduced Groebner basis of a complete run."""
+    basis = gb.basis
+    return tuple(normal_form(g, basis[:k] + basis[k + 1 :], gb.order) for k, g in enumerate(basis))
+
+
+def dump(gb: GroebnerBasis) -> str:
+    """One line per element of `reduced_basis`, leading monomials ascending,
+    in the text format of the order; then the stats as JSON."""
+    lines = [format_poly(g, gb.order) for g in reduced_basis(gb)]
+    return "\n".join(lines + [json.dumps(gb.stats.to_json())])
 
 
 # -- rings and polynomials -----------------------------------------------------

@@ -9,13 +9,13 @@ import random
 from fractions import Fraction
 
 from commuting_ci.cidecide import classify_table, decide_ci, u6_witness
-from commuting_ci.groebner import buchberger, krull_dimension, normal_form
+from commuting_ci.groebner import buchberger, krull_dimension
 from commuting_ci.koszul import build_complex
 from commuting_ci.polyring import Polynomial, RingDescriptor, format_poly, parse_poly
 
 from conftest import system, system_basis
 from oracles import dimension_by_enumeration, evaluate, homology_slice, kunneth_zero_check
-from oracles import reduce_units, spolynomial
+from oracles import normal_form, reduce_units, spolynomial
 
 from test_groupmat import _matinv, _matmul, _matrix_at_point, _random_point
 

@@ -16,13 +16,13 @@ from commuting_ci.cidecide import (
     u6_witness,
     window_witness,
 )
-from commuting_ci.groebner import buchberger, krull_dimension, normal_form
+from commuting_ci.groebner import buchberger, krull_dimension
 from commuting_ci.koszul import build_complex
 from commuting_ci.ordering import MonomialOrder
 from commuting_ci.polyring import QQ, PrimeField, parse_poly
 
 from conftest import system
-from oracles import add, homology_slice
+from oracles import add, homology_slice, normal_form
 
 
 def test_resolve_field_policy():

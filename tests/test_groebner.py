@@ -12,12 +12,7 @@ import pytest
 
 from commuting_ci import groebner
 from commuting_ci.cidecide import decide_ci
-from commuting_ci.groebner import (
-    IncompleteComputation,
-    buchberger,
-    krull_dimension,
-    normal_form,
-)
+from commuting_ci.groebner import IncompleteComputation, buchberger, krull_dimension
 from commuting_ci.ordering import MonomialOrder, Packing
 from commuting_ci.polyring import (
     Polynomial,
@@ -31,12 +26,16 @@ from conftest import system, system_basis
 from oracles import (
     add,
     dimension_by_enumeration,
+    divides,
+    dump,
     gebauer_moeller,
     grevlex_key,
     leading_exponent,
     monomials_of_weight,
     mul,
+    normal_form,
     reduce_mod,
+    reduced_basis,
     scale,
     spolynomial,
     standard_monomial_dimension,
@@ -196,13 +195,21 @@ def test_weighted_basis_passes_the_buchberger_criterion():
 
 
 def test_basis_is_reduced():
-    gb = system_basis("un", 4, 1)
-    lms = [leading_exponent(gb.order, g.terms) for g in gb.basis]
-    for i, g in enumerate(gb.basis):
-        for exp in g.terms:
-            for j, lm in enumerate(lms):
-                if j != i:
-                    assert not all(e >= l for l, e in zip(lm, exp)), "reducible term survived"
+    # U4 g2's basis keeps tails that the other leading monomials reduce
+    gb = system_basis("un", 4, 2)
+    lms = gb.leading_exponents()
+
+    def reducible(basis):
+        return [
+            i
+            for i, g in enumerate(basis)
+            if any(divides(lm, exp) for exp in g.terms for j, lm in enumerate(lms) if j != i)
+        ]
+
+    assert reducible(gb.basis)
+    reduced = reduced_basis(gb)
+    assert [leading_exponent(gb.order, g.terms) for g in reduced] == lms
+    assert not reducible(reduced), "reducible term survived"
 
 
 # -- dimension oracle ------------------------------------------------------------------
@@ -269,6 +276,44 @@ def test_modular_leading_terms_match_rational(kind, n):
 # -- sympy as an extra oracle -------------------------------------------------------------
 
 
+def sympy_expr(sympy, p, syms):
+    """p as a sympy expression in `syms`."""
+    return sum(
+        (sympy.Rational(str(c)) * sympy.Mul(*(x**e for x, e in zip(syms, exp))) for exp, c in p.terms.items()),
+        sympy.Integer(0),
+    )
+
+
+def random_polynomial(rng, ring, nterms, top):
+    terms = {}
+    for _ in range(nterms):
+        exp = tuple(rng.randint(0, top) for _ in range(ring.nvars))
+        terms[exp] = terms.get(exp, 0) + rng.randint(-4, 4)
+    return Polynomial(ring, terms)
+
+
+def test_reference_normal_form_agrees_with_sympy_reduced():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(29)
+    reduced = 0
+    for trial in range(30):
+        nvars = rng.randint(2, 4)
+        ring = RingDescriptor([(f"v{i}", 1) for i in range(nvars)])
+        syms = sympy.symbols([f"v{i}" for i in range(nvars)])
+        f = random_polynomial(rng, ring, rng.randint(2, 6), 3)
+        divisors = [random_polynomial(rng, ring, rng.randint(1, 3), 2) for _ in range(rng.randint(1, 3))]
+        divisors = [g for g in divisors if not g.is_zero]
+        if not divisors:
+            continue
+        _, theirs = sympy.reduced(
+            sympy_expr(sympy, f, syms), [sympy_expr(sympy, g, syms) for g in divisors], *syms, order="grevlex"
+        )
+        mine = normal_form(f, divisors)
+        assert sympy.expand(sympy_expr(sympy, mine, syms) - theirs) == 0, f"trial {trial}"
+        reduced += mine != f
+    assert reduced >= 15
+
+
 def test_sympy_agrees_on_random_ideals():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(99)
@@ -276,25 +321,9 @@ def test_sympy_agrees_on_random_ideals():
         nvars = rng.randint(2, 4)
         ring = RingDescriptor([(f"v{i}", 1) for i in range(nvars)])
         syms = sympy.symbols([f"v{i}" for i in range(nvars)])
-        gens, exprs = [], []
-        for _ in range(rng.randint(2, 4)):
-            terms = {}
-            for _ in range(rng.randint(1, 3)):
-                exp = tuple(rng.randint(0, 2) for _ in range(nvars))
-                c = rng.randint(-4, 4)
-                if c:
-                    terms[exp] = terms.get(exp, 0) + c
-            p = Polynomial(ring, terms)
-            if not p.is_zero:
-                gens.append(p)
-                e = 0
-                for exp, c in p.terms.items():
-                    t = sympy.Integer(int(c))
-                    for i, ei in enumerate(exp):
-                        if ei:
-                            t *= syms[i] ** ei
-                    e += t
-                exprs.append(e)
+        gens = [random_polynomial(rng, ring, rng.randint(1, 3), 2) for _ in range(rng.randint(2, 4))]
+        gens = [p for p in gens if not p.is_zero]
+        exprs = [sympy_expr(sympy, p, syms) for p in gens]
         if not gens:
             continue
         mine = buchberger(gens, ring=ring, deadline=time.monotonic() + 30)
@@ -302,7 +331,7 @@ def test_sympy_agrees_on_random_ideals():
         theirs = sympy.groebner(exprs, *syms, order="grevlex")
         mine_set = {
             frozenset((exp, sympy.Rational(str(c))) for exp, c in g.terms.items())
-            for g in mine.basis
+            for g in reduced_basis(mine)
         }
         their_set = set()
         for p in theirs.polys:
@@ -321,16 +350,7 @@ def test_sympy_agrees_on_small_ideals():
     s = system("un", 4, 1)
     ring = s.ring
     syms = sympy.symbols(ring.variables)
-    gens = []
-    for _, f in s.generators:
-        expr = 0
-        for exp, c in f.terms.items():
-            term = sympy.Integer(int(c))
-            for i, e in enumerate(exp):
-                if e:
-                    term *= syms[i] ** e
-            expr += term
-        gens.append(expr)
+    gens = [sympy_expr(sympy, f, syms) for _, f in s.generators]
     gb = sympy.groebner(gens, *syms, order="grevlex")
     mine = system_basis("un", 4, 1)
     assert len(gb.exprs) == len(mine.basis)
@@ -406,13 +426,13 @@ def test_deadline_inside_a_reduction_admits_no_partial_remainder(monkeypatch):
     # the same deterministic run up to the cut, and nothing admitted from it
     assert 0 < len(admitted) < len(reference)
     assert admitted == reference[: len(admitted)]
-    # with the clock run out the basis is returned as admitted, not inter-reduced
+    # the basis is returned as admitted
     packing = Packing.fitting(cut.order, (e for g in gens for e in g.terms), 6)
     assert len(cut.basis) == cut.stats.basis_size
     assert all(packing.pack_terms(g.terms) in admitted for g in cut.basis)
 
 
-# -- the basis is reduced when it is read -----------------------------------------------
+# -- reading the basis reduces nothing ----------------------------------------------------
 
 
 def count_reductions(monkeypatch):
@@ -442,12 +462,12 @@ def test_lazy_basis_agrees_with_read_basis(kind, n, genus, prime, seed, monkeypa
     calls = count_reductions(monkeypatch)
     lazy_lts = gb.leading_exponents()
     lazy_dim = krull_dimension(gb)
-    assert not calls  # neither read the basis
     basis = gb.basis
-    assert len(calls) == len(basis) == gb.stats.basis_size
+    assert not calls  # neither the dimension nor the basis reduces anything
+    assert len(basis) == gb.stats.basis_size
     assert lazy_lts == [leading_exponent(order, g.terms) for g in basis]
     assert krull_dimension(gb) == lazy_dim
-    assert gb.basis is basis and len(calls) == len(basis)  # read once
+    assert gb.basis is basis and not calls  # unpacked once
 
 
 #: `stats` of the `frontier` bench cases at degree cap 7 in the default order
@@ -599,7 +619,7 @@ def test_top_reduction_keeps_the_leading_term_and_the_normal_form(prime, seed):
 
 def test_dump_format():
     gb = system_basis("un", 3, 1)
-    lines = gb.dump().splitlines()
+    lines = dump(gb).splitlines()
     *polys, stats = lines
     payload = json.loads(stats)
     assert set(payload) == {
@@ -702,7 +722,7 @@ def test_basis_dump_is_pinned(case, pinned):
     gens = [f for _, f in s.generators] + list(s.unit_relations)
     order = MonomialOrder.seeded(s.ring.nvars, seed)
     gb = buchberger(gens, order, ring=s.ring, degree_cap=cap)
-    *lines, stats = gb.dump().splitlines()
+    *lines, stats = dump(gb).splitlines()
     assert len(lines) == nlines
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == sha
     stats = json.loads(stats)

@@ -218,6 +218,32 @@ def test_deadline_covers_the_checks_after_the_last_product(monkeypatch):
         assert stop.value.stopped_by == "timeout"
 
 
+def test_deadline_inside_a_large_entry_stops_the_build(monkeypatch):
+    # with slices of 8 terms, entry (1, 6) of U6 converts in several slices,
+    # and the deadline is checked before each of them
+    monkeypatch.setattr(groupmat, "_UNPACK_SLICE", 8)
+    check = groupmat._check_deadline
+    callers, trip = [], [None]
+
+    def spy(deadline):
+        callers.append(sys._getframe(1).f_code.co_name)
+        check(0.0 if len(callers) == trip[0] else deadline)  # 0.0 has always passed
+
+    monkeypatch.setattr(groupmat, "_check_deadline", spy)
+    full = commutator_word("un", 6, 1)
+    slices = [max(1, -(-len(e.terms) // 8)) for row in full.word_matrix for e in row]
+    assert slices[5] > 2
+    # the conversion's checks are the `_build_word` ones after the last product
+    last_product = max(k for k, name in enumerate(callers) if name != "_build_word")
+    assert len(callers) - 1 - last_product == sum(slices)
+    # the deadline passes before the second slice of entry (1, 6)
+    trip[0] = last_product + 1 + sum(slices[:5]) + 2
+    callers.clear()
+    with pytest.raises(WordStopped) as stop:
+        commutator_word("un", 6, 1)
+    assert stop.value.stopped_by == "timeout" and len(callers) == trip[0]
+
+
 # -- evaluation consistency -------------------------------------------------------
 
 
